@@ -441,7 +441,7 @@ def _supervised_minibatch(discriminator, opt, x, targets, dropout_rng):
     probs, caches = net_forward(discriminator.layers, x, train=True, rng=dropout_rng)
     p = _clamp(probs)
     grad = -(targets / p) / x.shape[0]
-    _, grads = net_backward(discriminator.layers, caches, grad)
+    _, grads = net_backward(discriminator.layers, caches, grad, input_grad=False)
     new_params, opt = adam_step(net_params(discriminator.layers), grads, opt)
     set_net_params(discriminator.layers, new_params)
     return opt
@@ -454,8 +454,8 @@ def _generator_minibatch(generator, discriminator, opt, z, dropout_rng):
     p_real = _clamp(probs[:, REAL])
     grad_probs = np.zeros_like(probs)
     grad_probs[:, REAL] = -0.5 / (z.shape[0] * p_real)
-    grad_fake, _ = net_backward(discriminator.layers, d_caches, grad_probs)
-    _, g_grads = net_backward(generator.layers, g_caches, grad_fake)
+    grad_fake, _ = net_backward(discriminator.layers, d_caches, grad_probs, param_grads=False)
+    _, g_grads = net_backward(generator.layers, g_caches, grad_fake, input_grad=False)
     new_params, opt = adam_step(net_params(generator.layers), g_grads, opt)
     set_net_params(generator.layers, new_params)
     return opt

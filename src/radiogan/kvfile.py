@@ -2,7 +2,9 @@
 
 This one format backs the recording sidecars, run metadata, config files,
 manifests, and validation reports: UTF-8 text, one ``key=value`` pair per
-line, ``#`` comment lines and blank lines ignored, values kept verbatim.
+line, ``#`` comment lines and blank lines ignored, keys and values stripped
+of surrounding whitespace. The writer refuses any pair the reader would not
+return unchanged.
 """
 
 from __future__ import annotations
@@ -11,7 +13,24 @@ from pathlib import Path
 
 
 def format_kv(mapping: dict) -> str:
-    return "".join(f"{key}={value}\n" for key, value in mapping.items())
+    """One ``key=value`` line per pair, keys and values written with ``str``.
+
+    Raises ``ValueError`` for a pair that ``parse_kv`` would not read back
+    unchanged: a line break anywhere, whitespace around the key or the value,
+    an ``=`` in the key, or a key that starts with ``#``.
+    """
+    lines = []
+    for key, value in mapping.items():
+        key, value = str(key), str(value)
+        line = f"{key}={value}\n"
+        try:
+            back = parse_kv(line)
+        except ValueError:
+            back = None
+        if back != {key: value}:
+            raise ValueError(f"{key!r}={value!r} would not read back unchanged as a key=value line")
+        lines.append(line)
+    return "".join(lines)
 
 
 def parse_kv(text: str) -> dict[str, str]:

@@ -2,7 +2,9 @@
 
 Conventions: a layer's ``forward`` returns ``(output, cache)``; ``backward``
 takes the cache and the upstream gradient and returns ``(input_gradient,
-[parameter gradients...])`` in the same order as ``params()``. Weight-decay
+[parameter gradients...])`` in the same order as ``params()``. Its keywords
+``input_grad=False`` and ``param_grads=False`` skip the work of either part,
+which then comes back as ``None`` or ``[]``. Weight-decay
 terms (``lambda * ||W||^2`` added to the loss) contribute ``2 * lambda * W``
 to the weight gradient inside the owning layer's backward.
 """
@@ -14,6 +16,10 @@ import numpy as np
 from ..seeding import as_generator
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
+
+# Size of each per-block temporary of Conv1DLayer (im2col columns, input-
+# gradient taps): the batch is processed in as many rows as fit, at least one.
+CONV_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def xavier_init(fan_in: int, fan_out: int, seed) -> np.ndarray:
@@ -118,17 +124,28 @@ class DenseLayer:
         out = _activate(self.activation, x @ self.weights.T + self.bias)
         return out, ("dense", x, out)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, x, out = cache
         grad_z = _activate_backward(self.activation, out, grad_out)
+        grad_x = grad_z @ self.weights if input_grad else None
+        if not param_grads:
+            return grad_x, []
         z2 = grad_z.reshape(-1, self.fan_out)
         x2 = x.reshape(-1, self.fan_in)
         grad_w = z2.T @ x2
         if self.weight_decay_lambda > 0.0:
             grad_w = grad_w + 2.0 * self.weight_decay_lambda * self.weights
         grad_b = z2.sum(axis=0)
-        grad_x = grad_z @ self.weights
         return grad_x, [grad_w, grad_b]
+
+
+def conv_block_rows(n_in: int, kernel_len: int) -> int:
+    """Batch rows per Conv1DLayer block for an input of length ``n_in``.
+
+    The largest per-row temporary is the input-gradient tap buffer of
+    ``kernel_len * (n_in + 1)`` float64 values; the im2col columns are smaller.
+    """
+    return max(1, CONV_BLOCK_BYTES // (8 * kernel_len * (n_in + 1)))
 
 
 class Conv1DLayer:
@@ -178,19 +195,51 @@ class Conv1DLayer:
             raise ValueError(f"expected [batch, n_in] input, got shape {x.shape}")
         if x.shape[1] < self.kernel_len:
             raise ValueError(f"input length {x.shape[1]} shorter than kernel {self.kernel_len}")
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
-        out = np.einsum("bls,ks->bkl", windows, self.kernels[:, 0, :]) + self.bias[None, :, None]
+        kern = self.kernels[:, 0, :]
+        out = np.empty((x.shape[0], self.n_kernels, x.shape[1] - self.kernel_len + 1))
+        for rows, cols in self._column_blocks(x):
+            block = out[rows]
+            np.matmul(kern, cols.transpose(0, 2, 1), out=block)
+            block += self.bias[:, None]
         return out, ("conv1d", x, None)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, x, _ = cache
+        batch, n_in = x.shape
+        n_out = n_in - self.kernel_len + 1
+        kern_t = self.kernels[:, 0, :].T
+        grad_x = np.empty((batch, n_in)) if input_grad else None
+        grad_k = np.zeros((self.n_kernels, self.kernel_len)) if param_grads else None
+        for rows, cols in self._column_blocks(x, need_cols=param_grads):
+            g = grad_out[rows]
+            if param_grads:
+                grad_k += np.matmul(g, cols).sum(axis=0)
+            if input_grad:
+                # taps[b, s, l] = sum_k kern[k, s] * g[b, k, l] lands on input l + s.
+                # Rows of taps padded to n_in + 1 and re-read n_in at a time put
+                # tap s, output l at column s + l, so the shift-add is one sum.
+                taps = np.empty((g.shape[0], self.kernel_len, n_in + 1))
+                np.matmul(kern_t, g, out=taps[:, :, :n_out])
+                taps[:, :, n_out:] = 0.0
+                flat = taps.reshape(g.shape[0], -1)[:, : self.kernel_len * n_in]
+                grad_x[rows] = flat.reshape(g.shape[0], self.kernel_len, n_in).sum(axis=1)
+        if not param_grads:
+            return grad_x, []
+        return grad_x, [grad_k[:, None, :], grad_out.sum(axis=(0, 2))]
+
+    def _column_blocks(self, x, need_cols=True):
+        """Yield ``(row slice, im2col block [rows, n_out, kernel_len])`` over the batch.
+
+        A block holds as many rows as fit in ``CONV_BLOCK_BYTES`` (at least one),
+        so neither the im2col matrix nor the input-gradient buffer ever spans
+        the whole batch. ``need_cols=False`` yields ``None`` in place of the block.
+        """
+        batch, n_in = x.shape
+        step = conv_block_rows(n_in, self.kernel_len)
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
-        grad_k = np.einsum("bkl,bls->ks", grad_out, windows)[:, None, :]
-        grad_b = grad_out.sum(axis=(0, 2))
-        padded = np.pad(grad_out, ((0, 0), (0, 0), (self.kernel_len - 1, self.kernel_len - 1)))
-        gwin = np.lib.stride_tricks.sliding_window_view(padded, self.kernel_len, axis=2)
-        grad_x = np.einsum("bkns,ks->bn", gwin, self.kernels[:, 0, ::-1])
-        return grad_x, [grad_k, grad_b]
+        for start in range(0, batch, step):
+            rows = slice(start, min(start + step, batch))
+            yield rows, (np.ascontiguousarray(windows[rows]) if need_cols else None)
 
 
 class DropoutLayer:
@@ -223,11 +272,11 @@ class DropoutLayer:
         multiplier = None if (not train or self.rate == 0.0) else mask / (1.0 - self.rate)
         return out, ("dropout", multiplier, None)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, multiplier, _ = cache
-        if multiplier is None:
-            return grad_out, []
-        return grad_out * multiplier, []
+        if not input_grad:
+            return None, []
+        return (grad_out if multiplier is None else grad_out * multiplier), []
 
 
 class FlattenLayer:
@@ -244,9 +293,9 @@ class FlattenLayer:
         x = np.asarray(x, dtype=np.float64)
         return x.reshape(x.shape[0], -1), ("flatten", x.shape, None)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, shape, _ = cache
-        return grad_out.reshape(shape), []
+        return (grad_out.reshape(shape) if input_grad else None), []
 
 
 _TAGS = {DenseLayer: "dense", Conv1DLayer: "conv1d", DropoutLayer: "dropout", FlattenLayer: "flatten"}
@@ -265,21 +314,25 @@ def net_forward(layers, x, train=False, rng=None):
     return out, caches
 
 
-def net_backward(layers, caches, grad_out):
+def net_backward(layers, caches, grad_out, input_grad=True, param_grads=True):
     """Backpropagate through a stack; returns ``(input grad, parameter grads)``.
 
     The parameter gradients come back as one flat list aligned with
     ``net_params(layers)``. The caches must be the ones produced by the
-    matching ``net_forward`` call.
+    matching ``net_forward`` call. ``input_grad=False`` skips the stack's
+    input gradient (returned as ``None``); ``param_grads=False`` skips every
+    parameter gradient (returned as ``[]``), as for a frozen stack.
     """
     if len(caches) != len(layers):
         raise ValueError(f"cache/layer mismatch: {len(caches)} caches for {len(layers)} layers")
     per_layer = []
     grad = grad_out
-    for layer, cache in zip(reversed(layers), reversed(caches)):
+    for depth, (layer, cache) in enumerate(zip(reversed(layers), reversed(caches))):
         if not isinstance(cache, tuple) or cache[0] != _TAGS[type(layer)]:
             raise ValueError(f"stale activation cache: expected {_TAGS[type(layer)]!r} entry")
-        grad, layer_grads = layer.backward(cache, grad)
+        # Layers above the bottom one always pass a gradient down.
+        needs_input = input_grad or depth < len(layers) - 1
+        grad, layer_grads = layer.backward(cache, grad, input_grad=needs_input, param_grads=param_grads)
         per_layer.append(layer_grads)
     flat = [g for layer_grads in reversed(per_layer) for g in layer_grads]
     return grad, flat

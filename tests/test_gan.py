@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radiogan.gan import (
+    REAL,
     DiscriminatorNet,
     GeneratorNet,
     TrainConfig,
@@ -16,8 +17,13 @@ from radiogan.gan import (
     latent_noise_variance,
     sample_latent,
     saturating_generator_loss,
+    _clamp,
+    _class_targets,
+    _generator_minibatch,
+    _supervised_minibatch,
 )
-from radiogan.net.layers import net_backward, net_forward
+from radiogan.net.adam import AdamState, adam_step
+from radiogan.net.layers import net_backward, net_forward, net_params, set_net_params
 from radiogan.seeding import substream
 
 
@@ -166,6 +172,64 @@ def test_gradient_flows_back_to_input():
     grad_x, _ = net_backward(d.layers, caches, grad)
     assert grad_x.shape == x.shape
     assert np.max(np.abs(grad_x)) > 0.0
+
+
+# --- training steps against full-backward references ---------------------------
+
+
+def _reference_supervised_step(discriminator, opt, x, targets, dropout_rng):
+    probs, caches = net_forward(discriminator.layers, x, train=True, rng=dropout_rng)
+    grad = -(targets / _clamp(probs)) / x.shape[0]
+    _, grads = net_backward(discriminator.layers, caches, grad)
+    new_params, opt = adam_step(net_params(discriminator.layers), grads, opt)
+    set_net_params(discriminator.layers, new_params)
+    return opt
+
+
+def _reference_generator_step(generator, discriminator, opt, z, dropout_rng):
+    fake, g_caches = net_forward(generator.layers, z)
+    probs, d_caches = net_forward(discriminator.layers, fake, train=True, rng=dropout_rng)
+    grad_probs = np.zeros_like(probs)
+    grad_probs[:, REAL] = -0.5 / (z.shape[0] * _clamp(probs[:, REAL]))
+    grad_fake, _ = net_backward(discriminator.layers, d_caches, grad_probs)
+    _, g_grads = net_backward(generator.layers, g_caches, grad_fake)
+    new_params, opt = adam_step(net_params(generator.layers), g_grads, opt)
+    set_net_params(generator.layers, new_params)
+    return opt
+
+
+def _assert_bit_identical(params_a, opt_a, params_b, opt_b):
+    assert opt_a.step_count == opt_b.step_count == 1
+    for name, a, b in (
+        ("params", params_a, params_b),
+        ("first_moment", opt_a.first_moment, opt_b.first_moment),
+        ("second_moment", opt_a.second_moment, opt_b.second_moment),
+    ):
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b)), name
+
+
+def test_supervised_step_matches_full_backward_reference():
+    fast, ref = DiscriminatorNet.build(256, 11), DiscriminatorNet.build(256, 11)
+    opt = AdamState.for_params(fast.params(), 1e-3)
+    x = substream(12, "x").standard_normal((8, 256))
+    targets = _class_targets(4, 4, 0.2)
+    opt_fast = _supervised_minibatch(fast, opt, x, targets, substream(13, "drop"))
+    opt_ref = _reference_supervised_step(ref, opt, x, targets, substream(13, "drop"))
+    _assert_bit_identical(fast.params(), opt_fast, ref.params(), opt_ref)
+    assert not np.array_equal(fast.params()[0], DiscriminatorNet.build(256, 11).params()[0])
+
+
+def test_generator_step_matches_full_backward_reference_and_freezes_discriminator():
+    g_fast, g_ref = GeneratorNet.build(256, 21), GeneratorNet.build(256, 21)
+    d_fast, d_ref = DiscriminatorNet.build(256, 22), DiscriminatorNet.build(256, 22)
+    d_before = [p.copy() for p in d_fast.params()]
+    opt = AdamState.for_params(g_fast.params(), 1e-3)
+    z = substream(23, "z").standard_normal((8, 256))
+    opt_fast = _generator_minibatch(g_fast, d_fast, opt, z, substream(24, "drop"))
+    opt_ref = _reference_generator_step(g_ref, d_ref, opt, z, substream(24, "drop"))
+    _assert_bit_identical(g_fast.params(), opt_fast, g_ref.params(), opt_ref)
+    assert all(np.array_equal(a, b) for a, b in zip(d_fast.params(), d_before))
 
 
 def test_config_defaults_match_published_table():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from radiogan.net.layers import (
+    CONV_BLOCK_BYTES,
     Conv1DLayer,
     DenseLayer,
     DropoutLayer,
     FlattenLayer,
+    conv_block_rows,
     decay_penalty,
     net_backward,
     net_forward,
@@ -89,6 +91,122 @@ def test_conv_forward_bias_and_channels():
     out, _ = layer.forward(np.array([[1.0, 2.0, 3.0]]))
     assert np.allclose(out[0, 0], [11.0, 12.0])
     assert np.allclose(out[0, 1], [-8.0, -7.0])
+
+
+# --- conv1d against the einsum oracle ----------------------------------------
+
+
+def einsum_conv_forward(layer, x):
+    windows = np.lib.stride_tricks.sliding_window_view(x, layer.kernel_len, axis=1)
+    return np.einsum("bls,ks->bkl", windows, layer.kernels[:, 0, :]) + layer.bias[None, :, None]
+
+
+def einsum_conv_backward(layer, x, grad_out):
+    """Reference gradients: kernel, bias, and input via the zero-padded full correlation."""
+    s = layer.kernel_len
+    windows = np.lib.stride_tricks.sliding_window_view(x, s, axis=1)
+    grad_k = np.einsum("bkl,bls->ks", grad_out, windows)[:, None, :]
+    grad_b = grad_out.sum(axis=(0, 2))
+    padded = np.pad(grad_out, ((0, 0), (0, 0), (s - 1, s - 1)))
+    gwin = np.lib.stride_tricks.sliding_window_view(padded, s, axis=2)
+    grad_x = np.einsum("bkns,ks->bn", gwin, layer.kernels[:, 0, ::-1])
+    return grad_x, grad_k, grad_b
+
+
+DESK_ROWS = conv_block_rows(256, 128)
+
+
+@pytest.mark.parametrize(
+    "batch, n_in, n_kernels, kernel_len",
+    [
+        (1, 12, 3, 4),  # batch 1
+        (3, 16, 2, 16),  # kernel as long as the input: one output sample
+        (DESK_ROWS - 1, 256, 4, 128),  # one below a block boundary
+        (DESK_ROWS, 256, 4, 128),  # exactly one block
+        (DESK_ROWS + 1, 256, 4, 128),  # one row into the second block
+        (128, 256, 32, 128),  # desk shape
+        (1, 2048, 32, 128),  # one published-shape row
+    ],
+)
+def test_conv_matches_einsum_oracle(batch, n_in, n_kernels, kernel_len):
+    layer = Conv1DLayer.create(n_kernels, kernel_len, batch + n_in)
+    layer.bias = np.random.default_rng(1).standard_normal(n_kernels)
+    x = np.random.default_rng(2).standard_normal((batch, n_in))
+    out, cache = layer.forward(x)
+    grad_out = np.random.default_rng(3).standard_normal(out.shape)
+    grad_x, (grad_k, grad_b) = layer.backward(cache, grad_out)
+    want_x, want_k, want_b = einsum_conv_backward(layer, x, grad_out)
+    assert out.shape == (batch, n_kernels, n_in - kernel_len + 1)
+    assert rel_err(out, einsum_conv_forward(layer, x)) <= 1e-12
+    assert rel_err(grad_k, want_k) <= 1e-12
+    assert rel_err(grad_b, want_b) <= 1e-12
+    assert rel_err(grad_x, want_x) <= 1e-12
+
+
+def test_conv_block_rows_bounds_the_temporaries():
+    # the input-gradient tap buffer, kernel_len * (n_in + 1) float64 a row, is the largest
+    assert 1 < DESK_ROWS and DESK_ROWS * 8 * 128 * 257 <= CONV_BLOCK_BYTES
+    assert conv_block_rows(2048, 128) == 1  # a published row alone is about the budget
+    assert conv_block_rows(10**7, 128) == 1  # never fewer than one row
+
+
+# --- skipping gradients ---------------------------------------------------------
+
+
+def _layer_cases():
+    rng = np.random.default_rng(5)
+    x2 = rng.standard_normal((4, 12))
+    x3 = rng.standard_normal((4, 3, 6))
+    drop = DropoutLayer(rate=0.5)
+    return [
+        (DenseLayer.create(12, 5, "tanh", 0, weight_decay_lambda=0.01), x2, {}),
+        (DenseLayer.create(6, 2, "softmax", 1), x3, {}),
+        (Conv1DLayer.create(3, 5, 2), x2, {}),
+        (drop, x2, {"train": True, "rng": substream(6, "drop")}),
+        (drop, x2, {}),
+        (FlattenLayer(), x3, {}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_layer_cases())))
+def test_backward_skips_match_full_call(case):
+    layer, x, kwargs = _layer_cases()[case]
+    out, cache = layer.forward(x, **kwargs)
+    grad_out = np.random.default_rng(7).standard_normal(out.shape)
+    full_x, full_params = layer.backward(cache, grad_out)
+    assert len(full_params) == len(layer.params())
+
+    no_input, params = layer.backward(cache, grad_out, input_grad=False)
+    assert no_input is None
+    assert len(params) == len(full_params)
+    assert all(np.array_equal(a, b) for a, b in zip(params, full_params))
+
+    grad_x, no_params = layer.backward(cache, grad_out, param_grads=False)
+    assert no_params == []
+    assert np.array_equal(grad_x, full_x)
+
+
+def test_net_backward_skips_match_full_call():
+    layers = [
+        Conv1DLayer.create(2, 3, 0),
+        DenseLayer.create(6, 4, "relu", 1),
+        DropoutLayer(rate=0.5),
+        FlattenLayer(),
+        DenseLayer.create(8, 2, "softmax", 2),
+    ]
+    x = np.random.default_rng(8).standard_normal((3, 8))
+    out, caches = net_forward(layers, x, train=True, rng=substream(9, "drop"))
+    grad_out = np.random.default_rng(10).standard_normal(out.shape)
+    full_x, full_params = net_backward(layers, caches, grad_out)
+
+    no_input, params = net_backward(layers, caches, grad_out, input_grad=False)
+    assert no_input is None
+    assert len(params) == len(full_params) == len(net_params(layers))
+    assert all(np.array_equal(a, b) for a, b in zip(params, full_params))
+
+    grad_x, no_params = net_backward(layers, caches, grad_out, param_grads=False)
+    assert no_params == []
+    assert np.array_equal(grad_x, full_x)
 
 
 def test_dropout_rate_zero_and_inference_are_identity():

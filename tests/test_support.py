@@ -1,7 +1,11 @@
 """Shared plumbing: named random substreams, key=value files, manifests."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiogan.kvfile import format_kv, parse_kv, read_kv, write_kv
 from radiogan.manifest import config_digest, read_manifest, write_manifest
@@ -65,6 +69,50 @@ def test_kv_rejects_bare_words():
 
 def test_kv_strips_whitespace():
     assert parse_kv("  key =  value  \n") == {"key": "value"}
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {"a": "x\ny=1"},  # a line break would inject the key "y"
+        {"a": " padded "},  # surrounding whitespace would be stripped
+        {"a=b": "c"},  # the key would split at its "="
+        {"#a": "b"},  # the line would read as a comment
+        {" a": "b"},
+        {"a\rb": "c"},
+    ],
+)
+def test_kv_writer_refuses_what_the_reader_would_change(mapping, tmp_path):
+    with pytest.raises(ValueError):
+        format_kv(mapping)
+    with pytest.raises(ValueError):
+        write_kv(tmp_path / "pairs.txt", mapping)
+    assert not (tmp_path / "pairs.txt").exists()
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.dictionaries(st.text(), st.text()))
+def test_kv_written_text_reads_back_or_is_refused(mapping):
+    try:
+        text = format_kv(mapping)
+    except ValueError:
+        return
+    assert parse_kv(text) == mapping
+
+
+_KEY_CHARS = string.ascii_letters + string.digits + "_.-"
+_VALUE_CHARS = _KEY_CHARS + " =:#,+"
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    st.dictionaries(
+        st.text(_KEY_CHARS, min_size=1),
+        st.text(_VALUE_CHARS).filter(lambda v: v == v.strip()),
+    )
+)
+def test_kv_plain_pairs_always_round_trip(mapping):
+    assert parse_kv(format_kv(mapping)) == mapping
 
 
 def test_config_digest_is_order_independent():
