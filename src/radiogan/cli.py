@@ -344,9 +344,10 @@ def _write_histogram_csv(path: Path, tables: dict) -> None:
 def _write_spectrum_csv(path: Path, spectral, max_cols: int = 64) -> None:
     mags = spectral.magnitudes[:, :max_cols]
     header = "bin," + ",".join(f"packet_{i}" for i in range(mags.shape[1]))
+    row = ",".join(["%.8g"] * mags.shape[1])  # "%.8g" % v is the text of f"{v:.8g}"
     lines = [header]
-    for k in range(mags.shape[0]):
-        lines.append(str(k) + "," + ",".join(f"{v:.8g}" for v in mags[k]))
+    for k, values in enumerate(mags.tolist()):
+        lines.append(f"{k}," + row % tuple(values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -18,6 +18,12 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# Size of the radix-2 FFT's work block: rows are transformed in place as many
+# at a time as fit, at least one, so a block's butterflies stay in cache. The
+# result does not depend on it.
+FFT_BLOCK_BYTES = 256 * 1024
+
+
 @functools.lru_cache(maxsize=32)
 def _bit_reverse_indices(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
@@ -25,56 +31,114 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     rev = np.zeros(n, dtype=np.intp)
     for bit in range(bits):
         rev |= ((idx >> bit) & 1) << (bits - 1 - bit)
+    rev.setflags(write=False)
     return rev
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT over the last axis."""
-    n = x.shape[-1]
-    out = np.ascontiguousarray(x, dtype=np.complex128)[..., _bit_reverse_indices(n)]
+@functools.lru_cache(maxsize=32)
+def _twiddles(n: int) -> tuple:
+    """Twiddle factors of each butterfly stage of a length-``n`` transform."""
+    stages = []
     span = 2
     while span <= n:
-        half = span // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / span)
-        blocks = out.reshape(*out.shape[:-1], n // span, span)
-        odd = blocks[..., half:] * twiddle
-        even = blocks[..., :half]
-        low = even + odd
-        high = even - odd
-        blocks[..., :half] = low
-        blocks[..., half:] = high
+        twiddle = np.exp(-2j * np.pi * np.arange(span // 2) / span)
+        twiddle.setflags(write=False)
+        stages.append(twiddle)
         span *= 2
+    return tuple(stages)
+
+
+def fft_block_rows(n: int) -> int:
+    """Rows per FFT block for a transform of length ``n``."""
+    return max(1, FFT_BLOCK_BYTES // (16 * n))
+
+
+def _butterfly_stages(work: np.ndarray, twiddles: tuple) -> list:
+    """``(even, odd, product, twiddle)`` views of each radix-2 stage of ``work``."""
+    rows, n = work.shape
+    scratch = np.empty((rows, n // 2), dtype=np.complex128)
+    stages = []
+    for twiddle in twiddles:
+        half = twiddle.size
+        pairs = work.reshape(rows, n // (2 * half), 2 * half)
+        even, odd = pairs[..., :half], pairs[..., half:]
+        if half < 8:
+            # Put the long group axis innermost so each ufunc loop is long.
+            even, odd, twiddle = even.transpose(0, 2, 1), odd.transpose(0, 2, 1), twiddle[:, None]
+        stages.append((even, odd, scratch.reshape(even.shape), twiddle))
+    return stages
+
+
+def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Iterative radix-2 decimation-in-time FFT over the last axis.
+
+    Rows go ``fft_block_rows(n)`` at a time through one work block that
+    stays in cache: bit-reversed into it, transformed there in place, copied
+    out. Each row goes through the same operations in the same order
+    whatever the block. ``inverse`` computes ``conj(fft(conj(x))) / n``
+    instead. The output is C-contiguous.
+    """
+    n = x.shape[-1]
+    out = np.empty(x.shape, dtype=np.complex128)
+    src = np.asarray(x, dtype=np.complex128).reshape(-1, n)
+    dst = out.reshape(-1, n)
+    total = dst.shape[0]
+    if total == 0:
+        return out
+    rev = _bit_reverse_indices(n)
+    twiddles = _twiddles(n)
+    work = np.empty((min(fft_block_rows(n), total), n), dtype=np.complex128)
+    stages = _butterfly_stages(work, twiddles)
+    for start in range(0, total, work.shape[0]):
+        rows = min(work.shape[0], total - start)
+        if rows < work.shape[0]:  # ragged last block
+            work = work[:rows]
+            stages = _butterfly_stages(work, twiddles)
+        np.take(src[start : start + rows], rev, axis=1, out=work, mode="clip")
+        if inverse and np.iscomplexobj(x):
+            np.conjugate(work, out=work)
+        for even, odd, product, twiddle in stages:
+            np.multiply(odd, twiddle, out=product)
+            np.subtract(even, product, out=odd)
+            np.add(even, product, out=even)
+        if inverse:
+            np.conjugate(work, out=work)
+            np.divide(work, n, out=work)
+        dst[start : start + rows] = work
     return out
 
 
 def _dft_direct(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
+    if n == 1:
+        return np.array(x, dtype=np.complex128)
     k = np.arange(n)
     basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return np.asarray(x, dtype=np.complex128) @ basis.T
 
 
-def dft(x: np.ndarray) -> np.ndarray:
+def dft(x: np.ndarray, *, inverse: bool = False) -> np.ndarray:
     """Discrete Fourier transform over the last axis (any length >= 1).
 
     Power-of-two lengths take the radix-2 fast path; other lengths fall back
     to the direct transform. Output is complex128 with numpy conventions
     (bin k holds ``sum_n x[n] exp(-2j pi k n / N)``, no scaling).
+    ``inverse=True`` gives the inverse transform, as ``idft``.
     """
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("dft needs a non-empty array")
-    if x.shape[-1] == 1:
-        return np.asarray(x, dtype=np.complex128).copy()
-    if _is_pow2(x.shape[-1]):
-        return _fft_pow2(x)
+    n = x.shape[-1]
+    if n > 1 and _is_pow2(n):
+        return _fft_pow2(x, inverse)
+    if inverse:
+        return np.conj(_dft_direct(np.conj(x))) / n
     return _dft_direct(x)
 
 
 def idft(x: np.ndarray) -> np.ndarray:
     """Inverse DFT over the last axis (1/N convention), any length >= 1."""
-    x = np.asarray(x)
-    return np.conj(dft(np.conj(x))) / x.shape[-1]
+    return dft(x, inverse=True)
 
 
 @dataclass(frozen=True)

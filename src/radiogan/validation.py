@@ -56,13 +56,25 @@ class SpectralMatrix:
         """Total energy per frequency bin, summed over packets."""
         return np.sum(self.magnitudes**2, axis=1)
 
+    def band_fraction(self, bins: np.ndarray) -> float:
+        """Fraction of the total spectral energy inside the given bins."""
+        energies = self.bin_energies()
+        total = energies.sum()
+        if total <= 0.0:
+            raise ValueError("all-zero packets carry no energy")
+        return float(energies[bins].sum() / total)
+
 
 def spectral_matrix(packets: np.ndarray) -> SpectralMatrix:
-    """Magnitude spectra of a packet matrix [P, n_fft], transposed to [n_fft, P]."""
+    """Magnitude spectra of a packet matrix [P, n_fft], transposed to [n_fft, P].
+
+    The magnitudes are C-contiguous, so each bin's energy sums along a
+    contiguous row.
+    """
     packets = np.asarray(packets, dtype=np.complex128)
     if packets.ndim != 2 or packets.shape[0] < 1:
         raise ValueError("packets must be a non-empty 2-D array")
-    return SpectralMatrix(magnitudes=np.abs(dft(packets)).T)
+    return SpectralMatrix(magnitudes=np.abs(dft(packets).T, order="C"))
 
 
 def empirical_pdf(samples, n_bins: int, value_range) -> tuple:
@@ -85,15 +97,41 @@ def empirical_pdf(samples, n_bins: int, value_range) -> tuple:
 
 
 def ks_distance(a, b) -> float:
-    """Sup-norm distance between the empirical CDFs of two sample sets."""
+    """Sup-norm distance between the empirical CDFs of two sample sets.
+
+    Both samples are sorted and merged. At the last merged position of each
+    run of equal values, the counts of ``a`` and of ``b`` samples so far are
+    the two CDFs' numerators at that value. Empty or NaN input raises
+    ``ValueError``.
+    """
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
         raise ValueError("empty input")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
+        raise ValueError("samples contain NaN")
+    n_a, n_b = a.size, b.size
+    # Where the merge puts each sample of a: binary search of the smaller
+    # sample in the larger; ties put a first.
+    from_a = np.zeros(n_a + n_b, dtype=bool)
+    if n_a <= n_b:
+        from_a[np.searchsorted(b, a, side="left") + np.arange(n_a)] = True
+    else:
+        from_a[np.searchsorted(a, b, side="right") + np.arange(n_b)] = True
+        np.logical_not(from_a, out=from_a)
+    merged = np.concatenate([a, b])
+    del a, b
+    merged.sort(kind="stable")  # two sorted runs: one merge pass
+    run_end = np.append(merged[1:] != merged[:-1], True)
+    cdf_a = np.cumsum(from_a, dtype=np.float64, out=merged)
+    del from_a
+    cdf_b = np.arange(1.0, n_a + n_b + 1.0)
+    cdf_b -= cdf_a
+    cdf_a /= n_a
+    cdf_b /= n_b
+    cdf_a -= cdf_b
+    np.abs(cdf_a, out=cdf_a)
+    return float(np.max(cdf_a, where=run_end, initial=0.0))
 
 
 def occupied_band_bins(spectral: SpectralMatrix, coverage: float = DEFAULT_COVERAGE) -> np.ndarray:
@@ -123,11 +161,7 @@ def band_bin_indices(f_lo: float, f_hi: float, n_fft: int) -> np.ndarray:
 
 def in_band_fraction(packets: np.ndarray, bins: np.ndarray) -> float:
     """Fraction of a packet matrix's spectral energy inside the given bins."""
-    energies = spectral_matrix(packets).bin_energies()
-    total = energies.sum()
-    if total <= 0.0:
-        raise ValueError("all-zero packets carry no energy")
-    return float(energies[bins].sum() / total)
+    return spectral_matrix(packets).band_fraction(bins)
 
 
 @dataclass
@@ -256,6 +290,18 @@ def _frame_packets(rec: IQRecording, n_fft: int) -> np.ndarray:
     return rec.samples[: n_packets * n_fft].reshape(n_packets, n_fft)
 
 
+def _compare_with_prototype(packets, proto_values, band, n_bins, pdf_range):
+    """``(ks, raw in-band fraction, spectra, PDF masses)`` of one packet matrix.
+
+    Its spectra and pooled values are computed once each and serve both the
+    numbers and the tables; ``pdf_range=None`` skips the PDF masses.
+    """
+    spectral = spectral_matrix(packets)
+    values = _pooled_values(packets)
+    mass = None if pdf_range is None else empirical_pdf(values, n_bins, pdf_range)[1]
+    return ks_distance(proto_values, values), spectral.band_fraction(band), spectral, mass
+
+
 def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
              cfg: ValidationConfig | None = None, generated=None,
              with_tables: bool = False) -> ValidationReport:
@@ -314,44 +360,44 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
         if gen_packets.ndim != 2 or gen_packets.shape[1] != n_fft:
             raise ValueError(f"generated packets must be [P, {n_fft}]")
 
+    proto_values = _pooled_values(proto_packets)
+    proto_spectral = spectral_matrix(proto_packets)
+    band = occupied_band_bins(proto_spectral, cfg.coverage)
+    raw_proto = proto_spectral.band_fraction(band)
+    pdf_range = None
+    if with_tables:
+        sigma = float(np.std(proto_values))
+        span = cfg.sigma_span * (sigma if sigma > 0.0 else 1.0)
+        pdf_range = (-span, span)
+        centers, proto_mass = empirical_pdf(proto_values, cfg.n_bins, pdf_range)
+    ks_gen, raw_gen, gen_spectral, gen_mass = _compare_with_prototype(
+        gen_packets, proto_values, band, cfg.n_bins, pdf_range
+    )
+
     noise_rng = substream(cfg.seed, "validate", "noise")
     proto_power = float(np.mean(np.abs(proto_packets) ** 2))
     noise_packets = np.sqrt(proto_power / 2.0) * (
         noise_rng.standard_normal(gen_packets.shape) + 1j * noise_rng.standard_normal(gen_packets.shape)
     )
-
-    proto_values = _pooled_values(proto_packets)
-    ks_gen = ks_distance(proto_values, _pooled_values(gen_packets))
-    ks_noise = ks_distance(proto_values, _pooled_values(noise_packets))
-
-    proto_spectral = spectral_matrix(proto_packets)
-    band = occupied_band_bins(proto_spectral, cfg.coverage)
-    raw_proto = in_band_fraction(proto_packets, band)
-    raw_gen = in_band_fraction(gen_packets, band)
-    raw_noise = in_band_fraction(noise_packets, band)
-    bef_gen = min(1.0, raw_gen / raw_proto)
-    bef_noise = min(1.0, raw_noise / raw_proto)
+    ks_noise, raw_noise, noise_spectral, noise_mass = _compare_with_prototype(
+        noise_packets, proto_values, band, cfg.n_bins, pdf_range
+    )
 
     report = ValidationReport(
         ks_proto_vs_gen=ks_gen,
         ks_proto_vs_noise=ks_noise,
-        band_energy_fraction_gen=bef_gen,
-        band_energy_fraction_noise=bef_noise,
+        band_energy_fraction_gen=min(1.0, raw_gen / raw_proto),
+        band_energy_fraction_noise=min(1.0, raw_noise / raw_proto),
         mean_d_accuracy=mean_accuracy,
         packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
         band_ratio_min=cfg.band_ratio_min,
         accuracy_band=cfg.accuracy_band,
     )
     if with_tables:
-        sigma = float(np.std(proto_values))
-        span = cfg.sigma_span * (sigma if sigma > 0.0 else 1.0)
-        centers, proto_mass = empirical_pdf(proto_values, cfg.n_bins, (-span, span))
-        _, gen_mass = empirical_pdf(_pooled_values(gen_packets), cfg.n_bins, (-span, span))
-        _, noise_mass = empirical_pdf(_pooled_values(noise_packets), cfg.n_bins, (-span, span))
         report.tables = {
             "histogram": (centers, proto_mass, gen_mass, noise_mass),
             "spectrum_prototype": proto_spectral,
-            "spectrum_generated": spectral_matrix(gen_packets),
-            "spectrum_noise": spectral_matrix(noise_packets),
+            "spectrum_generated": gen_spectral,
+            "spectrum_noise": noise_spectral,
         }
     return report

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from radiogan import dsp
 from radiogan.dsp import (
     RaisedCosineSpec,
     circular_convolve,
@@ -109,6 +110,142 @@ def test_dft_length_one():
 def test_dft_rejects_empty():
     with pytest.raises(ValueError):
         dft(np.array([]))
+
+
+# --- blocked in-place FFT against the whole-batch loop ------------------------
+
+
+def reference_fft_pow2(x):
+    """The radix-2 loop over the whole batch at once, stage by stage, as the
+    package first wrote it; the blocked in-place FFT must match it bit for bit."""
+    n = x.shape[-1]
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for bit in range(bits):
+        rev |= ((idx >> bit) & 1) << (bits - 1 - bit)
+    out = np.ascontiguousarray(x, dtype=np.complex128)[..., rev]
+    span = 2
+    while span <= n:
+        half = span // 2
+        twiddle = np.exp(-2j * np.pi * np.arange(half) / span)
+        blocks = out.reshape(*out.shape[:-1], n // span, span)
+        odd = blocks[..., half:] * twiddle
+        even = blocks[..., :half]
+        low = even + odd
+        high = even - odd
+        blocks[..., :half] = low
+        blocks[..., half:] = high
+        span *= 2
+    return out
+
+
+def reference_ifft_pow2(x):
+    x = np.asarray(x)
+    return np.conj(reference_fft_pow2(np.conj(x))) / x.shape[-1]
+
+
+def assert_same_bits(actual, expected):
+    """Exact equality, down to the sign of zero."""
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2,), (64,), (2048,), (5, 64), (3, 256), (2, 3, 128), (2, 2, 2, 32)]
+)
+def test_fft_matches_whole_batch_loop_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = _complex(rng, shape)
+    out = dft(x)
+    assert out.flags.c_contiguous
+    assert_same_bits(out, reference_fft_pow2(x))
+    if shape[-1] <= 256:
+        assert np.max(np.abs(out - naive_dft(x))) < 1e-9
+    inv = idft(x)
+    assert inv.flags.c_contiguous
+    assert_same_bits(inv, reference_ifft_pow2(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_fft_real_input_matches_whole_batch_loop_bitwise(dtype):
+    rng = np.random.default_rng(7)
+    x = (100 * rng.standard_normal((4, 128))).astype(dtype)
+    assert_same_bits(dft(x), reference_fft_pow2(x))
+    assert_same_bits(idft(x), reference_ifft_pow2(x))
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_fft_exact_zeros_keep_their_signs(real):
+    x = np.zeros((3, 16), dtype=np.complex128)
+    x[1] = -0.0
+    x[2, ::2] = complex(-0.0, 0.0)
+    if real:
+        x = np.concatenate([x.real, np.eye(16), np.ones((1, 16))])
+    assert_same_bits(dft(x), reference_fft_pow2(x))
+    assert_same_bits(idft(x), reference_ifft_pow2(x))
+
+
+@pytest.mark.parametrize("n_fft,length", [(256, 129), (64, 5)])
+def test_fft_of_overlap_save_windows_matches_whole_batch_loop(n_fft, length):
+    # the strided window view overlap_save_reconstruct transforms
+    rng = np.random.default_rng(n_fft)
+    hop = n_fft - (length - 1)
+    padded = np.concatenate([np.zeros(length - 1), _complex(rng, 20 * n_fft), np.zeros(hop)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    assert not windows.flags.c_contiguous
+    out = dft(windows)
+    assert out.flags.c_contiguous
+    assert_same_bits(out, reference_fft_pow2(windows))
+    assert_same_bits(idft(windows), reference_ifft_pow2(windows))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 6, 7, 10])
+def test_fft_block_boundaries(monkeypatch, block_rows, n_rows):
+    # batches inside one block, on block boundaries, and with a ragged tail
+    monkeypatch.setattr(dsp, "FFT_BLOCK_BYTES", block_rows * 16 * 64)
+    assert dsp.fft_block_rows(64) == block_rows
+    x = _complex(np.random.default_rng(n_rows), (n_rows, 64))
+    assert_same_bits(dft(x), reference_fft_pow2(x))
+    assert_same_bits(idft(x), reference_ifft_pow2(x))
+
+
+def test_fft_default_blocks_with_ragged_tail():
+    step = dsp.fft_block_rows(2048)
+    assert step >= 1
+    x = _complex(np.random.default_rng(11), (2 * step + 3, 2048))
+    assert_same_bits(dft(x), reference_fft_pow2(x))
+
+
+def test_fft_of_zero_rows_is_empty():
+    assert dft(np.zeros((0, 8))).shape == (0, 8)
+    assert idft(np.zeros((2, 0, 8))).shape == (2, 0, 8)
+
+
+def test_fft_does_not_modify_its_input():
+    x = _complex(np.random.default_rng(13), (4, 64))
+    before = x.copy()
+    dft(x)
+    idft(x)
+    assert_same_bits(x, before)
+
+
+def test_fft_cached_tables_are_read_only():
+    dft(np.ones(64))
+    rev = dsp._bit_reverse_indices(64)
+    with pytest.raises(ValueError):
+        rev[0] = 1
+    for twiddle in dsp._twiddles(64):
+        with pytest.raises(ValueError):
+            twiddle[0] = 0.0
+    assert np.allclose(dft(np.eye(64)), naive_dft(np.eye(64)), atol=1e-9)
 
 
 # --- raised cosine -----------------------------------------------------------

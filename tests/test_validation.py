@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from radiogan import validation
 from radiogan.gan import GeneratorNet, TrainingLog
-from radiogan.iqcore import IQRecording, frame_tensor, normalize_frames
+from radiogan.iqcore import IQRecording, denormalize, frame_tensor, normalize_frames
 from radiogan.seeding import substream
 from radiogan.validation import (
     SpectralMatrix,
@@ -118,6 +121,73 @@ def test_ks_distance_matches_scipy(seed):
     ours = ks_distance(a, b)
     ref = scipy.stats.ks_2samp(a, b, method="asymp").statistic
     assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def reference_ks(a, b):
+    """Both empirical CDFs evaluated at every sample by binary search."""
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [([np.nan], [0.0]), ([0.0, np.nan], [0.0, 1.0]), ([0.0], [1.0, np.nan]), ([np.nan], [np.nan])],
+)
+def test_ks_distance_rejects_nan(a, b):
+    with pytest.raises(ValueError, match="NaN"):
+        ks_distance(a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([0.0], [0.0]),
+        ([0.0], [1.0]),
+        ([1.0], [0.0]),
+        ([0.0, 1.0], [0.5]),
+        ([1.0, 1.0], [1.0, 2.0]),
+        ([2.0, 1.0], [1.0, 2.0]),
+        ([-0.0], [0.0]),
+        ([-np.inf, 0.0], [np.inf, 0.0]),
+    ],
+)
+def test_ks_distance_equals_grid_formulation_at_sizes_one_and_two(a, b):
+    assert ks_distance(a, b) == reference_ks(a, b)
+    assert ks_distance(b, a) == reference_ks(b, a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ks_distance_equals_grid_formulation_on_ties(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        k = int(rng.integers(1, 5))
+        a = rng.integers(-k, k + 1, rng.integers(1, 60)).astype(float)
+        b = rng.integers(-k, k + 1, rng.integers(1, 60)).astype(float)
+        assert ks_distance(a, b) == reference_ks(a, b)
+        assert ks_distance(b, a) == reference_ks(b, a)
+
+
+def test_ks_distance_equals_grid_formulation_at_unequal_sizes():
+    rng = np.random.default_rng(9)
+    big = np.round(rng.standard_normal(20_000), 2)
+    for small in ([0.0], [0.0, 0.01], np.round(rng.standard_normal(3), 2), big[:7]):
+        assert ks_distance(small, big) == reference_ks(small, big)
+        assert ks_distance(big, small) == reference_ks(big, small)
+
+
+_KS_SAMPLES = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False)), min_size=1, max_size=40
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_KS_SAMPLES, _KS_SAMPLES)
+def test_ks_distance_equals_grid_formulation_property(a, b):
+    assert ks_distance(a, b) == reference_ks(a, b)
 
 
 def test_occupied_band_bins_greedy_fixture():
@@ -319,6 +389,84 @@ def test_validate_with_tables():
         assert mass.sum() == pytest.approx(1.0, abs=1e-9)
     assert rep.tables["spectrum_prototype"].n_fft == N_FFT
     assert rep.tables["spectrum_generated"].n_packets == tensor.n_packets
+
+
+def _validate_recomputing_everything(tensor, stats, log, cfg, gen_packets):
+    """validate's report and tables the long way: every spectrum and every
+    pooled sample set is recomputed where it is used."""
+    frame_power = float(stats.per_frame_power[cfg.frame])
+    proto = denormalize(tensor.complex_packets(cfg.frame), frame_power)
+    noise_rng = substream(cfg.seed, "validate", "noise")
+    power = float(np.mean(np.abs(proto) ** 2))
+    noise = np.sqrt(power / 2.0) * (
+        noise_rng.standard_normal(gen_packets.shape)
+        + 1j * noise_rng.standard_normal(gen_packets.shape)
+    )
+
+    def pooled(packets):
+        return np.concatenate([packets.real.ravel(), packets.imag.ravel()])
+
+    band = occupied_band_bins(spectral_matrix(proto), cfg.coverage)
+    raw_proto = in_band_fraction(proto, band)
+    report = ValidationReport(
+        ks_proto_vs_gen=ks_distance(pooled(proto), pooled(gen_packets)),
+        ks_proto_vs_noise=ks_distance(pooled(proto), pooled(noise)),
+        band_energy_fraction_gen=min(1.0, in_band_fraction(gen_packets, band) / raw_proto),
+        band_energy_fraction_noise=min(1.0, in_band_fraction(noise, band) / raw_proto),
+        mean_d_accuracy=float(np.mean([log.mean_accuracy(last_n=-(-len(log) // 4))])),
+        packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
+        band_ratio_min=cfg.band_ratio_min,
+        accuracy_band=cfg.accuracy_band,
+    )
+    sigma = float(np.std(pooled(proto)))
+    span = cfg.sigma_span * (sigma if sigma > 0.0 else 1.0)
+    centers, proto_mass = empirical_pdf(pooled(proto), cfg.n_bins, (-span, span))
+    tables = {
+        "histogram": (
+            centers,
+            proto_mass,
+            empirical_pdf(pooled(gen_packets), cfg.n_bins, (-span, span))[1],
+            empirical_pdf(pooled(noise), cfg.n_bins, (-span, span))[1],
+        ),
+        "spectrum_prototype": spectral_matrix(proto),
+        "spectrum_generated": spectral_matrix(gen_packets),
+        "spectrum_noise": spectral_matrix(noise),
+    }
+    return report, tables
+
+
+def test_validate_transforms_each_matrix_once(monkeypatch):
+    tensor, stats = _tensor()
+    log = _log([0.4, 0.5, 0.6, 0.55])
+    cfg = ValidationConfig(seed=5)
+    rng = np.random.default_rng(3)
+    gen = 0.5 * (rng.standard_normal((30, N_FFT)) + 1j * rng.standard_normal((30, N_FFT)))
+    transformed = []
+    original = validation.spectral_matrix
+
+    def counting(packets):
+        transformed.append(np.array(packets))
+        return original(packets)
+
+    monkeypatch.setattr(validation, "spectral_matrix", counting)
+    rep = validate(_gens(), tensor, stats, log, cfg, generated=gen, with_tables=True)
+    monkeypatch.undo()
+
+    # one transform each of the prototype, the generated and the noise matrix
+    assert len(transformed) == 3
+    assert [m.shape for m in transformed] == [(tensor.n_packets, N_FFT), gen.shape, gen.shape]
+    assert np.array_equal(transformed[1], gen)
+    assert not np.array_equal(transformed[2], gen)
+
+    expect, tables = _validate_recomputing_everything(tensor, stats, log, cfg, gen)
+    assert rep.to_text() == expect.to_text()
+    assert rep == expect
+    for got, want in zip(rep.tables["histogram"], tables["histogram"]):
+        assert got.tobytes() == want.tobytes()
+    for name in ("spectrum_prototype", "spectrum_generated", "spectrum_noise"):
+        got = rep.tables[name].magnitudes
+        assert got.flags.c_contiguous
+        assert got.tobytes() == tables[name].magnitudes.tobytes()
 
 
 def test_validate_input_checks():
