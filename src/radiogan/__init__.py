@@ -23,12 +23,13 @@ from .dsp import (
     raised_cosine_value,
 )
 from .gan import (
-    DiscriminatorNet,
     GanModel,
-    GeneratorNet,
+    Net,
     TrainConfig,
     TrainingDiverged,
     TrainingLog,
+    build_discriminator,
+    build_generator,
     discriminator_accuracy,
     discriminator_loss,
     generator_loss,
@@ -39,7 +40,7 @@ from .gan import (
     train,
 )
 from .protogen import SyntheticScenario, synth_prototype
-from .synthesis import PseudoPacketMatrix, SynthesisConfig, assemble_iq, generate_packets, synthesize
+from .synthesis import SynthesisConfig, assemble_iq, generate_packets, synthesize
 from .validation import (
     SpectralMatrix,
     ValidationConfig,
@@ -49,51 +50,3 @@ from .validation import (
     spectral_matrix,
     validate,
 )
-
-__all__ = [
-    "__version__",
-    "FrameStats",
-    "IQFormatError",
-    "IQRecording",
-    "PrototypeTensor",
-    "denormalize",
-    "frame_tensor",
-    "load_iq",
-    "normalize_frames",
-    "save_iq",
-    "RaisedCosineSpec",
-    "circular_convolve",
-    "dft",
-    "idft",
-    "overlap_save_reconstruct",
-    "raised_cosine_taps",
-    "raised_cosine_value",
-    "DiscriminatorNet",
-    "GanModel",
-    "GeneratorNet",
-    "TrainConfig",
-    "TrainingDiverged",
-    "TrainingLog",
-    "discriminator_accuracy",
-    "discriminator_loss",
-    "generator_loss",
-    "latent_noise_variance",
-    "pretrain_discriminator",
-    "sample_latent",
-    "saturating_generator_loss",
-    "train",
-    "SyntheticScenario",
-    "synth_prototype",
-    "PseudoPacketMatrix",
-    "SynthesisConfig",
-    "assemble_iq",
-    "generate_packets",
-    "synthesize",
-    "SpectralMatrix",
-    "ValidationConfig",
-    "ValidationReport",
-    "empirical_pdf",
-    "ks_distance",
-    "spectral_matrix",
-    "validate",
-]

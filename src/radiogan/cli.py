@@ -17,15 +17,17 @@ import numpy as np
 
 from . import __version__
 from .gan import (
-    DiscriminatorNet,
+    CONFIG_PARSERS,
     GanModel,
-    GeneratorNet,
     TrainConfig,
     TrainingDiverged,
     TrainingLog,
+    build_discriminator,
+    build_generator,
     config_from_pairs,
     config_to_text,
     load_gan,
+    parse_range,
     pretrain_discriminator,
     save_gan,
     train,
@@ -85,37 +87,28 @@ SWEEP_CONFIGS = (
     ("label_smoothing", dict(label_smoothing_alpha=0.2, dropout_rate=0.0, lambda_d=0.0)),
 )
 
-_INT_CONFIG_FLAGS = (
-    ("epochs", "n_epoch"),
-    ("pretrain_epochs", "n_epoch_pretrain"),
-    ("batch", "s_batch"),
-    ("examples", "n_examples"),
-    ("seed", "seed"),
-)
-_FLOAT_CONFIG_FLAGS = (
-    ("alpha", "label_smoothing_alpha"),
-    ("eta_g", "eta_g"),
-    ("eta_d", "eta_d"),
-    ("dropout", "dropout_rate"),
-    ("lambda_g", "lambda_g"),
-    ("lambda_d", "lambda_d"),
-    ("lr_decay", "lr_decay"),
+# (flag, TrainConfig field, help) of each train flag that overrides a config
+# field; the flag parses its value as the config file does.
+CONFIG_FLAGS = (
+    ("--epochs", "n_epoch", "adversarial epochs (default 1000)"),
+    ("--pretrain-epochs", "n_epoch_pretrain", None),
+    ("--batch", "s_batch", "minibatch size (default min(300, max(33, nfft//2)))"),
+    ("--examples", "n_examples", "packets per epoch side (default 128)"),
+    ("--alpha", "label_smoothing_alpha", "one-sided label smoothing (default 0.2)"),
+    ("--snr-range", "snr_range_db", "virtual SNR range in dB (use --snr-range=-30:-24)"),
+    ("--eta-g", "eta_g", "generator learning rate"),
+    ("--eta-d", "eta_d", "discriminator learning rate"),
+    ("--dropout", "dropout_rate", "discriminator dropout rate"),
+    ("--lambda-g", "lambda_g", "generator weight decay"),
+    ("--lambda-d", "lambda_d", "discriminator weight decay"),
+    ("--lr-decay", "lr_decay", "linear LR decay over the run"),
+    ("--seed", "seed", "run seed (default 0)"),
 )
 
 
 def _say(args, message: str) -> None:
     if not getattr(args, "quiet", False):
         print(message)
-
-
-def _parse_range(text: str) -> tuple:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    try:
-        return (float(lo), float(hi))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected LO:HI numbers, got {text!r}") from exc
 
 
 def _manifest_path(out_path: Path) -> Path:
@@ -152,16 +145,10 @@ def _resolve_train_config(args, n_fft: int) -> TrainConfig:
     file_pairs = parse_kv(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     cfg = config_from_pairs(file_pairs, base=TrainConfig())
     overrides = {}
-    for flag, field_name in _INT_CONFIG_FLAGS:
-        value = getattr(args, flag)
+    for flag, field_name, _ in CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest for the flag
         if value is not None:
             overrides[field_name] = value
-    for flag, field_name in _FLOAT_CONFIG_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
-    if args.snr_range is not None:
-        overrides["snr_range_db"] = args.snr_range
     if args.batch is None and "s_batch" not in file_pairs:
         # Desk-scale default keeping the batch-size invariant at small n_fft.
         overrides["s_batch"] = min(300, max(33, n_fft // 2))
@@ -169,12 +156,12 @@ def _resolve_train_config(args, n_fft: int) -> TrainConfig:
 
 
 def _train_one_component(tensor, stats, component, frame, cfg):
-    generator = GeneratorNet.build(
+    generator = build_generator(
         tensor.packet_len,
         substream(cfg.seed, "init", component, "generator"),
         weight_decay=cfg.lambda_g,
     )
-    discriminator = DiscriminatorNet.build(
+    discriminator = build_discriminator(
         tensor.packet_len,
         substream(cfg.seed, "init", component, "discriminator"),
         dropout_rate=cfg.dropout_rate,
@@ -192,7 +179,16 @@ def _train_one_component(tensor, stats, component, frame, cfg):
     return train(generator, discriminator, tensor, stats, component, frame, cfg)
 
 
-def _write_run_meta(out_dir: Path, rec, tensor, stats, frame: int, cfg: TrainConfig) -> None:
+def _write_rail(out_dir: Path, model: GanModel, log: TrainingLog) -> None:
+    """Write one rail's checkpoint and training log into a run directory."""
+    rail = model.component.lower()
+    save_gan(out_dir / f"model_{rail}.psg", model)
+    log.to_csv(out_dir / f"train_log_{rail}.csv")
+
+
+def _write_run_files(out_dir: Path, command: str, rec, tensor, stats, frame: int,
+                     cfg: TrainConfig, extra: dict) -> None:
+    """Write ``run.meta`` and ``train.manifest``; ``extra`` joins the manifest's config."""
     meta = {
         "n_fft": tensor.packet_len,
         "n_frames": tensor.n_frames,
@@ -208,6 +204,9 @@ def _write_run_meta(out_dir: Path, rec, tensor, stats, frame: int, cfg: TrainCon
     for i, power in enumerate(stats.per_frame_power):
         meta[f"frame_power_{i}"] = repr(float(power))
     write_kv(out_dir / "run.meta", meta)
+    resolved = parse_kv(config_to_text(cfg))
+    resolved.update({"n_fft": tensor.packet_len, "frame": frame, **extra})
+    write_manifest(out_dir / "train.manifest", command, resolved, cfg.seed)
 
 
 def _run_sweep(args, rec, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -> int:
@@ -220,16 +219,13 @@ def _run_sweep(args, rec, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -
         tic = time.perf_counter()
         model, log = _train_one_component(tensor, stats, "I", frame, cfg)
         runtime_s = time.perf_counter() - tic
-        save_gan(sub_dir / "model_i.psg", model)
-        log.to_csv(sub_dir / "train_log_i.csv")
+        _write_rail(sub_dir, model, log)
         accuracy = log.mean_accuracy() if len(log) else float("nan")
         rows.append(f"{name},{accuracy!r},{runtime_s:.3f}")
         _say(args, f"sweep {name}: mean accuracy {accuracy:.4f} in {runtime_s:.1f}s")
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_run_meta(out_dir, rec, tensor, stats, frame, base_cfg)
-    resolved = parse_kv(config_to_text(base_cfg))
-    resolved.update({"sweep": "regularization", "n_fft": tensor.packet_len, "frame": frame})
-    write_manifest(out_dir / "train.manifest", "train --sweep regularization", resolved, base_cfg.seed)
+    _write_run_files(out_dir, "train --sweep regularization", rec, tensor, stats, frame, base_cfg,
+                     {"sweep": "regularization"})
     return 0
 
 
@@ -257,8 +253,7 @@ def cmd_train(args) -> int:
             exc.log.to_csv(out_dir / f"train_log_{component.lower()}.csv")
             print(f"error: {component}-component training diverged: {exc}", file=sys.stderr)
             return 1
-        save_gan(out_dir / f"model_{component.lower()}.psg", model)
-        log.to_csv(out_dir / f"train_log_{component.lower()}.csv")
+        _write_rail(out_dir, model, log)
         if len(log):
             _say(
                 args,
@@ -267,10 +262,7 @@ def cmd_train(args) -> int:
             )
         else:
             _say(args, f"{component}: wrote initialized (untrained) checkpoint")
-    _write_run_meta(out_dir, rec, tensor, stats, args.frame, cfg)
-    resolved = parse_kv(config_to_text(cfg))
-    resolved.update({"n_fft": tensor.packet_len, "n_frames": tensor.n_frames, "frame": args.frame})
-    write_manifest(out_dir / "train.manifest", "train", resolved, cfg.seed)
+    _write_run_files(out_dir, "train", rec, tensor, stats, args.frame, cfg, {"n_frames": tensor.n_frames})
     return 0
 
 
@@ -306,7 +298,7 @@ def cmd_generate(args) -> int:
         center_freq_hz=float(meta["center_freq_hz"]),
         rx_gain_db=float(meta["rx_gain_db"]),
     )
-    rec = synthesize(model_i, model_q, cfg, stats, frame)
+    rec = synthesize(model_i.generator, model_q.generator, cfg, stats, frame)
     out = Path(args.out)
     save_iq(
         rec,
@@ -372,7 +364,8 @@ def cmd_validate(args) -> int:
         allow_empty_log=True,
     )
     report = validate(
-        (model_i, model_q), tensor, fresh_stats, logs, cfg, generated=generated, with_tables=True
+        (model_i.generator, model_q.generator), tensor, fresh_stats, logs, cfg,
+        generated=generated, with_tables=True,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -418,7 +411,7 @@ def cmd_inspect(args) -> int:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+    sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -434,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESETS), default="qpsk-burst")
     p.add_argument("--out", required=True, help="output I/Q payload path")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--band", type=_parse_range, default=None, metavar="LO:HI",
+    p.add_argument("--band", type=parse_range, default=None, metavar="LO:HI",
                    help="occupied band as fractions of fs (use --band=LO:HI)")
     p.add_argument("--duty", type=float, default=None, help="burst duty cycle in (0,1]")
     p.add_argument("--symbol-rate", type=float, default=None, help="symbols per sample")
@@ -451,23 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=2, help="frame count (default 2)")
     p.add_argument("--frame", type=int, default=0, help="training frame index (default 0)")
     p.add_argument("--config", default=None, help="key=value config file (flags override it)")
-    p.add_argument("--epochs", type=int, default=None, help="adversarial epochs (default 1000)")
-    p.add_argument("--pretrain-epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None,
-                   help="minibatch size (default min(300, max(33, nfft//2)))")
-    p.add_argument("--examples", type=int, default=None, help="packets per epoch side (default 128)")
-    p.add_argument("--alpha", type=float, default=None, help="one-sided label smoothing (default 0.2)")
-    p.add_argument("--snr-range", type=_parse_range, default=None, metavar="LO:HI",
-                   help="virtual SNR range in dB (use --snr-range=-30:-24)")
-    p.add_argument("--eta-g", type=float, default=None, help="generator learning rate")
-    p.add_argument("--eta-d", type=float, default=None, help="discriminator learning rate")
-    p.add_argument("--dropout", type=float, default=None, help="discriminator dropout rate")
-    p.add_argument("--lambda-g", type=float, default=None, help="generator weight decay")
-    p.add_argument("--lambda-d", type=float, default=None, help="discriminator weight decay")
-    p.add_argument("--lr-decay", type=float, default=None, help="linear LR decay over the run")
+    for flag, field_name, help_text in CONFIG_FLAGS:
+        parser_fn = CONFIG_PARSERS[field_name]
+        metavar = "LO:HI" if parser_fn is parse_range else None
+        p.add_argument(flag, type=parser_fn, default=None, metavar=metavar, help=help_text)
     p.add_argument("--sweep", choices=["regularization"], default=None,
                    help="run the regularization ablation instead of a plain run")
-    _add_common(p)
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="synthesize a pseudo-radio-signal from a trained run")
@@ -506,9 +489,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    # train resolves seed through its config stack; everything else defaults here
-    if getattr(args, "seed", None) is None and args.func is not cmd_train:
-        args.seed = 0
     try:
         return args.func(args)
     except TrainingDiverged as exc:

@@ -54,92 +54,17 @@ class TrainingDiverged(RuntimeError):
         self.log = log
 
 
-class GeneratorNet:
-    """Latent packet -> synthetic packet MLP; output bounded to (-1, 1)."""
+class Net:
+    """A layer stack over packets of length ``n_fft``."""
 
     def __init__(self, layers, n_fft: int):
-        if not layers:
-            raise ValueError("generator has no layers")
-        if layers[0].fan_in != n_fft or layers[-1].fan_out != n_fft:
-            raise ValueError(
-                f"generator input/output widths must equal n_fft={n_fft}, "
-                f"got {layers[0].fan_in}/{layers[-1].fan_out}"
-            )
         self.layers = list(layers)
         self.n_fft = int(n_fft)
-
-    @classmethod
-    def build(cls, n_fft, seed, width=GENERATOR_WIDTH, weight_decay=GENERATOR_DECAY):
-        if n_fft < 2:
-            raise ValueError(f"n_fft must be >= 2, got {n_fft}")
-        rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "generator-init")
-        layers = [
-            DenseLayer.create(n_fft, width, "tanh", rng),
-            DenseLayer.create(width, width, "tanh", rng, weight_decay_lambda=weight_decay),
-            DenseLayer.create(width, n_fft, "tanh", rng),
-        ]
-        return cls(layers, n_fft)
-
-    def forward(self, z, train=False, rng=None):
-        return net_forward(self.layers, z, train=train, rng=rng)
-
-    def predict(self, z) -> np.ndarray:
-        return self.forward(z)[0]
-
-    def params(self):
-        return net_params(self.layers)
-
-    def set_params(self, params):
-        set_net_params(self.layers, params)
-
-
-class DiscriminatorNet:
-    """Packet -> [P(real), P(fake)] classifier with conv front end."""
-
-    def __init__(self, layers, n_fft: int):
-        if not layers:
-            raise ValueError("discriminator has no layers")
-        if not isinstance(layers[0], Conv1DLayer):
-            raise ValueError("discriminator must start with the conv1d layer")
-        if layers[-1].fan_out != 2 or layers[-1].activation != "softmax":
-            raise ValueError("discriminator must end in a 2-way softmax")
-        self.layers = list(layers)
-        self.n_fft = int(n_fft)
-
-    @classmethod
-    def build(
-        cls,
-        n_fft,
-        seed,
-        n_kernels=KERNEL_COUNT,
-        kernel_len=KERNEL_LEN,
-        width=DISCRIMINATOR_WIDTH,
-        dropout_rate=DROPOUT_RATE,
-        weight_decay=DISCRIMINATOR_DECAY,
-    ):
-        if n_fft < kernel_len:
-            raise ValueError(f"n_fft={n_fft} shorter than conv kernel ({kernel_len})")
-        rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "discriminator-init")
-        conv_out = n_fft - kernel_len + 1
-        layers = [
-            Conv1DLayer.create(n_kernels, kernel_len, rng),
-            DenseLayer.create(conv_out, width, "relu", rng),
-            DropoutLayer(dropout_rate),
-            FlattenLayer(),
-            DenseLayer.create(n_kernels * width, width, "identity", rng, weight_decay_lambda=weight_decay),
-            DropoutLayer(dropout_rate),
-            DenseLayer.create(width, width, "identity", rng, weight_decay_lambda=weight_decay),
-            DropoutLayer(dropout_rate),
-            DenseLayer.create(width, width, "identity", rng),
-            DropoutLayer(dropout_rate),
-            DenseLayer.create(width, 2, "softmax", rng),
-        ]
-        return cls(layers, n_fft)
 
     def forward(self, x, train=False, rng=None):
         return net_forward(self.layers, x, train=train, rng=rng)
 
-    def predict_proba(self, x) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
         return self.forward(x)[0]
 
     def params(self):
@@ -147,6 +72,69 @@ class DiscriminatorNet:
 
     def set_params(self, params):
         set_net_params(self.layers, params)
+
+
+def build_generator(n_fft, seed, width=GENERATOR_WIDTH, weight_decay=GENERATOR_DECAY) -> Net:
+    """Latent packet -> synthetic packet MLP; output bounded to (-1, 1)."""
+    if n_fft < 2:
+        raise ValueError(f"n_fft must be >= 2, got {n_fft}")
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "generator-init")
+    layers = [
+        DenseLayer.create(n_fft, width, "tanh", rng),
+        DenseLayer.create(width, width, "tanh", rng, weight_decay_lambda=weight_decay),
+        DenseLayer.create(width, n_fft, "tanh", rng),
+    ]
+    return Net(layers, n_fft)
+
+
+def build_discriminator(
+    n_fft,
+    seed,
+    n_kernels=KERNEL_COUNT,
+    kernel_len=KERNEL_LEN,
+    width=DISCRIMINATOR_WIDTH,
+    dropout_rate=DROPOUT_RATE,
+    weight_decay=DISCRIMINATOR_DECAY,
+) -> Net:
+    """Packet -> [P(real), P(fake)] classifier with conv front end."""
+    if n_fft < kernel_len:
+        raise ValueError(f"n_fft={n_fft} shorter than conv kernel ({kernel_len})")
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "discriminator-init")
+    conv_out = n_fft - kernel_len + 1
+    layers = [
+        Conv1DLayer.create(n_kernels, kernel_len, rng),
+        DenseLayer.create(conv_out, width, "relu", rng),
+        DropoutLayer(dropout_rate),
+        FlattenLayer(),
+        DenseLayer.create(n_kernels * width, width, "identity", rng, weight_decay_lambda=weight_decay),
+        DropoutLayer(dropout_rate),
+        DenseLayer.create(width, width, "identity", rng, weight_decay_lambda=weight_decay),
+        DropoutLayer(dropout_rate),
+        DenseLayer.create(width, width, "identity", rng),
+        DropoutLayer(dropout_rate),
+        DenseLayer.create(width, 2, "softmax", rng),
+    ]
+    return Net(layers, n_fft)
+
+
+def check_generator(layers, n_fft: int) -> None:
+    """Refuse a loaded stack that is not a dense MLP from ``n_fft`` to ``n_fft``."""
+    if not layers or not all(isinstance(layer, DenseLayer) for layer in layers):
+        raise CheckpointError("generator must be a non-empty stack of dense layers")
+    if layers[0].fan_in != n_fft or layers[-1].fan_out != n_fft:
+        raise CheckpointError(
+            f"generator input/output widths must equal n_fft={n_fft}, "
+            f"got {layers[0].fan_in}/{layers[-1].fan_out}"
+        )
+
+
+def check_discriminator(layers) -> None:
+    """Refuse a loaded stack that is not conv1d first and a 2-way softmax last."""
+    if not layers or not isinstance(layers[0], Conv1DLayer):
+        raise CheckpointError("discriminator must start with the conv1d layer")
+    last = layers[-1]
+    if not isinstance(last, DenseLayer) or last.fan_out != 2 or last.activation != "softmax":
+        raise CheckpointError("discriminator must end in a 2-way softmax")
 
 
 @dataclass
@@ -177,6 +165,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         self.snr_range_db = (float(self.snr_range_db[0]), float(self.snr_range_db[1]))
+        for f in fields(self):  # each non-int field is a float or a pair of floats
+            value = getattr(self, f.name)
+            if f.type != "int" and value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_epoch < 0 or self.n_epoch_pretrain < 0:
             raise ValueError("epoch counts must be >= 0")
         if self.s_batch < 1 or self.s_minibatch_pretrain < 1:
@@ -211,44 +203,43 @@ class TrainConfig:
             )
 
 
-def _range_to_text(pair) -> str:
-    return f"{pair[0]!r}:{pair[1]!r}"
-
-
-def _range_from_text(text: str) -> tuple:
-    lo, _, hi = text.partition(":")
+def parse_range(text: str) -> tuple:
+    """Read ``LO:HI`` as a pair of floats."""
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected LO:HI, got {text!r}")
     return (float(lo), float(hi))
+
+
+def _range_to_text(pair) -> str:
+    return "none" if pair is None else f"{pair[0]!r}:{pair[1]!r}"
+
+
+def _optional_range(text: str):
+    return None if text.lower() == "none" else parse_range(text)
+
+
+# Text reader and writer for each TrainConfig field annotation.
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "tuple": (parse_range, _range_to_text),
+    "tuple | None": (_optional_range, _range_to_text),
+}
+CONFIG_PARSERS = {f.name: _CODECS[f.type][0] for f in fields(TrainConfig)}
 
 
 def config_to_text(cfg: TrainConfig) -> str:
     """Serialize a config to key=value text (field names as keys)."""
-    pairs = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name in ("snr_range_db", "early_stop_band"):
-            pairs[f.name] = "none" if value is None else _range_to_text(value)
-        elif isinstance(value, float):
-            pairs[f.name] = repr(value)
-        else:
-            pairs[f.name] = str(value)
-    return format_kv(pairs)
+    return format_kv({f.name: _CODECS[f.type][1](getattr(cfg, f.name)) for f in fields(cfg)})
 
 
 def config_from_pairs(pairs: dict, base: TrainConfig | None = None) -> TrainConfig:
     """Build a config from parsed key=value pairs over optional base defaults."""
-    known = {f.name: f for f in fields(TrainConfig)}
-    unknown = sorted(set(pairs) - set(known))
+    unknown = sorted(set(pairs) - set(CONFIG_PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    kwargs = {}
-    for name, raw in pairs.items():
-        if name in ("snr_range_db", "early_stop_band"):
-            kwargs[name] = None if raw.lower() == "none" else _range_from_text(raw)
-        elif name in ("n_epoch", "n_epoch_pretrain", "s_batch", "s_minibatch_pretrain",
-                      "n_examples", "seed", "early_stop_patience"):
-            kwargs[name] = int(raw)
-        else:
-            kwargs[name] = float(raw)
+    kwargs = {name: CONFIG_PARSERS[name](raw) for name, raw in pairs.items()}
     if base is None:
         return TrainConfig(**kwargs)
     return replace(base, **kwargs)
@@ -328,8 +319,8 @@ class TrainingLog:
 class GanModel:
     """A trained (or initialized) generator/discriminator pair plus context."""
 
-    generator: GeneratorNet
-    discriminator: DiscriminatorNet
+    generator: Net
+    discriminator: Net
     generator_opt: AdamState | None
     discriminator_opt: AdamState | None
     config: TrainConfig
@@ -365,9 +356,9 @@ def load_gan(path) -> GanModel:
     frame = int(pairs.pop("frame", "0"))
     n_fft = int(pairs.pop("n_fft"))
     cfg = config_from_pairs(pairs)
-    generator = GeneratorNet(stacks[0], n_fft)
-    discriminator = DiscriminatorNet(stacks[1], n_fft)
-    return GanModel(generator, discriminator, opts[0], opts[1], cfg, component, frame)
+    check_generator(stacks[0], n_fft)
+    check_discriminator(stacks[1])
+    return GanModel(Net(stacks[0], n_fft), Net(stacks[1], n_fft), opts[0], opts[1], cfg, component, frame)
 
 
 def latent_noise_variance(power: float, snr_db: float) -> float:

@@ -83,10 +83,12 @@ def load_iq(path: str | Path, expected_format: str = "cf32") -> IQRecording:
         raise IQFormatError(f"{path}: empty payload")
     if len(raw) % (2 * PAYLOAD_DTYPE.itemsize) != 0:
         raise IQFormatError(f"{path}: truncated sample (payload is {len(raw)} bytes)")
-    floats = np.frombuffer(raw, dtype=PAYLOAD_DTYPE).astype(np.float64)
-    if not np.all(np.isfinite(floats)):
+    # Interleaved I, Q pairs widened in place of a complex sum, which would
+    # drop signed zeros; the raw bytes are freed before the finite check.
+    samples = np.frombuffer(raw, dtype=PAYLOAD_DTYPE).astype(np.float64).view(np.complex128)
+    del raw
+    if not np.all(np.isfinite(samples)):
         raise IQFormatError(f"{path}: payload contains non-finite values")
-    samples = floats[0::2] + 1j * floats[1::2]
 
     meta_path = sidecar_path(path)
     if not meta_path.is_file():

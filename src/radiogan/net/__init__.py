@@ -15,22 +15,3 @@ from .layers import (
 )
 from .adam import AdamState, adam_step
 from .checkpoint import CHECKPOINT_MAGIC, load_stacks, save_stacks
-
-__all__ = [
-    "Conv1DLayer",
-    "DenseLayer",
-    "DropoutLayer",
-    "FlattenLayer",
-    "decay_penalty",
-    "net_backward",
-    "net_forward",
-    "net_params",
-    "set_net_params",
-    "softmax",
-    "xavier_init",
-    "AdamState",
-    "adam_step",
-    "CHECKPOINT_MAGIC",
-    "load_stacks",
-    "save_stacks",
-]

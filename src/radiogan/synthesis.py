@@ -13,39 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import RaisedCosineSpec, overlap_save_reconstruct, raised_cosine_taps
-from .gan import GeneratorNet, latent_noise_variance, sample_latent
+from .gan import Net, latent_noise_variance, sample_latent
 from .iqcore import FrameStats, IQRecording, denormalize
 from .seeding import as_generator, substream
 
 DEFAULT_RC_LENGTH = 129
 DEFAULT_ROLLOFF = 0.25
 GEN_PACKETS_PER_PROTOTYPE_PACKET = 20  # published n_gen default is 20 x N_p
-
-
-@dataclass
-class PseudoPacketMatrix:
-    """Generated normalized packets of one component: [n_gen, n_fft] in (-1, 1)."""
-
-    values: np.ndarray
-    component: str
-    source_frame_power: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise ValueError("values must be a non-empty 2-D array")
-        if self.component not in ("I", "Q"):
-            raise ValueError(f"component must be 'I' or 'Q', got {self.component!r}")
-        if self.source_frame_power <= 0.0:
-            raise ValueError("source_frame_power must be positive")
-
-    @property
-    def n_gen(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_fft(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -68,11 +42,12 @@ class SynthesisConfig:
             raise ValueError(f"rc_length must be odd and >= 1, got {self.rc_length}")
 
 
-def generate_packets(g: GeneratorNet, n_gen: int, snr_db: float, seed) -> PseudoPacketMatrix:
+def generate_packets(g: Net, n_gen: int, snr_db: float, seed) -> np.ndarray:
     """Run ``n_gen`` dropout-free generator passes over fresh latent draws.
 
-    The latent variance follows the virtual-SNR rule against unit power, the
-    same convention the generator was trained under.
+    Returns the normalized packets, [n_gen, n_fft] in (-1, 1). The latent
+    variance follows the virtual-SNR rule against unit power, the same
+    convention the generator was trained under.
     """
     if g is None or not getattr(g, "layers", None):
         raise ValueError("generator is untrained/uninitialized")
@@ -80,17 +55,14 @@ def generate_packets(g: GeneratorNet, n_gen: int, snr_db: float, seed) -> Pseudo
         raise ValueError(f"n_gen must be >= 1, got {n_gen}")
     sigma2 = latent_noise_variance(1.0, snr_db)
     z = sample_latent(n_gen, g.n_fft, sigma2, as_generator(seed))
-    values = g.predict(z)
-    return PseudoPacketMatrix(values=values, component="I")
+    return g.predict(z)
 
 
-def assemble_iq(i_mat: PseudoPacketMatrix, q_mat: PseudoPacketMatrix, frame_power: float) -> np.ndarray:
+def assemble_iq(i_mat: np.ndarray, q_mat: np.ndarray, frame_power: float) -> np.ndarray:
     """Denormalize both components by the frame power and pair them as I + jQ."""
-    if i_mat.values.shape != q_mat.values.shape:
-        raise ValueError(
-            f"component shape mismatch: I {i_mat.values.shape} vs Q {q_mat.values.shape}"
-        )
-    return denormalize(i_mat.values, frame_power) + 1j * denormalize(q_mat.values, frame_power)
+    if i_mat.shape != q_mat.shape:
+        raise ValueError(f"component shape mismatch: I {i_mat.shape} vs Q {q_mat.shape}")
+    return denormalize(i_mat, frame_power) + 1j * denormalize(q_mat, frame_power)
 
 
 def _taps_for(cfg: SynthesisConfig) -> RaisedCosineSpec:
@@ -100,15 +72,14 @@ def _taps_for(cfg: SynthesisConfig) -> RaisedCosineSpec:
     return raised_cosine_taps(cfg.rc_length, cfg.rolloff)
 
 
-def synthesize(i_model: GeneratorNet, q_model: GeneratorNet, cfg: SynthesisConfig,
+def synthesize(i_model: Net, q_model: Net, cfg: SynthesisConfig,
                stats: FrameStats, frame: int | str = "random") -> IQRecording:
     """Produce a pseudo-radio-signal recording of ``n_gen * n_fft`` samples.
 
-    ``frame`` selects which prototype frame's power denormalizes the packets:
-    an index, or ``"random"`` to draw one uniformly (seeded) per call.
+    ``i_model`` and ``q_model`` are the rails' generators. ``frame`` selects
+    which prototype frame's power denormalizes the packets: an index, or
+    ``"random"`` to draw one uniformly (seeded) per call.
     """
-    i_model = getattr(i_model, "generator", i_model)
-    q_model = getattr(q_model, "generator", q_model)
     if i_model.n_fft != q_model.n_fft:
         raise ValueError(
             f"component models disagree on packet length: {i_model.n_fft} vs {q_model.n_fft}"
@@ -122,10 +93,7 @@ def synthesize(i_model: GeneratorNet, q_model: GeneratorNet, cfg: SynthesisConfi
             raise ValueError(f"frame {frame_idx} out of range [0, {stats.n_frames})")
     i_mat = generate_packets(i_model, cfg.n_gen, cfg.snr_db, substream(cfg.seed, "synthesis", "latent", "I"))
     q_mat = generate_packets(q_model, cfg.n_gen, cfg.snr_db, substream(cfg.seed, "synthesis", "latent", "Q"))
-    q_mat.component = "Q"
     frame_power = float(stats.per_frame_power[frame_idx])
-    i_mat.source_frame_power = frame_power
-    q_mat.source_frame_power = frame_power
     assembled = assemble_iq(i_mat, q_mat, frame_power)
     stream = overlap_save_reconstruct(assembled, _taps_for(cfg))
     return IQRecording(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import dft
-from .gan import GanModel, GeneratorNet, TrainingLog
+from .gan import Net, TrainingLog
 from .iqcore import FrameStats, IQRecording, PrototypeTensor, denormalize
 from .kvfile import format_kv, parse_kv
 from .seeding import substream
@@ -170,7 +170,7 @@ class ValidationConfig:
 
     frame: int = 0
     n_gen: int | None = None
-    snr_db: float | None = None
+    snr_db: float = 0.0
     coverage: float = DEFAULT_COVERAGE
     n_bins: int = DEFAULT_N_BINS
     sigma_span: float = DEFAULT_SIGMA_SPAN
@@ -260,14 +260,6 @@ def _pooled_values(packets: np.ndarray) -> np.ndarray:
     return np.concatenate([packets.real.ravel(), packets.imag.ravel()])
 
 
-def _as_generator_net(model) -> GeneratorNet:
-    if isinstance(model, GanModel):
-        return model.generator
-    if isinstance(model, GeneratorNet):
-        return model
-    raise ValueError(f"expected a GanModel or GeneratorNet, got {type(model).__name__}")
-
-
 def _mean_pairwise_correlation(packets: np.ndarray, max_packets: int = 256) -> float:
     """Mean absolute pairwise Pearson correlation between packets (diversity stat)."""
     rows = np.asarray(packets)[:max_packets]
@@ -307,8 +299,8 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
              with_tables: bool = False) -> ValidationReport:
     """Score a trained model pair against its prototype.
 
-    ``model`` is the ``(i_model, q_model)`` pair (GanModel or GeneratorNet
-    each). ``log`` is one TrainingLog or a sequence of them; the mean
+    ``model`` is the ``(i_model, q_model)`` pair of the rails' generators.
+    ``log`` is one TrainingLog or a sequence of them; the mean
     discriminator accuracy over the final quartile of each non-empty log is
     averaged. ``generated`` optionally supplies an already-synthesized
     recording (or complex packet matrix); otherwise ``cfg.n_gen`` packets
@@ -323,10 +315,10 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
         i_model, q_model = model
     except (TypeError, ValueError) as exc:
         raise ValueError("model must be the (i_model, q_model) pair") from exc
-    i_gen = _as_generator_net(i_model)
-    q_gen = _as_generator_net(q_model)
+    if not (isinstance(i_model, Net) and isinstance(q_model, Net)):
+        raise ValueError("model must be a pair of generator Nets")
     n_fft = tensor.packet_len
-    if i_gen.n_fft != n_fft or q_gen.n_fft != n_fft:
+    if i_model.n_fft != n_fft or q_model.n_fft != n_fft:
         raise ValueError("model packet length does not match tensor")
 
     logs = [log] if isinstance(log, TrainingLog) else list(log)
@@ -344,14 +336,8 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
 
     if generated is None:
         n_gen = cfg.n_gen or tensor.n_packets
-        if cfg.snr_db is not None:
-            snr_db = cfg.snr_db
-        elif isinstance(i_model, GanModel):
-            snr_db = 0.5 * sum(i_model.config.snr_range_db)
-        else:
-            snr_db = 0.0
-        i_mat = generate_packets(i_gen, n_gen, snr_db, substream(cfg.seed, "validate", "latent", "I"))
-        q_mat = generate_packets(q_gen, n_gen, snr_db, substream(cfg.seed, "validate", "latent", "Q"))
+        i_mat = generate_packets(i_model, n_gen, cfg.snr_db, substream(cfg.seed, "validate", "latent", "I"))
+        q_mat = generate_packets(q_model, n_gen, cfg.snr_db, substream(cfg.seed, "validate", "latent", "Q"))
         gen_packets = assemble_iq(i_mat, q_mat, frame_power)
     elif isinstance(generated, IQRecording):
         gen_packets = _frame_packets(generated, n_fft)

@@ -1,15 +1,20 @@
 """End-to-end CLI behaviour on small desk-scale runs."""
 
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from radiogan.cli import main
+from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
+from radiogan.gan import CONFIG_PARSERS, TrainConfig
 from radiogan.iqcore import load_iq, sidecar_path
 from radiogan.kvfile import read_kv
 from radiogan.manifest import read_manifest
+from radiogan.net.checkpoint import load_stacks, save_stacks
+from radiogan.net.layers import DropoutLayer, FlattenLayer
 from radiogan.validation import ValidationReport
 
 # desk-scale packet length: wide enough for the conv kernel and the
@@ -192,6 +197,56 @@ def test_train_unknown_config_key_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_none_snr_range_in_config_exits_2(tmp_path, capsys):
+    # only early_stop_band may be none
+    proto = _protogen(tmp_path)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("snr_range_db=none\n")
+    rc, run_dir = _train_with_config(tmp_path, proto, bad)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (run_dir / "model_i.psg").exists()
+
+
+_FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+_NON_FINITE = [(name, text) for name in _FLOAT_FIELDS for text in ("nan", "inf")] + [
+    ("snr_range_db", "nan:-24.0"),
+    ("snr_range_db", "-inf:-24.0"),
+    ("snr_range_db", "-30.0:inf"),
+]
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+@pytest.mark.parametrize("field_name,text", _NON_FINITE)
+def test_train_refuses_non_finite_config_values(tmp_path, capsys, route, field_name, text):
+    proto = _protogen(tmp_path)
+    if route == "config":
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{field_name}={text}\n")
+        rc, run_dir = _train_with_config(tmp_path, proto, cfg_file)
+    else:
+        flag = next(flag for flag, name, _ in CONFIG_FLAGS if name == field_name)
+        rc, run_dir = _train(tmp_path, proto, extra=(f"{flag}={text}",))
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (run_dir / "model_i.psg").exists()
+
+
+# A valid non-default value for each annotation a train flag can have.
+_FLAG_VALUES = {"int": "37", "float": "0.0625", "tuple": "-5.0:-1.0"}
+
+
+@pytest.mark.parametrize("flag,field_name", [(flag, name) for flag, name, _ in CONFIG_FLAGS])
+def test_each_config_flag_sets_its_field(flag, field_name):
+    annotation = next(f.type for f in fields(TrainConfig) if f.name == field_name)
+    text = _FLAG_VALUES[annotation]
+    args = build_parser().parse_args(["train", "--proto", "p.iq", "--out-dir", "run", f"{flag}={text}"])
+    cfg = _resolve_train_config(args, NFFT)
+    expected = CONFIG_PARSERS[field_name](text)
+    assert getattr(cfg, field_name) == expected
+    assert getattr(TrainConfig(), field_name) != expected
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("clirun")
@@ -246,6 +301,25 @@ def test_generate_missing_run_dir_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda g, d: [d, g],
+        lambda g, d: [g + [FlattenLayer()], d],
+        lambda g, d: [g, d + [DropoutLayer(0.5)]],
+    ],
+    ids=["stacks_swapped", "generator_ends_non_dense", "discriminator_ends_in_dropout"],
+)
+def test_generate_on_misbuilt_checkpoint_exits_2(trained_run, tmp_path, capsys, mutate):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run[2], run_dir)
+    (g, d), _, text = load_stacks(run_dir / "model_i.psg")
+    save_stacks(run_dir / "model_i.psg", mutate(g, d), [None, None], text)
+    rc = main(["generate", "--run-dir", str(run_dir), "--out", str(tmp_path / "x.iq"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_validate_writes_report_and_tables(trained_run, capsys):

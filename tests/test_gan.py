@@ -1,14 +1,16 @@
 """Adversarial building blocks: latent schedule, losses, accuracy, config, log."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from radiogan.gan import (
     REAL,
-    DiscriminatorNet,
-    GeneratorNet,
     TrainConfig,
     TrainingLog,
+    build_discriminator,
+    build_generator,
     config_from_text,
     config_to_text,
     discriminator_accuracy,
@@ -120,27 +122,27 @@ def test_accuracy_examples():
 
 
 def test_build_shapes_and_determinism():
-    g = GeneratorNet.build(256, 5)
+    g = build_generator(256, 5)
     assert g.n_fft == 256
     z = substream(0, "z").standard_normal((3, 256))
     out = g.predict(z)
     assert out.shape == (3, 256)
     assert np.all(np.abs(out) < 1.0)  # tanh output layer
-    g2 = GeneratorNet.build(256, 5)
+    g2 = build_generator(256, 5)
     assert np.array_equal(out, g2.predict(z))
-    assert not np.array_equal(out, GeneratorNet.build(256, 6).predict(z))
+    assert not np.array_equal(out, build_generator(256, 6).predict(z))
 
 
 def test_generator_accepts_rng_seed_stream():
-    a = GeneratorNet.build(256, substream(3, "init", "I", "generator"))
-    b = GeneratorNet.build(256, substream(3, "init", "Q", "generator"))
+    a = build_generator(256, substream(3, "init", "I", "generator"))
+    b = build_generator(256, substream(3, "init", "Q", "generator"))
     assert not np.array_equal(a.layers[0].weights, b.layers[0].weights)
 
 
 def test_discriminator_outputs_two_way_softmax():
-    d = DiscriminatorNet.build(256, 1)
+    d = build_discriminator(256, 1)
     x = substream(2, "x").standard_normal((4, 256))
-    p = d.predict_proba(x)
+    p = d.predict(x)
     assert p.shape == (4, 2)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p > 0.0)
@@ -148,14 +150,14 @@ def test_discriminator_outputs_two_way_softmax():
 
 def test_discriminator_rejects_short_packets():
     with pytest.raises(ValueError):
-        DiscriminatorNet.build(64, 0)  # shorter than the conv kernel
+        build_discriminator(64, 0)  # shorter than the conv kernel
 
 
 def test_discriminator_dropout_only_in_train_mode():
-    d = DiscriminatorNet.build(256, 3)
+    d = build_discriminator(256, 3)
     x = substream(4, "x").standard_normal((2, 256))
-    a = d.predict_proba(x)
-    b = d.predict_proba(x)
+    a = d.predict(x)
+    b = d.predict(x)
     assert np.array_equal(a, b)
     out_t, _ = net_forward(d.layers, x, train=True, rng=substream(5, "drop"))
     out_t2, _ = net_forward(d.layers, x, train=True, rng=substream(6, "drop"))
@@ -164,7 +166,7 @@ def test_discriminator_dropout_only_in_train_mode():
 
 def test_gradient_flows_back_to_input():
     # generator updates need d(probs)/d(input) through the frozen discriminator
-    d = DiscriminatorNet.build(256, 7)
+    d = build_discriminator(256, 7)
     x = substream(8, "x").standard_normal((2, 256))
     probs, caches = net_forward(d.layers, x, train=True, rng=substream(9, "drop"))
     grad = np.zeros_like(probs)
@@ -210,19 +212,19 @@ def _assert_bit_identical(params_a, opt_a, params_b, opt_b):
 
 
 def test_supervised_step_matches_full_backward_reference():
-    fast, ref = DiscriminatorNet.build(256, 11), DiscriminatorNet.build(256, 11)
+    fast, ref = build_discriminator(256, 11), build_discriminator(256, 11)
     opt = AdamState.for_params(fast.params(), 1e-3)
     x = substream(12, "x").standard_normal((8, 256))
     targets = _class_targets(4, 4, 0.2)
     opt_fast = _supervised_minibatch(fast, opt, x, targets, substream(13, "drop"))
     opt_ref = _reference_supervised_step(ref, opt, x, targets, substream(13, "drop"))
     _assert_bit_identical(fast.params(), opt_fast, ref.params(), opt_ref)
-    assert not np.array_equal(fast.params()[0], DiscriminatorNet.build(256, 11).params()[0])
+    assert not np.array_equal(fast.params()[0], build_discriminator(256, 11).params()[0])
 
 
 def test_generator_step_matches_full_backward_reference_and_freezes_discriminator():
-    g_fast, g_ref = GeneratorNet.build(256, 21), GeneratorNet.build(256, 21)
-    d_fast, d_ref = DiscriminatorNet.build(256, 22), DiscriminatorNet.build(256, 22)
+    g_fast, g_ref = build_generator(256, 21), build_generator(256, 21)
+    d_fast, d_ref = build_discriminator(256, 22), build_discriminator(256, 22)
     d_before = [p.copy() for p in d_fast.params()]
     opt = AdamState.for_params(g_fast.params(), 1e-3)
     z = substream(23, "z").standard_normal((8, 256))
@@ -265,10 +267,52 @@ def test_config_validation():
         TrainConfig(s_batch=32).validate_for(256)
 
 
+# A valid value for every TrainConfig field that differs from its default.
+_NON_DEFAULT_CONFIG = dict(
+    n_epoch=7,
+    n_epoch_pretrain=3,
+    s_batch=40,
+    s_minibatch_pretrain=8,
+    n_examples=16,
+    label_smoothing_alpha=0.125,
+    snr_range_db=(-12.5, -3.0),
+    seed=9,
+    eta_g=0.007,
+    eta_d=2.5e-4,
+    dropout_rate=0.25,
+    lambda_g=0.0,
+    lambda_d=1e-5,
+    lr_decay=0.5,
+    early_stop_band=(0.4, 0.6),
+    early_stop_patience=7,
+)
+
+
 def test_config_text_round_trip():
     cfg = TrainConfig(n_epoch=42, snr_range_db=(-12.5, -3.0), eta_g=0.007, early_stop_band=(0.4, 0.6))
     back = config_from_text(config_to_text(cfg))
     assert back == cfg
+    # every field, each with a non-default value
+    assert set(_NON_DEFAULT_CONFIG) == {f.name for f in fields(TrainConfig)}
+    default = TrainConfig()
+    for name, value in _NON_DEFAULT_CONFIG.items():
+        assert getattr(default, name) != value, name
+    assert config_from_text(config_to_text(default)) == default  # early_stop_band=none
+    cfg = TrainConfig(**_NON_DEFAULT_CONFIG)
+    back = config_from_text(config_to_text(cfg))
+    assert back == cfg
+    for name, value in _NON_DEFAULT_CONFIG.items():
+        assert type(getattr(back, name)) is type(value), name
+
+
+def test_default_config_text_is_stable():
+    # checkpoints embed this text and train manifests hash it
+    assert config_to_text(TrainConfig()) == (
+        "n_epoch=1000\nn_epoch_pretrain=1\ns_batch=300\ns_minibatch_pretrain=32\n"
+        "n_examples=128\nlabel_smoothing_alpha=0.2\nsnr_range_db=-30.0:-24.0\nseed=0\n"
+        "eta_g=0.011\neta_d=0.0001\ndropout_rate=0.5\nlambda_g=0.001\nlambda_d=0.0001\n"
+        "lr_decay=0.0\nearly_stop_band=none\nearly_stop_patience=50\n"
+    )
 
 
 def test_config_from_text_unknown_key():

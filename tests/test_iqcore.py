@@ -34,6 +34,16 @@ def test_round_trip_bit_exact(tmp_path):
     assert back.rx_gain_db == rec.rx_gain_db
 
 
+def test_round_trip_keeps_signed_zeros(tmp_path):
+    parts = np.array([-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 1.5, -0.0, -0.0, -2.25])
+    rec = IQRecording(samples=parts.view(np.complex128), sample_rate_hz=1e6)
+    path = tmp_path / "zeros.iq"
+    save_iq(rec, path)
+    back = load_iq(path)
+    assert back.samples.dtype == np.complex128
+    assert back.samples.tobytes() == rec.samples.tobytes()
+
+
 def test_payload_is_interleaved_le_float32(tmp_path):
     rec = _rec(n=8)
     path = tmp_path / "cap.iq"

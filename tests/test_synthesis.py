@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from radiogan.gan import GeneratorNet
+from radiogan.gan import build_generator
 from radiogan.iqcore import FrameStats
 from radiogan.seeding import substream
 from radiogan.synthesis import (
-    PseudoPacketMatrix,
     SynthesisConfig,
     assemble_iq,
     generate_packets,
@@ -18,29 +17,28 @@ N_FFT = 256  # wide enough for the default 129-tap smoothing kernel
 
 
 def _gen(seed=0, tag="I"):
-    return GeneratorNet.build(N_FFT, substream(seed, "init", tag, "generator"), width=16)
+    return build_generator(N_FFT, substream(seed, "init", tag, "generator"), width=16)
 
 
 def test_generate_packets_shape_and_range():
     mat = generate_packets(_gen(), 10, -27.0, substream(0, "latent"))
-    assert mat.values.shape == (10, N_FFT)
-    assert mat.n_gen == 10
-    assert mat.n_fft == N_FFT
-    assert np.all(np.abs(mat.values) < 1.0)  # tanh head
+    assert mat.shape == (10, N_FFT)
+    assert mat.dtype == np.float64
+    assert np.all(np.abs(mat) < 1.0)  # tanh head
 
 
 def test_generate_packets_deterministic_per_seed():
     a = generate_packets(_gen(), 6, -27.0, substream(1, "latent"))
     b = generate_packets(_gen(), 6, -27.0, substream(1, "latent"))
     c = generate_packets(_gen(), 6, -27.0, substream(2, "latent"))
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_generate_packets_snr_changes_latent_scale():
     a = generate_packets(_gen(), 6, -27.0, substream(1, "latent"))
     b = generate_packets(_gen(), 6, 0.0, substream(1, "latent"))
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_generate_packets_guards():
@@ -50,28 +48,17 @@ def test_generate_packets_guards():
         generate_packets(_gen(), 0, -27.0, 0)
 
 
-def test_packet_matrix_validation():
-    with pytest.raises(ValueError):
-        PseudoPacketMatrix(values=np.zeros((0, 4)), component="I")
-    with pytest.raises(ValueError):
-        PseudoPacketMatrix(values=np.zeros(4), component="I")
-    with pytest.raises(ValueError):
-        PseudoPacketMatrix(values=np.zeros((2, 4)), component="both")
-    with pytest.raises(ValueError):
-        PseudoPacketMatrix(values=np.zeros((2, 4)), component="I", source_frame_power=0.0)
-
-
 def test_assemble_iq_pairs_components():
-    i_mat = PseudoPacketMatrix(values=np.full((2, 4), 0.5), component="I")
-    q_mat = PseudoPacketMatrix(values=np.full((2, 4), -0.25), component="Q")
+    i_mat = np.full((2, 4), 0.5)
+    q_mat = np.full((2, 4), -0.25)
     out = assemble_iq(i_mat, q_mat, frame_power=1.0)
     assert out.dtype.kind == "c"
     assert np.all(out == 0.5 - 0.25j)
 
 
 def test_assemble_iq_scales_by_sqrt_power():
-    i_mat = PseudoPacketMatrix(values=np.full((1, 4), 0.5), component="I")
-    q_mat = PseudoPacketMatrix(values=np.full((1, 4), 0.5), component="Q")
+    i_mat = np.full((1, 4), 0.5)
+    q_mat = np.full((1, 4), 0.5)
     out = assemble_iq(i_mat, q_mat, frame_power=4.0)
     # power 4 -> amplitudes doubled on both rails
     assert np.allclose(out.real, 1.0)
@@ -79,8 +66,8 @@ def test_assemble_iq_scales_by_sqrt_power():
 
 
 def test_assemble_iq_shape_mismatch():
-    i_mat = PseudoPacketMatrix(values=np.zeros((2, 4)), component="I")
-    q_mat = PseudoPacketMatrix(values=np.zeros((3, 4)), component="Q")
+    i_mat = np.zeros((2, 4))
+    q_mat = np.zeros((3, 4))
     with pytest.raises(ValueError):
         assemble_iq(i_mat, q_mat, 1.0)
 
@@ -131,7 +118,7 @@ def test_synthesize_single_tap_is_plain_concatenation():
     rec = _synth(cfg, frame=0)
     i_mat = generate_packets(_gen(0, "I"), 4, -27.0, substream(2, "synthesis", "latent", "I"))
     q_mat = generate_packets(_gen(0, "Q"), 4, -27.0, substream(2, "synthesis", "latent", "Q"))
-    expect = (i_mat.values + 1j * q_mat.values).reshape(-1)
+    expect = (i_mat + 1j * q_mat).reshape(-1)
     assert np.allclose(rec.samples, expect, atol=1e-12)
 
 
@@ -158,7 +145,7 @@ def test_synthesize_validation():
     stats = FrameStats(per_frame_power=np.array([1.0]))
     cfg = SynthesisConfig(n_gen=4, snr_db=-27.0)
     with pytest.raises(ValueError):
-        synthesize(_gen(0, "I"), GeneratorNet.build(128, 0, width=16), cfg, stats)
+        synthesize(_gen(0, "I"), build_generator(128, 0, width=16), cfg, stats)
     with pytest.raises(ValueError):
         _synth(cfg, frame=5, stats=stats)
     with pytest.raises(ValueError):

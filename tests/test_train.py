@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from radiogan.gan import (
-    DiscriminatorNet,
     GanModel,
-    GeneratorNet,
     TrainConfig,
+    build_discriminator,
+    build_generator,
     load_gan,
     pretrain_discriminator,
     save_gan,
@@ -30,8 +30,8 @@ def _tensor(seed=0, n_frames=1, n_packets=20):
 
 
 def _models(seed=0):
-    g = GeneratorNet.build(N_FFT, substream(seed, "init", "I", "generator"), width=16)
-    d = DiscriminatorNet.build(
+    g = build_generator(N_FFT, substream(seed, "init", "I", "generator"), width=16)
+    d = build_discriminator(
         N_FFT,
         substream(seed, "init", "I", "discriminator"),
         n_kernels=4,
@@ -156,8 +156,8 @@ def test_train_input_validation():
 
 def test_train_rejects_mismatched_widths():
     tensor, stats = _tensor()
-    g = GeneratorNet.build(128, 0, width=16)
-    d = DiscriminatorNet.build(128, 0, n_kernels=4, kernel_len=16, width=8)
+    g = build_generator(128, 0, width=16)
+    d = build_discriminator(128, 0, n_kernels=4, kernel_len=16, width=8)
     with pytest.raises(ValueError):
         train(g, d, tensor, stats, "I", 0, _cfg())
 
@@ -181,8 +181,8 @@ def test_pretrain_moves_weights_and_separates():
     def separation(net):
         sigma2 = 10 ** (2.7)  # latent variance at the schedule midpoint
         noise = substream(99, "probe").normal(0.0, np.sqrt(sigma2), packets.shape)
-        p_real = net.predict_proba(packets)[:, 0]
-        p_noise = net.predict_proba(noise)[:, 0]
+        p_real = net.predict(packets)[:, 0]
+        p_noise = net.predict(noise)[:, 0]
         return float(np.mean(p_real) - np.mean(p_noise))
 
     before = separation(d)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiogan import validation
-from radiogan.gan import GeneratorNet, TrainingLog
+from radiogan.gan import TrainingLog, build_generator
 from radiogan.iqcore import IQRecording, denormalize, frame_tensor, normalize_frames
 from radiogan.seeding import substream
 from radiogan.validation import (
@@ -297,8 +297,8 @@ def _tensor(seed=0, n_frames=1, n_packets=24):
 
 def _gens(seed=0):
     return (
-        GeneratorNet.build(N_FFT, substream(seed, "init", "I", "generator"), width=16),
-        GeneratorNet.build(N_FFT, substream(seed, "init", "Q", "generator"), width=16),
+        build_generator(N_FFT, substream(seed, "init", "I", "generator"), width=16),
+        build_generator(N_FFT, substream(seed, "init", "Q", "generator"), width=16),
     )
 
 
@@ -478,7 +478,7 @@ def test_validate_input_checks():
     with pytest.raises(ValueError):
         validate((gi, "nope"), tensor, stats, log)
     with pytest.raises(ValueError):
-        validate((gi, GeneratorNet.build(128, 0, width=16)), tensor, stats, log)
+        validate((gi, build_generator(128, 0, width=16)), tensor, stats, log)
     with pytest.raises(ValueError):
         validate(_gens(), tensor, stats, log, ValidationConfig(frame=1))
     with pytest.raises(ValueError):
