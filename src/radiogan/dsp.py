@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import run_blocks
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -72,11 +74,12 @@ def _butterfly_stages(work: np.ndarray, twiddles: tuple) -> list:
 def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT over the last axis.
 
-    Rows go ``fft_block_rows(n)`` at a time through one work block that
-    stays in cache: bit-reversed into it, transformed there in place, copied
-    out. Each row goes through the same operations in the same order
-    whatever the block. ``inverse`` computes ``conj(fft(conj(x))) / n``
-    instead. The output is C-contiguous.
+    Rows go ``fft_block_rows(n)`` at a time through a work block that stays
+    in cache: bit-reversed into it, transformed there in place, copied out.
+    ``run_blocks`` spreads the blocks over the CPUs, each worker with its own
+    work block. Each row goes through the same operations in the same order
+    whatever the block or the worker. ``inverse`` computes
+    ``conj(fft(conj(x))) / n`` instead. The output is C-contiguous.
     """
     n = x.shape[-1]
     out = np.empty(x.shape, dtype=np.complex128)
@@ -87,24 +90,30 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
         return out
     rev = _bit_reverse_indices(n)
     twiddles = _twiddles(n)
-    work = np.empty((min(fft_block_rows(n), total), n), dtype=np.complex128)
-    stages = _butterfly_stages(work, twiddles)
-    for start in range(0, total, work.shape[0]):
-        rows = min(work.shape[0], total - start)
-        if rows < work.shape[0]:  # ragged last block
-            work = work[:rows]
-            stages = _butterfly_stages(work, twiddles)
-        np.take(src[start : start + rows], rev, axis=1, out=work, mode="clip")
-        if inverse and np.iscomplexobj(x):
-            np.conjugate(work, out=work)
-        for even, odd, product, twiddle in stages:
-            np.multiply(odd, twiddle, out=product)
-            np.subtract(even, product, out=odd)
-            np.add(even, product, out=even)
-        if inverse:
-            np.conjugate(work, out=work)
-            np.divide(work, n, out=work)
-        dst[start : start + rows] = work
+    step = fft_block_rows(n)
+    conjugate_in = inverse and np.iscomplexobj(x)
+
+    def transform(run, work):
+        stages = _butterfly_stages(work, twiddles)
+        for start in run:
+            rows = min(work.shape[0], total - start)
+            if rows < work.shape[0]:  # ragged last block
+                work = work[:rows]
+                stages = _butterfly_stages(work, twiddles)
+            np.take(src[start : start + rows], rev, axis=1, out=work, mode="clip")
+            if conjugate_in:
+                np.conjugate(work, out=work)
+            for even, odd, product, twiddle in stages:
+                np.multiply(odd, twiddle, out=product)
+                np.subtract(even, product, out=odd)
+                np.add(even, product, out=even)
+            if inverse:
+                np.conjugate(work, out=work)
+                np.divide(work, n, out=work)
+            dst[start : start + rows] = work
+        return [None] * len(run)
+
+    run_blocks(transform, range(0, total, step), lambda: np.empty((min(step, total), n), dtype=np.complex128))
     return out
 
 

@@ -351,11 +351,14 @@ def load_gan(path) -> GanModel:
     stacks, opts, text = load_stacks(path)
     if len(stacks) != 2:
         raise CheckpointError(f"{path}: expected generator+discriminator, found {len(stacks)} stacks")
-    pairs = parse_kv(text)
-    component = pairs.pop("component", "I")
-    frame = int(pairs.pop("frame", "0"))
-    n_fft = int(pairs.pop("n_fft"))
-    cfg = config_from_pairs(pairs)
+    try:
+        pairs = parse_kv(text)
+        component = pairs.pop("component", "I")
+        frame = int(pairs.pop("frame", "0"))
+        n_fft = int(pairs.pop("n_fft"))
+        cfg = config_from_pairs(pairs)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad embedded config ({exc!s})") from exc
     check_generator(stacks[0], n_fft)
     check_discriminator(stacks[1])
     return GanModel(Net(stacks[0], n_fft), Net(stacks[1], n_fft), opts[0], opts[1], cfg, component, frame)

@@ -40,9 +40,11 @@ class IQRecording:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        self.sample_rate_hz = float(self.sample_rate_hz)
-        self.center_freq_hz = float(self.center_freq_hz)
-        self.rx_gain_db = float(self.rx_gain_db)
+        for name in REQUIRED_META:
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            setattr(self, name, value)
         if self.sample_rate_hz <= 0.0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         if self.center_freq_hz < 0.0:
@@ -93,23 +95,33 @@ def load_iq(path: str | Path, expected_format: str = "cf32") -> IQRecording:
     meta_path = sidecar_path(path)
     if not meta_path.is_file():
         raise IQFormatError(f"missing metadata sidecar {meta_path}")
-    meta = read_kv(meta_path)
+    try:
+        meta = read_kv(meta_path)
+    except ValueError as exc:  # not UTF-8, or a line that is not key=value
+        raise IQFormatError(f"{meta_path}: unreadable metadata ({exc})") from exc
     missing = [key for key in REQUIRED_META if key not in meta]
     if missing:
         raise IQFormatError(f"{meta_path}: missing metadata keys {missing}")
     try:
         fields = {key: float(meta[key]) for key in REQUIRED_META}
+        return IQRecording(samples=samples, **fields)
     except ValueError as exc:
         raise IQFormatError(f"{meta_path}: malformed metadata value ({exc})") from exc
-    return IQRecording(samples=samples, **fields)
 
 
 def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) -> None:
-    """Write the payload as interleaved little-endian float32 plus a sidecar."""
+    """Write the payload as interleaved little-endian float32 plus a sidecar.
+
+    Raises ``ValueError``, before writing anything, for a sample that is not
+    finite or lies beyond float32 range, which ``load_iq`` would refuse.
+    """
     path = Path(path)
     interleaved = np.empty(2 * rec.n_samples, dtype=PAYLOAD_DTYPE)
-    interleaved[0::2] = rec.samples.real.astype(PAYLOAD_DTYPE)
-    interleaved[1::2] = rec.samples.imag.astype(PAYLOAD_DTYPE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        interleaved[0::2] = rec.samples.real.astype(PAYLOAD_DTYPE)
+        interleaved[1::2] = rec.samples.imag.astype(PAYLOAD_DTYPE)
+    if not np.isfinite(interleaved).all():
+        raise ValueError("samples must be finite and within float32 range")
     path.write_bytes(interleaved.tobytes())
     meta = {
         "sample_rate_hz": repr(rec.sample_rate_hz),

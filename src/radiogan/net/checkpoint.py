@@ -25,11 +25,14 @@ float32 in layer order):
     config_len      u32
     config          UTF-8 text, config_len bytes (key=value lines)
 
-Loading then saving reproduces the file byte-for-byte.
+Loading then saving reproduces the file byte-for-byte. The loader refuses
+non-finite floats, in a header or a payload, and header values the layer or
+optimizer constructors reject, with ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -90,15 +93,19 @@ class _Reader:
             raise CheckpointError("container truncated")
         values = struct.unpack_from(fmt, self.data, self.pos)
         self.pos += size
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise CheckpointError(f"non-finite float in a layer or optimizer header: {values}")
         return values
 
     def array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         size = count * _F32.itemsize
         if self.pos + size > len(self.data):
             raise CheckpointError("container truncated")
         arr = np.frombuffer(self.data, dtype=_F32, count=count, offset=self.pos)
         self.pos += size
+        if not np.isfinite(arr).all():
+            raise CheckpointError("non-finite parameter or moment value")
         return arr.astype(np.float64).reshape(shape)
 
 
@@ -163,6 +170,15 @@ def save_stacks(path, stacks, opt_states, config_text: str) -> None:
 def load_stacks(path):
     """Read a container back; returns ``(stacks, opt_states, config_text)``."""
     data = Path(path).read_bytes()
+    try:
+        return _parse_stacks(path, data)
+    except CheckpointError:
+        raise
+    except ValueError as exc:  # a constructor's refusal, or config text that is not UTF-8
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _parse_stacks(path, data: bytes):
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a model container")
     reader = _Reader(data)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..blocks import run_blocks
 from ..seeding import as_generator
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
@@ -197,10 +198,19 @@ class Conv1DLayer:
             raise ValueError(f"input length {x.shape[1]} shorter than kernel {self.kernel_len}")
         kern = self.kernels[:, 0, :]
         out = np.empty((x.shape[0], self.n_kernels, x.shape[1] - self.kernel_len + 1))
-        for rows, cols in self._column_blocks(x):
-            block = out[rows]
-            np.matmul(kern, cols.transpose(0, 2, 1), out=block)
-            block += self.bias[:, None]
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
+        blocks = self._row_blocks(x)
+
+        def work(run, cols_buffer):
+            for rows in run:
+                block = out[rows]
+                cols = cols_buffer[: rows.stop - rows.start]
+                np.copyto(cols, windows[rows])
+                np.matmul(kern, cols.transpose(0, 2, 1), out=block)
+                block += self.bias[:, None]
+            return [None] * len(run)
+
+        run_blocks(work, blocks, lambda: np.empty((blocks[0].stop, *windows.shape[1:])), blas=True)
         return out, ("conv1d", x, None)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
@@ -209,37 +219,56 @@ class Conv1DLayer:
         n_out = n_in - self.kernel_len + 1
         kern_t = self.kernels[:, 0, :].T
         grad_x = np.empty((batch, n_in)) if input_grad else None
-        grad_k = np.zeros((self.n_kernels, self.kernel_len)) if param_grads else None
-        for rows, cols in self._column_blocks(x, need_cols=param_grads):
-            g = grad_out[rows]
-            if param_grads:
-                grad_k += np.matmul(g, cols).sum(axis=0)
-            if input_grad:
-                # taps[b, s, l] = sum_k kern[k, s] * g[b, k, l] lands on input l + s.
-                # Rows of taps padded to n_in + 1 and re-read n_in at a time put
-                # tap s, output l at column s + l, so the shift-add is one sum.
-                taps = np.empty((g.shape[0], self.kernel_len, n_in + 1))
-                np.matmul(kern_t, g, out=taps[:, :, :n_out])
-                taps[:, :, n_out:] = 0.0
-                flat = taps.reshape(g.shape[0], -1)[:, : self.kernel_len * n_in]
-                grad_x[rows] = flat.reshape(g.shape[0], self.kernel_len, n_in).sum(axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
+        blocks = self._row_blocks(x)
+
+        def scratch():
+            rows = blocks[0].stop
+            return (
+                np.empty((rows, *windows.shape[1:])) if param_grads else None,
+                np.empty((rows, self.n_kernels, self.kernel_len)) if param_grads else None,
+                np.empty((rows, self.kernel_len, n_in + 1)) if input_grad else None,
+            )
+
+        def work(run, buffers):
+            cols_buffer, products_buffer, taps_buffer = buffers
+            partials = []
+            for rows in run:
+                g = grad_out[rows]
+                if param_grads:
+                    cols = cols_buffer[: g.shape[0]]
+                    np.copyto(cols, windows[rows])
+                    products = np.matmul(g, cols, out=products_buffer[: g.shape[0]])
+                    partials.append(products.sum(axis=0))
+                if input_grad:
+                    # taps[b, s, l] = sum_k kern[k, s] * g[b, k, l] lands on input l + s.
+                    # Rows of taps padded to n_in + 1 and re-read n_in at a time put
+                    # tap s, output l at column s + l, so the shift-add is one sum.
+                    taps = taps_buffer[: g.shape[0]]
+                    np.matmul(kern_t, g, out=taps[:, :, :n_out])
+                    taps[:, :, n_out:] = 0.0
+                    flat = taps.reshape(g.shape[0], -1)[:, : self.kernel_len * n_in]
+                    np.sum(flat.reshape(g.shape[0], self.kernel_len, n_in), axis=1, out=grad_x[rows])
+            return partials if param_grads else [None] * len(run)
+
+        partials = run_blocks(work, blocks, scratch, blas=True)
         if not param_grads:
             return grad_x, []
+        grad_k = np.zeros((self.n_kernels, self.kernel_len))
+        for partial in partials:  # block order, whatever the worker count
+            grad_k += partial
         return grad_x, [grad_k[:, None, :], grad_out.sum(axis=(0, 2))]
 
-    def _column_blocks(self, x, need_cols=True):
-        """Yield ``(row slice, im2col block [rows, n_out, kernel_len])`` over the batch.
+    def _row_blocks(self, x):
+        """Row slices of the batch, each as many rows as fit in ``CONV_BLOCK_BYTES``.
 
-        A block holds as many rows as fit in ``CONV_BLOCK_BYTES`` (at least one),
-        so neither the im2col matrix nor the input-gradient buffer ever spans
-        the whole batch. ``need_cols=False`` yields ``None`` in place of the block.
+        Each block builds its im2col columns and input-gradient taps in its
+        worker's buffers, so neither spans the whole batch; ``run_blocks``
+        spreads the blocks over the CPUs.
         """
         batch, n_in = x.shape
         step = conv_block_rows(n_in, self.kernel_len)
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
-        for start in range(0, batch, step):
-            rows = slice(start, min(start + step, batch))
-            yield rows, (np.ascontiguousarray(windows[rows]) if need_cols else None)
+        return [slice(start, min(start + step, batch)) for start in range(0, batch, step)]
 
 
 class DropoutLayer:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiogan.net.adam import AdamState
 from radiogan.net.checkpoint import CheckpointError, load_stacks, save_stacks
@@ -105,3 +107,175 @@ def test_unknown_version_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
         load_stacks(path)
+
+
+# --- refusing what a training run could not have written ---------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _saved_with_adam(tmp_path):
+    stack = _stack(4)
+    path = tmp_path / "m.psg"
+    save_stacks(path, [stack], [AdamState.for_params(net_params(stack), learning_rate=0.01)], "")
+    return path
+
+
+def _corrupt(path, mutate):
+    (stack,), (opt,), text = load_stacks(path)
+    mutate(stack, opt)  # attribute writes skip the constructors' checks
+    save_stacks(path, [stack], [opt], text)
+
+
+MUTATIONS = {
+    "nan_kernel": lambda s, o: s[0].kernels.__setitem__((1, 0, 2), NAN),
+    "inf_weight": lambda s, o: s[1].weights.__setitem__((0, 0), -INF),
+    "nan_bias": lambda s, o: s[4].bias.__setitem__(1, NAN),
+    "inf_first_moment": lambda s, o: o.first_moment[2].__setitem__((0, 0), INF),
+    "nan_second_moment": lambda s, o: o.second_moment[0].__setitem__((0, 0, 0), NAN),
+    "finite_beyond_float32": lambda s, o: s[1].weights.__setitem__((0, 1), 1e39),
+    "nan_decay": lambda s, o: setattr(s[4], "weight_decay_lambda", NAN),
+    "inf_decay": lambda s, o: setattr(s[4], "weight_decay_lambda", INF),
+    "negative_decay": lambda s, o: setattr(s[4], "weight_decay_lambda", -1e-4),
+    "nan_dropout_rate": lambda s, o: setattr(s[2], "rate", NAN),
+    "dropout_rate_one": lambda s, o: setattr(s[2], "rate", 1.0),
+    "inf_learning_rate": lambda s, o: setattr(o, "learning_rate", INF),
+    "zero_learning_rate": lambda s, o: setattr(o, "learning_rate", 0.0),
+    "nan_beta1": lambda s, o: setattr(o, "beta1", NAN),
+    "beta2_one": lambda s, o: setattr(o, "beta2", 1.0),
+    "nan_epsilon": lambda s, o: setattr(o, "epsilon", NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_non_finite_or_refused_values_raise_checkpoint_error(tmp_path, name):
+    path = _saved_with_adam(tmp_path)
+    with np.errstate(over="ignore"):
+        _corrupt(path, MUTATIONS[name])
+    with pytest.raises(CheckpointError):
+        load_stacks(path)
+
+
+def test_config_text_that_is_not_utf8_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "m.psg"
+    save_stacks(path, [_stack(0)], [None], "ab")
+    path.write_bytes(path.read_bytes()[:-2] + b"\xff\xfe")
+    with pytest.raises(CheckpointError):
+        load_stacks(path)
+
+
+def test_huge_layer_header_is_truncation_not_overflow(tmp_path):
+    # fan_out * fan_in overflows int64; the reader must still see a short file
+    path = tmp_path / "m.psg"
+    save_stacks(path, [[DenseLayer.create(2, 2, "identity", 0)]], [None], "")
+    data = bytearray(path.read_bytes())
+    header = 4 + 6 + 4 + 1 + 1 + 8  # magic, version+stacks, n_layers, kind, act, decay
+    data[header : header + 8] = (2**32 - 1).to_bytes(4, "little") * 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_stacks(path)
+
+
+# --- properties ---------------------------------------------------------------
+
+_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_dim = st.integers(1, 3)
+
+
+@st.composite
+def _layers(draw):
+    layers = []
+    for kind in draw(st.lists(st.sampled_from("cdpf"), min_size=0, max_size=4)):
+        if kind == "c":
+            n_kernels, kernel_len = draw(_dim), draw(_dim)
+            kernels = draw(st.lists(_f32, min_size=n_kernels * kernel_len, max_size=n_kernels * kernel_len))
+            bias = draw(st.lists(_f32, min_size=n_kernels, max_size=n_kernels))
+            layers.append(Conv1DLayer(np.reshape(kernels, (n_kernels, 1, kernel_len)), bias))
+        elif kind == "d":
+            fan_out, fan_in = draw(_dim), draw(_dim)
+            weights = draw(st.lists(_f32, min_size=fan_out * fan_in, max_size=fan_out * fan_in))
+            bias = draw(st.lists(_f32, min_size=fan_out, max_size=fan_out))
+            layers.append(
+                DenseLayer(
+                    np.reshape(weights, (fan_out, fan_in)),
+                    bias,
+                    activation=draw(st.sampled_from(["identity", "tanh", "relu", "softmax"])),
+                    weight_decay_lambda=draw(st.floats(0.0, 1e3)),
+                )
+            )
+        elif kind == "p":
+            layers.append(DropoutLayer(draw(st.floats(0.0, 1.0, exclude_max=True))))
+        else:
+            layers.append(FlattenLayer())
+    return layers
+
+
+@st.composite
+def _adam(draw, layers):
+    if not draw(st.booleans()):
+        return None
+    shapes = [p.shape for p in net_params(layers)]
+    moments = [
+        [np.reshape(draw(st.lists(_f32, min_size=int(np.prod(s)), max_size=int(np.prod(s)))), s) for s in shapes]
+        for _ in range(2)
+    ]
+    return AdamState(
+        first_moment=moments[0],
+        second_moment=moments[1],
+        step_count=draw(st.integers(0, 2**64 - 1)),
+        learning_rate=draw(st.floats(1e-300, 1e3)),
+        beta1=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        epsilon=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def _checkpoints(draw):
+    stacks = draw(st.lists(_layers(), min_size=0, max_size=3))
+    opts = [draw(_adam(layers)) for layers in stacks]
+    return stacks, opts, draw(st.text(max_size=40))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_checkpoints())
+def test_save_load_save_is_byte_identical_for_any_checkpoint(tmp_path_factory, checkpoint):
+    stacks, opts, text = checkpoint
+    tmp = tmp_path_factory.mktemp("psg")
+    save_stacks(tmp / "a.psg", stacks, opts, text)
+    stacks2, opts2, text2 = load_stacks(tmp / "a.psg")
+    save_stacks(tmp / "b.psg", stacks2, opts2, text2)
+    assert (tmp / "a.psg").read_bytes() == (tmp / "b.psg").read_bytes()
+    assert text2 == text
+    for layers, back in zip(stacks, stacks2):
+        for orig, got in zip(net_params(layers), net_params(back)):
+            assert got.tobytes() == orig.astype(np.float64).tobytes()  # float32 values, exact
+
+
+def _all_finite(stacks, opts):
+    values = [p for layers in stacks for p in net_params(layers)]
+    for layers in stacks:
+        values += [[l.weight_decay_lambda] for l in layers if isinstance(l, DenseLayer)]
+        values += [[l.rate] for l in layers if isinstance(l, DropoutLayer)]
+    for opt in filter(None, opts):
+        values += opt.first_moment + opt.second_moment
+        values.append([opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon])
+    return all(np.isfinite(np.asarray(v, dtype=np.float64)).all() for v in values)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_corrupted_checkpoint_is_refused_or_loads_finite(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "m.psg"
+    stack = _stack(8)
+    save_stacks(path, [stack, _stack(9)], [AdamState.for_params(net_params(stack), 0.01), None], "seed=1\n")
+    raw = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 6))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    raw = raw[: data.draw(st.integers(0, len(raw)))] if data.draw(st.booleans()) else raw
+    path.write_bytes(bytes(raw))
+    try:
+        stacks, opts, _ = load_stacks(path)
+    except CheckpointError:
+        return
+    assert _all_finite(stacks, opts)

@@ -322,6 +322,49 @@ def test_generate_on_misbuilt_checkpoint_exits_2(trained_run, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error:")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda g, d, og, od: g[0].weights.__setitem__((0, 0), NAN),
+        lambda g, d, og, od: d[0].kernels.__setitem__((0, 0, 0), -INF),
+        lambda g, d, og, od: og.second_moment[0].__setitem__((0, 0), INF),
+        lambda g, d, og, od: setattr(d[4], "weight_decay_lambda", NAN),
+        lambda g, d, og, od: setattr(d[4], "weight_decay_lambda", -1.0),
+        lambda g, d, og, od: setattr(d[2], "rate", NAN),
+        lambda g, d, og, od: setattr(og, "learning_rate", INF),
+        lambda g, d, og, od: setattr(od, "beta1", NAN),
+        lambda g, d, og, od: setattr(od, "epsilon", -INF),
+        lambda g, d, og, od: setattr(og, "learning_rate", -1.0),
+    ],
+    ids=[
+        "nan_generator_weight",
+        "inf_conv_kernel",
+        "inf_adam_moment",
+        "nan_decay",
+        "negative_decay",
+        "nan_dropout_rate",
+        "inf_learning_rate",
+        "nan_beta1",
+        "inf_epsilon",
+        "negative_learning_rate",
+    ],
+)
+def test_generate_on_checkpoint_with_refused_values_exits_2(trained_run, tmp_path, capsys, mutate):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run[2], run_dir)
+    (g, d), (og, od), text = load_stacks(run_dir / "model_i.psg")
+    mutate(g, d, og, od)  # attribute writes skip the constructors' checks
+    save_stacks(run_dir / "model_i.psg", [g, d], [og, od], text)
+    out = tmp_path / "x.iq"
+    rc = main(["generate", "--run-dir", str(run_dir), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_validate_writes_report_and_tables(trained_run, capsys):
     tmp_path, proto, run_dir = trained_run
     out_dir = tmp_path / "val"

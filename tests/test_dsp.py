@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from radiogan import dsp
+from radiogan import blocks, dsp
 from radiogan.dsp import (
     RaisedCosineSpec,
     circular_convolve,
@@ -215,6 +215,19 @@ def test_fft_block_boundaries(monkeypatch, block_rows, n_rows):
     x = _complex(np.random.default_rng(n_rows), (n_rows, 64))
     assert_same_bits(dft(x), reference_fft_pow2(x))
     assert_same_bits(idft(x), reference_ifft_pow2(x))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [1, 2, 4, 7, 17])
+def test_fft_on_any_worker_count_matches_the_whole_batch_loop(monkeypatch, workers, block_rows, n_rows):
+    # fewer blocks than workers, runs of several blocks, ragged last blocks
+    monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
+    monkeypatch.setattr(dsp, "FFT_BLOCK_BYTES", block_rows * 16 * 64)
+    x = _complex(np.random.default_rng(100 * workers + n_rows), (n_rows, 64))
+    assert_same_bits(dft(x), reference_fft_pow2(x))
+    assert_same_bits(idft(x), reference_ifft_pow2(x))
+    assert_same_bits(idft(x.real), reference_ifft_pow2(x.real))
 
 
 def test_fft_default_blocks_with_ragged_tail():

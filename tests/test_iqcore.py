@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiogan.iqcore import (
     IQFormatError,
@@ -123,6 +125,85 @@ def test_recording_validation():
         IQRecording(np.ones(4, dtype=complex), 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         IQRecording(np.ones(4, dtype=complex), 1.0, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["sample_rate_hz", "center_freq_hz", "rx_gain_db"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_recording_refuses_non_finite_metadata(field, value):
+    fields = {"sample_rate_hz": 1.0, "center_freq_hz": 0.0, "rx_gain_db": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        IQRecording(np.ones(4, dtype=complex), **fields)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0), complex(1e39, 0.0), complex(0.0, -3.5e38)],
+    ids=["nan", "inf_imag", "neg_inf", "beyond_float32", "beyond_float32_negative_imag"],
+)
+def test_save_refuses_samples_load_would_refuse_and_writes_nothing(tmp_path, bad):
+    rec = _rec(n=16)
+    rec.samples[5] = bad
+    path = tmp_path / "cap.iq"
+    with pytest.raises(ValueError, match="float32 range"):
+        save_iq(rec, path)
+    assert not path.exists()
+    assert not sidecar_path(path).exists()
+
+
+def test_save_keeps_the_largest_float32(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    rec = IQRecording(np.array([complex(big, -big), 0.5j]), 1e6)
+    save_iq(rec, tmp_path / "big.iq")
+    assert load_iq(tmp_path / "big.iq").samples.tobytes() == rec.samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("sample_rate_hz", "nan"),
+        ("sample_rate_hz", "inf"),
+        ("sample_rate_hz", "-inf"),
+        ("sample_rate_hz", "-5"),
+        ("center_freq_hz", "NaN"),
+        ("rx_gain_db", "-infinity"),
+    ],
+)
+def test_load_refuses_bad_metadata_values(tmp_path, key, text):
+    path = tmp_path / "cap.iq"
+    save_iq(_rec(n=16), path)
+    meta = sidecar_path(path)
+    lines = meta.read_text().splitlines()
+    meta.write_text("".join(f"{key}={text}\n" if l.startswith(key + "=") else l + "\n" for l in lines))
+    with pytest.raises(IQFormatError):
+        load_iq(path)
+
+
+def test_load_refuses_a_sidecar_that_is_not_utf8_text(tmp_path):
+    path = tmp_path / "cap.iq"
+    save_iq(_rec(n=16), path)
+    sidecar_path(path).write_bytes(b"sample_rate_hz=\xff\n")
+    with pytest.raises(IQFormatError):
+        load_iq(path)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_corrupted_recording_is_refused_or_loads_finite(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "cap.iq"
+    save_iq(_rec(n=8), path, extra_meta={"format": "cf32"})
+    for target in (path, sidecar_path(path)):
+        raw = bytearray(target.read_bytes())
+        for _ in range(data.draw(st.integers(0, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            raw = raw[: data.draw(st.integers(0, len(raw)))]
+        target.write_bytes(bytes(raw))
+    try:
+        rec = load_iq(path)
+    except IQFormatError:
+        return
+    assert np.isfinite(rec.samples).all()
+    assert all(np.isfinite([rec.sample_rate_hz, rec.center_freq_hz, rec.rx_gain_db]))
 
 
 def test_duration_and_power():

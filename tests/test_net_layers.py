@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from radiogan import blocks
 from radiogan.net.layers import (
     CONV_BLOCK_BYTES,
     Conv1DLayer,
@@ -148,6 +149,83 @@ def test_conv_block_rows_bounds_the_temporaries():
     assert 1 < DESK_ROWS and DESK_ROWS * 8 * 128 * 257 <= CONV_BLOCK_BYTES
     assert conv_block_rows(2048, 128) == 1  # a published row alone is about the budget
     assert conv_block_rows(10**7, 128) == 1  # never fewer than one row
+
+
+# --- conv1d row blocks on several workers ----------------------------------------
+
+
+def serial_conv_forward(layer, x):
+    """The single-thread block loop; any worker count must match it bit for bit."""
+    kern = layer.kernels[:, 0, :]
+    out = np.empty((x.shape[0], layer.n_kernels, x.shape[1] - layer.kernel_len + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(x, layer.kernel_len, axis=1)
+    step = conv_block_rows(x.shape[1], layer.kernel_len)
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
+        block = out[rows]
+        np.matmul(kern, np.ascontiguousarray(windows[rows]).transpose(0, 2, 1), out=block)
+        block += layer.bias[:, None]
+    return out
+
+
+def serial_conv_backward(layer, x, grad_out, input_grad, param_grads):
+    batch, n_in = x.shape
+    n_out = n_in - layer.kernel_len + 1
+    kern_t = layer.kernels[:, 0, :].T
+    windows = np.lib.stride_tricks.sliding_window_view(x, layer.kernel_len, axis=1)
+    grad_x = np.empty((batch, n_in)) if input_grad else None
+    grad_k = np.zeros((layer.n_kernels, layer.kernel_len))
+    step = conv_block_rows(n_in, layer.kernel_len)
+    for start in range(0, batch, step):
+        rows = slice(start, start + step)
+        g = grad_out[rows]
+        if param_grads:
+            grad_k += np.matmul(g, np.ascontiguousarray(windows[rows])).sum(axis=0)
+        if input_grad:
+            taps = np.empty((g.shape[0], layer.kernel_len, n_in + 1))
+            np.matmul(kern_t, g, out=taps[:, :, :n_out])
+            taps[:, :, n_out:] = 0.0
+            flat = taps.reshape(g.shape[0], -1)[:, : layer.kernel_len * n_in]
+            grad_x[rows] = flat.reshape(g.shape[0], layer.kernel_len, n_in).sum(axis=1)
+    if not param_grads:
+        return grad_x, []
+    return grad_x, [grad_k[:, None, :], grad_out.sum(axis=(0, 2))]
+
+
+def assert_same_bytes(actual, expected):
+    if expected is None:
+        assert actual is None
+        return
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "batch, n_in",
+    [
+        (3 * DESK_ROWS + 2, 256),  # desk shape, 4 blocks with a ragged last one
+        (128, 256),  # the desk batch
+        (4, 2048),  # published shape: one row a block, fewer blocks than 5 workers
+        (7, 2048),
+    ],
+)
+@pytest.mark.parametrize("input_grad, param_grads", [(True, True), (True, False), (False, True), (False, False)])
+def test_conv_on_any_worker_count_matches_the_serial_loop(monkeypatch, workers, batch, n_in, input_grad, param_grads):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one BLAS thread: a worker per CPU
+    monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
+    layer = Conv1DLayer.create(32, 128, batch + n_in)
+    layer.bias = np.random.default_rng(1).standard_normal(32)
+    x = np.random.default_rng(2).standard_normal((batch, n_in))
+    out, cache = layer.forward(x)
+    assert_same_bytes(out, serial_conv_forward(layer, x))
+    grad_out = np.random.default_rng(3).standard_normal(out.shape)
+    grad_x, grads = layer.backward(cache, grad_out, input_grad=input_grad, param_grads=param_grads)
+    want_x, want_grads = serial_conv_backward(layer, x, grad_out, input_grad, param_grads)
+    assert_same_bytes(grad_x, want_x)
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads, want_grads):
+        assert_same_bytes(got, want)
 
 
 # --- skipping gradients ---------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiogan.gan import (
     GanModel,
@@ -14,6 +16,7 @@ from radiogan.gan import (
     train,
 )
 from radiogan.iqcore import IQRecording, frame_tensor, normalize_frames
+from radiogan.net.checkpoint import CheckpointError
 from radiogan.seeding import substream
 
 N_FFT = 64
@@ -212,3 +215,24 @@ def test_trained_model_round_trips_through_checkpoint(tmp_path):
     assert back.frame == model.frame
     assert back.config == model.config
     assert back.generator_opt.step_count == model.generator_opt.step_count
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupted_gan_checkpoint_is_refused_or_loads_finite(tmp_path_factory, data):
+    g, d = _models(seed=3)
+    path = tmp_path_factory.mktemp("fuzz") / "gan.psg"
+    save_gan(path, GanModel(g, d, None, None, _cfg(), "Q", 1))
+    raw = bytearray(path.read_bytes())
+    # most edits land in the trailing config text, the rest anywhere
+    tail = len(raw) - 400
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(tail, len(raw) - 1) | st.integers(0, len(raw) - 1))
+        raw[pos] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(raw))
+    try:
+        model = load_gan(path)
+    except CheckpointError:
+        return
+    params = model.generator.params() + model.discriminator.params()
+    assert all(np.isfinite(p).all() for p in params)
