@@ -10,22 +10,18 @@ and no pool is created.
 Work that calls BLAS shares the CPUs with the BLAS library's own threads, so
 it gets one worker per that many CPUs: with BLAS left at its default of one
 thread per CPU, it runs serially, as the library's threads would otherwise
-compete with the workers for the same cores.
+compete with the workers for the same cores. The thread count is read as the
+OpenBLAS that numpy ships with reads it; other BLAS libraries are not
+modelled.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
-# The thread variables BLAS libraries read; the first one set is used.
-BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "GOTO_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "OMP_NUM_THREADS",
-)
+# The thread variables OpenBLAS reads, in its order: the first positive one wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _pool = None
 _pool_key = None
@@ -40,11 +36,15 @@ def cpu_count() -> int:
 
 
 def blas_threads(cpus: int) -> int:
-    """Threads a BLAS call may use: the first thread variable set, else ``cpus``."""
+    """Threads OpenBLAS uses: the first positive thread variable, at most ``cpus``.
+
+    Values are read as C's ``atoi`` reads them (leading digits, else 0), as
+    OpenBLAS does; with none positive it uses one thread per CPU.
+    """
     for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").split(",")[0].strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
+        digits = re.match(r"\s*\+?(\d*)", os.environ.get(var, "")).group(1)
+        if digits and int(digits) > 0:
+            return min(int(digits), cpus)
     return cpus
 
 

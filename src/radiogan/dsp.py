@@ -55,10 +55,12 @@ def fft_block_rows(n: int) -> int:
     return max(1, FFT_BLOCK_BYTES // (16 * n))
 
 
-def _butterfly_stages(work: np.ndarray, twiddles: tuple) -> list:
-    """``(even, odd, product, twiddle)`` views of each radix-2 stage of ``work``."""
+def _butterfly_stages(work: np.ndarray, product: np.ndarray, twiddles: tuple) -> list:
+    """``(even, odd, product, twiddle)`` views of each radix-2 stage of ``work``.
+
+    ``product`` is a C-contiguous ``(rows, n // 2)`` scratch block.
+    """
     rows, n = work.shape
-    scratch = np.empty((rows, n // 2), dtype=np.complex128)
     stages = []
     for twiddle in twiddles:
         half = twiddle.size
@@ -67,7 +69,7 @@ def _butterfly_stages(work: np.ndarray, twiddles: tuple) -> list:
         if half < 8:
             # Put the long group axis innermost so each ufunc loop is long.
             even, odd, twiddle = even.transpose(0, 2, 1), odd.transpose(0, 2, 1), twiddle[:, None]
-        stages.append((even, odd, scratch.reshape(even.shape), twiddle))
+        stages.append((even, odd, product.reshape(even.shape), twiddle))
     return stages
 
 
@@ -93,13 +95,13 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     step = fft_block_rows(n)
     conjugate_in = inverse and np.iscomplexobj(x)
 
-    def transform(run, work):
-        stages = _butterfly_stages(work, twiddles)
+    def transform(run, buffers):
+        work, product, stages = buffers
         for start in run:
             rows = min(work.shape[0], total - start)
             if rows < work.shape[0]:  # ragged last block
-                work = work[:rows]
-                stages = _butterfly_stages(work, twiddles)
+                work, product = work[:rows], product[:rows]
+                stages = _butterfly_stages(work, product, twiddles)
             np.take(src[start : start + rows], rev, axis=1, out=work, mode="clip")
             if conjugate_in:
                 np.conjugate(work, out=work)
@@ -113,7 +115,12 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
             dst[start : start + rows] = work
         return [None] * len(run)
 
-    run_blocks(transform, range(0, total, step), lambda: np.empty((min(step, total), n), dtype=np.complex128))
+    def scratch():
+        work = np.empty((min(step, total), n), dtype=np.complex128)
+        product = np.empty((work.shape[0], n // 2), dtype=np.complex128)
+        return work, product, _butterfly_stages(work, product, twiddles)
+
+    run_blocks(transform, range(0, total, step), scratch)
     return out
 
 
