@@ -42,6 +42,7 @@ from .synthesis import (
     DEFAULT_ROLLOFF,
     GEN_PACKETS_PER_PROTOTYPE_PACKET,
     SynthesisConfig,
+    resolve_frame,
     synthesize,
 )
 from .validation import ValidationConfig, validate
@@ -287,7 +288,7 @@ def cmd_generate(args) -> int:
     n_fft = int(meta["n_fft"])
     n_gen = args.ngen if args.ngen is not None else int(meta["n_packets"]) * GEN_PACKETS_PER_PROTOTYPE_PACKET
     snr_db = args.snr if args.snr is not None else 0.5 * (float(meta["snr_low"]) + float(meta["snr_high"]))
-    frame = args.frame if args.frame == "random" else int(args.frame)
+    frame = resolve_frame(args.frame, args.seed, stats.n_frames)  # the meta and manifest record the index
     cfg = SynthesisConfig(
         n_gen=n_gen,
         snr_db=snr_db,

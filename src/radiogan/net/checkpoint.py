@@ -27,7 +27,8 @@ float32 in layer order):
 
 Loading then saving reproduces the file byte-for-byte. The loader refuses
 non-finite floats, in a header or a payload, and header values the layer or
-optimizer constructors reject, with ``CheckpointError``.
+optimizer constructors reject, with ``CheckpointError``, and the writer
+refuses to write them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class CheckpointError(ValueError):
 
 
 def _pack_array(buf: bytearray, arr: np.ndarray) -> None:
-    buf += np.ascontiguousarray(arr, dtype=_F32).tobytes()
+    with np.errstate(over="ignore"):  # beyond float32 casts to inf, which the read-back refuses
+        buf += np.ascontiguousarray(arr, dtype=_F32).tobytes()
 
 
 def _pack_layer(buf: bytearray, layer) -> None:
@@ -132,7 +134,12 @@ def _unpack_layer(reader: _Reader):
 
 
 def save_stacks(path, stacks, opt_states, config_text: str) -> None:
-    """Write layer stacks plus optimizer states and a config text section."""
+    """Write layer stacks plus optimizer states and a config text section.
+
+    The bytes are parsed as ``load_stacks`` parses them before any is written:
+    a value the loader would refuse raises ``ValueError`` and leaves ``path``
+    as it was.
+    """
     if len(stacks) != len(opt_states):
         raise ValueError("one optimizer state slot per stack required")
     buf = bytearray()
@@ -164,7 +171,12 @@ def save_stacks(path, stacks, opt_states, config_text: str) -> None:
     config_bytes = config_text.encode("utf-8")
     buf += struct.pack("<I", len(config_bytes))
     buf += config_bytes
-    Path(path).write_bytes(bytes(buf))
+    data = bytes(buf)
+    try:
+        _parse_stacks(path, data)
+    except ValueError as exc:
+        raise ValueError(f"refusing to write {path}, which the loader would refuse: {exc}") from exc
+    Path(path).write_bytes(data)
 
 
 def load_stacks(path):

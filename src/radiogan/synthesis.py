@@ -72,6 +72,17 @@ def _taps_for(cfg: SynthesisConfig) -> RaisedCosineSpec:
     return raised_cosine_taps(cfg.rc_length, cfg.rolloff)
 
 
+def resolve_frame(frame: int | str, seed: int, n_frames: int) -> int:
+    """The frame index ``frame`` names: an index in range, or for ``"random"``
+    one drawn uniformly from the seed's ``synthesis/frame`` substream."""
+    if frame == "random":
+        return int(substream(seed, "synthesis", "frame").integers(0, n_frames))
+    frame_idx = int(frame)
+    if not 0 <= frame_idx < n_frames:
+        raise ValueError(f"frame {frame_idx} out of range [0, {n_frames})")
+    return frame_idx
+
+
 def synthesize(i_model: Net, q_model: Net, cfg: SynthesisConfig,
                stats: FrameStats, frame: int | str = "random") -> IQRecording:
     """Produce a pseudo-radio-signal recording of ``n_gen * n_fft`` samples.
@@ -84,13 +95,7 @@ def synthesize(i_model: Net, q_model: Net, cfg: SynthesisConfig,
         raise ValueError(
             f"component models disagree on packet length: {i_model.n_fft} vs {q_model.n_fft}"
         )
-    if frame == "random":
-        frame_rng = substream(cfg.seed, "synthesis", "frame")
-        frame_idx = int(frame_rng.integers(0, stats.n_frames))
-    else:
-        frame_idx = int(frame)
-        if not 0 <= frame_idx < stats.n_frames:
-            raise ValueError(f"frame {frame_idx} out of range [0, {stats.n_frames})")
+    frame_idx = resolve_frame(frame, cfg.seed, stats.n_frames)
     i_mat = generate_packets(i_model, cfg.n_gen, cfg.snr_db, substream(cfg.seed, "synthesis", "latent", "I"))
     q_mat = generate_packets(q_model, cfg.n_gen, cfg.snr_db, substream(cfg.seed, "synthesis", "latent", "Q"))
     frame_power = float(stats.per_frame_power[frame_idx])

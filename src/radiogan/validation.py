@@ -77,61 +77,57 @@ def spectral_matrix(packets: np.ndarray) -> SpectralMatrix:
     return SpectralMatrix(magnitudes=np.abs(dft(packets).T, order="C"))
 
 
+def _ascending(x) -> np.ndarray:
+    """Flat float64 ``x``, non-decreasing: as is if it already is (one compare
+    pass), else ``np.sort(x)``, which puts NaN last."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    return x if np.all(x[1:] >= x[:-1]) else np.sort(x)
+
+
 def empirical_pdf(samples, n_bins: int, value_range) -> tuple:
     """Histogram masses over equal bins; out-of-range samples go to edge bins.
 
-    Returns ``(bin_centers, masses)`` with the masses summing to 1.
+    ``np.histogram``'s edges and rule (bin i holds ``edges[i] <= x < edges[i+1]``,
+    the last bin is closed), read off the sorted samples at the inner edges.
+    Returns ``(bin_centers, masses)``, masses summing to 1; NaN raises.
     """
-    samples = np.asarray(samples, dtype=np.float64).ravel()
+    samples = _ascending(samples)
     if samples.size == 0:
         raise ValueError("empty input")
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     lo, hi = float(value_range[0]), float(value_range[1])
-    if not lo < hi:
-        raise ValueError(f"range must satisfy lo < hi, got ({lo}, {hi})")
-    clipped = np.clip(samples, lo, hi)
-    counts, edges = np.histogram(clipped, bins=n_bins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, counts / samples.size
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"range must be finite with lo < hi, got ({lo}, {hi})")
+    if np.isnan(samples[-1]):
+        raise ValueError("samples contain NaN")
+    edges = np.linspace(lo, hi, n_bins + 1)
+    counts = np.diff(np.searchsorted(samples, edges[1:-1]), prepend=0, append=samples.size)
+    return 0.5 * (edges[:-1] + edges[1:]), counts / samples.size  # bin centers, masses
 
 
 def ks_distance(a, b) -> float:
     """Sup-norm distance between the empirical CDFs of two sample sets.
 
-    Both samples are sorted and merged. At the last merged position of each
-    run of equal values, the counts of ``a`` and of ``b`` samples so far are
-    the two CDFs' numerators at that value. Empty or NaN input raises
-    ``ValueError``.
+    Either may come in any order; a sorted one is not sorted again. Let ``a``
+    be the smaller. Between consecutive distinct values of ``a`` its count is
+    fixed and that of ``b`` grows, so the CDF difference is monotone there and
+    peaks at an end: at a value v of ``a`` (``A(v)``, ``#b <= v``) or just
+    below it (the previous count, or 0, and ``#b < v``). Each candidate is
+    ``|count_a/n_a - count_b/n_b|`` and rounding is monotone, so the result is
+    the same float as the maximum over every merged value. Empty or NaN input
+    raises ``ValueError``.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    if a.size == 0 or b.size == 0:
+    a, b = sorted((_ascending(a), _ascending(b)), key=len)  # a is the smaller sample
+    if a.size == 0:
         raise ValueError("empty input")
-    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
+    if np.isnan(a[-1]) or np.isnan(b[-1]):
         raise ValueError("samples contain NaN")
-    n_a, n_b = a.size, b.size
-    # Where the merge puts each sample of a: binary search of the smaller
-    # sample in the larger; ties put a first.
-    from_a = np.zeros(n_a + n_b, dtype=bool)
-    if n_a <= n_b:
-        from_a[np.searchsorted(b, a, side="left") + np.arange(n_a)] = True
-    else:
-        from_a[np.searchsorted(a, b, side="right") + np.arange(n_b)] = True
-        np.logical_not(from_a, out=from_a)
-    merged = np.concatenate([a, b])
-    del a, b
-    merged.sort(kind="stable")  # two sorted runs: one merge pass
-    run_end = np.append(merged[1:] != merged[:-1], True)
-    cdf_a = np.cumsum(from_a, dtype=np.float64, out=merged)
-    del from_a
-    cdf_b = np.arange(1.0, n_a + n_b + 1.0)
-    cdf_b -= cdf_a
-    cdf_a /= n_a
-    cdf_b /= n_b
-    cdf_a -= cdf_b
-    np.abs(cdf_a, out=cdf_a)
-    return float(np.max(cdf_a, where=run_end, initial=0.0))
+    last = np.flatnonzero(np.append(a[1:] != a[:-1], True))  # the end of each run of equal values
+    count_a = last + 1.0
+    at_v = count_a / a.size - np.searchsorted(b, a[last], side="right") / b.size
+    below_v = np.append(0.0, count_a[:-1]) / a.size - np.searchsorted(b, a[last], side="left") / b.size
+    return float(max(np.max(np.abs(at_v)), np.max(np.abs(below_v))))
 
 
 def occupied_band_bins(spectral: SpectralMatrix, coverage: float = DEFAULT_COVERAGE) -> np.ndarray:
@@ -256,8 +252,9 @@ class ValidationReport:
 
 
 def _pooled_values(packets: np.ndarray) -> np.ndarray:
-    packets = np.asarray(packets)
-    return np.concatenate([packets.real.ravel(), packets.imag.ravel()])
+    values = np.empty((2,) + np.shape(packets))
+    values[0], values[1] = np.real(packets), np.imag(packets)  # real parts first, no ravel copies
+    return values.reshape(-1)
 
 
 def _mean_pairwise_correlation(packets: np.ndarray, max_packets: int = 256) -> float:
@@ -285,11 +282,13 @@ def _frame_packets(rec: IQRecording, n_fft: int) -> np.ndarray:
 def _compare_with_prototype(packets, proto_values, band, n_bins, pdf_range):
     """``(ks, raw in-band fraction, spectra, PDF masses)`` of one packet matrix.
 
-    Its spectra and pooled values are computed once each and serve both the
-    numbers and the tables; ``pdf_range=None`` skips the PDF masses.
+    Its spectra and pooled values are computed once each, the values sorted
+    once in place for the KS distance and the PDF, and serve both the numbers
+    and the tables; ``pdf_range=None`` skips the PDF masses.
     """
     spectral = spectral_matrix(packets)
     values = _pooled_values(packets)
+    values.sort()
     mass = None if pdf_range is None else empirical_pdf(values, n_bins, pdf_range)[1]
     return ks_distance(proto_values, values), spectral.band_fraction(band), spectral, mass
 
@@ -347,12 +346,13 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
             raise ValueError(f"generated packets must be [P, {n_fft}]")
 
     proto_values = _pooled_values(proto_packets)
+    sigma = float(np.std(proto_values))  # before the sort, which would reorder its sum
+    proto_values.sort()
     proto_spectral = spectral_matrix(proto_packets)
     band = occupied_band_bins(proto_spectral, cfg.coverage)
     raw_proto = proto_spectral.band_fraction(band)
     pdf_range = None
     if with_tables:
-        sigma = float(np.std(proto_values))
         span = cfg.sigma_span * (sigma if sigma > 0.0 else 1.0)
         pdf_range = (-span, span)
         centers, proto_mass = empirical_pdf(proto_values, cfg.n_bins, pdf_range)
@@ -361,10 +361,10 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
     )
 
     noise_rng = substream(cfg.seed, "validate", "noise")
-    proto_power = float(np.mean(np.abs(proto_packets) ** 2))
-    noise_packets = np.sqrt(proto_power / 2.0) * (
-        noise_rng.standard_normal(gen_packets.shape) + 1j * noise_rng.standard_normal(gen_packets.shape)
-    )
+    scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
+    noise_packets = np.empty(gen_packets.shape, dtype=np.complex128)
+    for part in (noise_packets.real, noise_packets.imag):  # the real draws first
+        np.multiply(scale, noise_rng.standard_normal(gen_packets.shape), out=part)
     ks_noise, raw_noise, noise_spectral, noise_mass = _compare_with_prototype(
         noise_packets, proto_values, band, cfg.n_bins, pdf_range
     )

@@ -1,5 +1,7 @@
 """Binary checkpoint container: bit-exact round trips and corruption handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,48 +114,82 @@ def test_unknown_version_rejected(tmp_path):
 # --- refusing what a training run could not have written ---------------------
 
 NAN, INF = float("nan"), float("inf")
+SENTINEL = 0.6171875  # a valid value for every field below, exact in float32
 
 
-def _saved_with_adam(tmp_path):
+def _stack_with_adam():
     stack = _stack(4)
-    path = tmp_path / "m.psg"
-    save_stacks(path, [stack], [AdamState.for_params(net_params(stack), learning_rate=0.01)], "")
-    return path
+    return [stack], [AdamState.for_params(net_params(stack), learning_rate=0.01)]
 
 
-def _corrupt(path, mutate):
-    (stack,), (opt,), text = load_stacks(path)
-    mutate(stack, opt)  # attribute writes skip the constructors' checks
-    save_stacks(path, [stack], [opt], text)
+def write_with_field(path, stacks, opts, text, put, fmt, value):
+    """Write a checkpoint whose field ``put`` reaches holds ``value``, even one
+    that save_stacks refuses: a valid sentinel is saved in its place and its
+    bytes (``fmt``, a numpy dtype) are then patched."""
+    put(stacks, opts, SENTINEL)  # attribute writes skip the constructors' checks
+    save_stacks(path, stacks, opts, text)
+    data = path.read_bytes()
+    sentinel = np.array(SENTINEL, dtype=fmt).tobytes()
+    assert data.count(sentinel) == 1
+    with np.errstate(over="ignore"):  # beyond float32 is stored as inf
+        path.write_bytes(data.replace(sentinel, np.array(value, dtype=fmt).tobytes()))
 
 
-MUTATIONS = {
-    "nan_kernel": lambda s, o: s[0].kernels.__setitem__((1, 0, 2), NAN),
-    "inf_weight": lambda s, o: s[1].weights.__setitem__((0, 0), -INF),
-    "nan_bias": lambda s, o: s[4].bias.__setitem__(1, NAN),
-    "inf_first_moment": lambda s, o: o.first_moment[2].__setitem__((0, 0), INF),
-    "nan_second_moment": lambda s, o: o.second_moment[0].__setitem__((0, 0, 0), NAN),
-    "finite_beyond_float32": lambda s, o: s[1].weights.__setitem__((0, 1), 1e39),
-    "nan_decay": lambda s, o: setattr(s[4], "weight_decay_lambda", NAN),
-    "inf_decay": lambda s, o: setattr(s[4], "weight_decay_lambda", INF),
-    "negative_decay": lambda s, o: setattr(s[4], "weight_decay_lambda", -1e-4),
-    "nan_dropout_rate": lambda s, o: setattr(s[2], "rate", NAN),
-    "dropout_rate_one": lambda s, o: setattr(s[2], "rate", 1.0),
-    "inf_learning_rate": lambda s, o: setattr(o, "learning_rate", INF),
-    "zero_learning_rate": lambda s, o: setattr(o, "learning_rate", 0.0),
-    "nan_beta1": lambda s, o: setattr(o, "beta1", NAN),
-    "beta2_one": lambda s, o: setattr(o, "beta2", 1.0),
-    "nan_epsilon": lambda s, o: setattr(o, "epsilon", NAN),
+# name: (put the value in place, the field's numpy dtype in the file, the value)
+REFUSED = {
+    "nan_kernel": (lambda s, o, v: s[0][0].kernels.__setitem__((1, 0, 2), v), "<f4", NAN),
+    "inf_weight": (lambda s, o, v: s[0][1].weights.__setitem__((0, 0), v), "<f4", -INF),
+    "nan_bias": (lambda s, o, v: s[0][4].bias.__setitem__(1, v), "<f4", NAN),
+    "inf_first_moment": (lambda s, o, v: o[0].first_moment[2].__setitem__((0, 0), v), "<f4", INF),
+    "nan_second_moment": (lambda s, o, v: o[0].second_moment[0].__setitem__((0, 0, 0), v), "<f4", NAN),
+    "finite_beyond_float32": (lambda s, o, v: s[0][1].weights.__setitem__((0, 1), v), "<f4", 1e39),
+    "nan_decay": (lambda s, o, v: setattr(s[0][4], "weight_decay_lambda", v), "<f8", NAN),
+    "inf_decay": (lambda s, o, v: setattr(s[0][4], "weight_decay_lambda", v), "<f8", INF),
+    "negative_decay": (lambda s, o, v: setattr(s[0][4], "weight_decay_lambda", v), "<f8", -1e-4),
+    "nan_dropout_rate": (lambda s, o, v: setattr(s[0][2], "rate", v), "<f8", NAN),
+    "dropout_rate_one": (lambda s, o, v: setattr(s[0][2], "rate", v), "<f8", 1.0),
+    "inf_learning_rate": (lambda s, o, v: setattr(o[0], "learning_rate", v), "<f8", INF),
+    "zero_learning_rate": (lambda s, o, v: setattr(o[0], "learning_rate", v), "<f8", 0.0),
+    "nan_beta1": (lambda s, o, v: setattr(o[0], "beta1", v), "<f8", NAN),
+    "beta2_one": (lambda s, o, v: setattr(o[0], "beta2", v), "<f8", 1.0),
+    "nan_epsilon": (lambda s, o, v: setattr(o[0], "epsilon", v), "<f8", NAN),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", sorted(REFUSED))
 def test_non_finite_or_refused_values_raise_checkpoint_error(tmp_path, name):
-    path = _saved_with_adam(tmp_path)
-    with np.errstate(over="ignore"):
-        _corrupt(path, MUTATIONS[name])
+    path = tmp_path / "m.psg"
+    write_with_field(path, *_stack_with_adam(), "", *REFUSED[name])
     with pytest.raises(CheckpointError):
         load_stacks(path)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_save_refuses_what_load_refuses_before_writing(tmp_path, name):
+    stacks, opts = _stack_with_adam()
+    put, _, value = REFUSED[name]
+    put(stacks, opts, value)
+    fresh, kept = tmp_path / "fresh.psg", tmp_path / "kept.psg"
+    save_stacks(kept, *_stack_with_adam(), "")
+    before = kept.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused with an error, not an overflow warning
+        for path in (fresh, kept):
+            with pytest.raises(ValueError, match="refusing to write"):
+                save_stacks(path, stacks, opts, "")
+    assert not fresh.exists()
+    assert kept.read_bytes() == before
+
+
+def test_write_with_field_patches_only_the_sentinel(tmp_path):
+    """The patched file differs from a plain save in the field's bytes alone."""
+    plain, patched = tmp_path / "plain.psg", tmp_path / "patched.psg"
+    put, fmt, _ = REFUSED["nan_decay"]
+    stacks, opts = _stack_with_adam()
+    put(stacks, opts, 0.25)
+    save_stacks(plain, stacks, opts, "")
+    write_with_field(patched, *_stack_with_adam(), "", put, fmt, 0.25)
+    assert plain.read_bytes() == patched.read_bytes()
 
 
 def test_config_text_that_is_not_utf8_raises_checkpoint_error(tmp_path):
@@ -250,6 +286,56 @@ def test_save_load_save_is_byte_identical_for_any_checkpoint(tmp_path_factory, c
     for layers, back in zip(stacks, stacks2):
         for orig, got in zip(net_params(layers), net_params(back)):
             assert got.tobytes() == orig.astype(np.float64).tobytes()  # float32 values, exact
+
+
+def _header_fields(stacks, opts):
+    """(object, attribute) of every float header field."""
+    fields = []
+    for layers in stacks:
+        fields += [(l, "weight_decay_lambda") for l in layers if isinstance(l, DenseLayer)]
+        fields += [(l, "rate") for l in layers if isinstance(l, DropoutLayer)]
+    for opt in filter(None, opts):
+        fields += [(opt, name) for name in ("learning_rate", "beta1", "beta2", "epsilon")]
+    return fields
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_checkpoints(), st.data())
+def test_save_raises_before_writing_or_the_file_loads_back_unchanged(tmp_path_factory, checkpoint, data):
+    stacks, opts, text = checkpoint
+    arrays = [p for layers in stacks for p in net_params(layers)]
+    arrays += [m for opt in filter(None, opts) for m in opt.first_moment + opt.second_moment]
+    headers = _header_fields(stacks, opts)
+    poisons = data.draw(st.integers(0, 3))
+    for _ in range(poisons):  # attribute and element writes skip the constructors' checks
+        value = data.draw(st.sampled_from([NAN, INF, -INF, 1e39, -3.5e38, 3.4028235e38, -1.0, 1.0]) | st.floats())
+        if arrays and (not headers or data.draw(st.booleans())):
+            arr = data.draw(st.sampled_from(arrays))
+            arr.flat[data.draw(st.integers(0, arr.size - 1))] = value
+        elif headers:
+            obj, name = data.draw(st.sampled_from(headers))
+            setattr(obj, name, value)
+    path = tmp_path_factory.mktemp("psg") / "m.psg"
+    try:
+        save_stacks(path, stacks, opts, text)
+    except ValueError:
+        assert poisons > 0
+        assert not path.exists()
+        return
+    stacks2, opts2, text2 = load_stacks(path)
+    assert text2 == text
+    for layers, back in zip(stacks, stacks2):
+        assert [type(l) for l in layers] == [type(l) for l in back]
+        for orig, got in zip(net_params(layers), net_params(back)):
+            assert got.tobytes() == orig.astype(np.float32).astype(np.float64).tobytes()
+    for (obj, name), (obj2, name2) in zip(headers, _header_fields(stacks2, opts2)):
+        assert name == name2 and getattr(obj, name) == getattr(obj2, name2)
+    for opt, opt2 in zip(opts, opts2):
+        assert (opt is None) == (opt2 is None)
+        if opt is not None:
+            assert opt.step_count == opt2.step_count
+            for orig, got in zip(opt.first_moment + opt.second_moment, opt2.first_moment + opt2.second_moment):
+                assert got.tobytes() == orig.astype(np.float32).astype(np.float64).tobytes()
 
 
 def _all_finite(stacks, opts):

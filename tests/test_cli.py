@@ -15,7 +15,9 @@ from radiogan.kvfile import read_kv
 from radiogan.manifest import read_manifest
 from radiogan.net.checkpoint import load_stacks, save_stacks
 from radiogan.net.layers import DropoutLayer, FlattenLayer
+from radiogan.seeding import substream
 from radiogan.validation import ValidationReport
+from test_checkpoint import write_with_field
 
 # desk-scale packet length: wide enough for the conv kernel and the
 # default 129-tap reconstruction filter
@@ -285,6 +287,22 @@ def test_generate_explicit_count_and_determinism(trained_run):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_generate_records_the_frame_it_drew(trained_run):
+    tmp_path, _, run_dir = trained_run
+    draws = {int(substream(seed, "synthesis", "frame").integers(0, 2)): seed for seed in range(20)}
+    assert sorted(draws) == [0, 1]
+    for index, seed in draws.items():
+        base = ["generate", "--run-dir", str(run_dir), "--ngen", "8", "--seed", str(seed), "--quiet"]
+        drawn, chosen = tmp_path / f"drawn_{index}.iq", tmp_path / f"chosen_{index}.iq"
+        assert main(base + ["--out", str(drawn)]) == 0
+        assert main(base + ["--frame", str(index), "--out", str(chosen)]) == 0
+        assert read_kv(sidecar_path(drawn))["frame"] == str(index)
+        assert read_kv(sidecar_path(drawn)) == read_kv(sidecar_path(chosen))
+        assert drawn.read_bytes() == chosen.read_bytes()
+        digests = [read_manifest(p.with_suffix(".manifest")).config_digest for p in (drawn, chosen)]
+        assert digests[0] == digests[1]
+
+
 def test_generate_frame_out_of_range_exits_2(trained_run, capsys):
     tmp_path, _, run_dir = trained_run
     rc = main(
@@ -326,18 +344,18 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "put,fmt,value",
     [
-        lambda g, d, og, od: g[0].weights.__setitem__((0, 0), NAN),
-        lambda g, d, og, od: d[0].kernels.__setitem__((0, 0, 0), -INF),
-        lambda g, d, og, od: og.second_moment[0].__setitem__((0, 0), INF),
-        lambda g, d, og, od: setattr(d[4], "weight_decay_lambda", NAN),
-        lambda g, d, og, od: setattr(d[4], "weight_decay_lambda", -1.0),
-        lambda g, d, og, od: setattr(d[2], "rate", NAN),
-        lambda g, d, og, od: setattr(og, "learning_rate", INF),
-        lambda g, d, og, od: setattr(od, "beta1", NAN),
-        lambda g, d, og, od: setattr(od, "epsilon", -INF),
-        lambda g, d, og, od: setattr(og, "learning_rate", -1.0),
+        (lambda s, o, v: s[0][0].weights.__setitem__((0, 0), v), "<f4", NAN),
+        (lambda s, o, v: s[1][0].kernels.__setitem__((0, 0, 0), v), "<f4", -INF),
+        (lambda s, o, v: o[0].second_moment[0].__setitem__((0, 0), v), "<f4", INF),
+        (lambda s, o, v: setattr(s[1][4], "weight_decay_lambda", v), "<f8", NAN),
+        (lambda s, o, v: setattr(s[1][4], "weight_decay_lambda", v), "<f8", -1.0),
+        (lambda s, o, v: setattr(s[1][2], "rate", v), "<f8", NAN),
+        (lambda s, o, v: setattr(o[0], "learning_rate", v), "<f8", INF),
+        (lambda s, o, v: setattr(o[1], "beta1", v), "<f8", NAN),
+        (lambda s, o, v: setattr(o[1], "epsilon", v), "<f8", -INF),
+        (lambda s, o, v: setattr(o[0], "learning_rate", v), "<f8", -1.0),
     ],
     ids=[
         "nan_generator_weight",
@@ -352,12 +370,11 @@ NAN, INF = float("nan"), float("inf")
         "negative_learning_rate",
     ],
 )
-def test_generate_on_checkpoint_with_refused_values_exits_2(trained_run, tmp_path, capsys, mutate):
+def test_generate_on_checkpoint_with_refused_values_exits_2(trained_run, tmp_path, capsys, put, fmt, value):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run[2], run_dir)
-    (g, d), (og, od), text = load_stacks(run_dir / "model_i.psg")
-    mutate(g, d, og, od)  # attribute writes skip the constructors' checks
-    save_stacks(run_dir / "model_i.psg", [g, d], [og, od], text)
+    stacks, opts, text = load_stacks(run_dir / "model_i.psg")
+    write_with_field(run_dir / "model_i.psg", stacks, opts, text, put, fmt, value)
     out = tmp_path / "x.iq"
     rc = main(["generate", "--run-dir", str(run_dir), "--out", str(out), "--quiet"])
     assert rc == 2

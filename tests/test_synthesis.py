@@ -10,6 +10,7 @@ from radiogan.synthesis import (
     SynthesisConfig,
     assemble_iq,
     generate_packets,
+    resolve_frame,
     synthesize,
 )
 
@@ -139,6 +140,20 @@ def test_synthesize_random_frame_is_seeded():
     # the draw must match one of the explicit frame choices
     explicit = [_synth(cfg, frame=f, stats=stats).samples for f in (0, 1)]
     assert any(np.array_equal(a.samples, e) for e in explicit)
+
+
+def test_resolve_frame_draws_from_the_synthesis_frame_substream():
+    for seed in range(6):
+        drawn = resolve_frame("random", seed, 3)
+        assert drawn == int(substream(seed, "synthesis", "frame").integers(0, 3))
+        stats = FrameStats(per_frame_power=np.array([1.0, 4.0, 9.0]))
+        cfg = SynthesisConfig(n_gen=2, snr_db=-27.0, seed=seed, rc_length=1)
+        assert np.array_equal(_synth(cfg, "random", stats).samples, _synth(cfg, drawn, stats).samples)
+    assert resolve_frame(2, 0, 3) == 2
+    assert resolve_frame("1", 0, 3) == 1
+    for bad in (3, -1, "x"):
+        with pytest.raises(ValueError):
+            resolve_frame(bad, 0, 3)
 
 
 def test_synthesize_validation():

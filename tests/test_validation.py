@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiogan import validation
@@ -89,6 +89,102 @@ def test_empirical_pdf_validation():
         empirical_pdf([1.0], 1, (0.0, 1.0))
     with pytest.raises(ValueError):
         empirical_pdf([1.0], 2, (1.0, 1.0))
+    for value_range in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            empirical_pdf([1.0], 2, value_range)
+
+
+def reference_pdf(samples, n_bins, value_range):
+    """Clip to the range, then np.histogram over equal bins."""
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    lo, hi = float(value_range[0]), float(value_range[1])
+    counts, edges = np.histogram(np.clip(samples, lo, hi), bins=n_bins, range=(lo, hi))
+    return 0.5 * (edges[:-1] + edges[1:]), counts / samples.size
+
+
+def _assert_pdf_matches_reference(samples, n_bins, value_range):
+    for got, want in zip(empirical_pdf(samples, n_bins, value_range),
+                         reference_pdf(samples, n_bins, value_range)):
+        assert got.tobytes() == want.tobytes()
+
+
+EDGES_0_1_BY_4 = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        EDGES_0_1_BY_4,  # one sample on every edge
+        EDGES_0_1_BY_4[::-1] * 3,
+        [-1.0, -1e-300, 0.0, 1.0, 1.0 + 1e-15, 5.0],  # below, on and above the range
+        [-np.inf, np.inf, 0.5, -np.inf],
+        [-0.0, 0.0, -0.0],
+        [0.3],
+        [-7.0],
+        [np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0), np.nextafter(1.0, 0.0)],
+    ],
+)
+@pytest.mark.parametrize("order", ["given", "sorted", "reversed"])
+def test_empirical_pdf_equals_histogram_formulation(samples, order):
+    samples = np.asarray(samples, dtype=np.float64)
+    samples = {"given": samples, "sorted": np.sort(samples), "reversed": np.sort(samples)[::-1]}[order]
+    _assert_pdf_matches_reference(samples, 4, (0.0, 1.0))
+    _assert_pdf_matches_reference(samples, 3, (-0.0, 1.0))
+    _assert_pdf_matches_reference(samples, 101, (-0.5, 0.75))
+
+
+def test_empirical_pdf_equals_histogram_formulation_at_scale():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.standard_normal(200_000), np.round(rng.standard_normal(50_000), 1)])
+    sigma = float(np.std(values))
+    for samples in (values, np.sort(values)):
+        _assert_pdf_matches_reference(samples, 101, (-4.0 * sigma, 4.0 * sigma))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.data())
+def test_empirical_pdf_equals_histogram_formulation_property(data):
+    n_bins = data.draw(st.integers(2, 12))
+    lo = data.draw(st.integers(-8, 8).map(lambda k: k / 4) | st.floats(-1e3, 1e3))
+    hi = lo + data.draw(st.integers(1, 16).map(lambda k: k / 4) | st.floats(1e-6, 1e3))
+    assume(lo < hi)
+    edges = np.linspace(lo, hi, n_bins + 1).tolist()
+    value = st.sampled_from(edges) | st.floats(lo, hi) | st.floats(allow_nan=False)
+    samples = data.draw(st.lists(value, min_size=1, max_size=60))
+    if data.draw(st.booleans()):
+        samples.sort()
+    _assert_pdf_matches_reference(samples, n_bins, (lo, hi))
+
+
+@pytest.mark.parametrize("samples", [[np.nan], [0.0, 1.0, np.nan], [np.nan, 0.5], [0.5, np.nan, 0.7]])
+def test_empirical_pdf_rejects_nan(samples):
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_pdf(samples, 4, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("make", [lambda x: x, np.sort])
+def test_neither_statistic_reorders_or_mutates_its_input(make):
+    rng = np.random.default_rng(5)
+    a, b = make(rng.standard_normal(300)), make(rng.standard_normal(1000))
+    a_before, b_before = a.copy(), b.copy()
+    ks_distance(a, b)
+    ks_distance(b, a)
+    empirical_pdf(a, 7, (-1.0, 1.0))
+    assert a.tobytes() == a_before.tobytes()
+    assert b.tobytes() == b_before.tobytes()
+
+
+def test_sorted_inputs_are_not_sorted_again(monkeypatch):
+    rng = np.random.default_rng(6)
+    a, b = np.sort(rng.standard_normal(50)), np.sort(rng.standard_normal(80))
+    expect_ks, expect_pdf = ks_distance(a, b), empirical_pdf(b, 5, (-1.0, 1.0))[1]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.sort called on an already sorted sample")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    assert ks_distance(a, b) == expect_ks
+    assert empirical_pdf(b, 5, (-1.0, 1.0))[1].tobytes() == expect_pdf.tobytes()
 
 
 def test_ks_distance_basic_properties():
@@ -135,7 +231,15 @@ def reference_ks(a, b):
 
 @pytest.mark.parametrize(
     "a,b",
-    [([np.nan], [0.0]), ([0.0, np.nan], [0.0, 1.0]), ([0.0], [1.0, np.nan]), ([np.nan], [np.nan])],
+    [
+        ([np.nan], [0.0]),
+        ([0.0, np.nan], [0.0, 1.0]),
+        ([0.0], [1.0, np.nan]),
+        ([np.nan], [np.nan]),
+        ([0.0, 1.0, 2.0, np.nan], [0.5]),  # sorted, NaN last
+        ([0.5], [0.0, 1.0, 2.0, np.nan]),
+        ([np.nan, 1.0, 2.0], [0.5, 0.6]),
+    ],
 )
 def test_ks_distance_rejects_nan(a, b):
     with pytest.raises(ValueError, match="NaN"):
@@ -393,11 +497,12 @@ def test_validate_with_tables():
 
 def _validate_recomputing_everything(tensor, stats, log, cfg, gen_packets):
     """validate's report and tables the long way: every spectrum and every
-    pooled sample set is recomputed where it is used."""
+    pooled sample set is recomputed where it is used, and the KS distances
+    and histograms come from the reference formulations above."""
     frame_power = float(stats.per_frame_power[cfg.frame])
     proto = denormalize(tensor.complex_packets(cfg.frame), frame_power)
     noise_rng = substream(cfg.seed, "validate", "noise")
-    power = float(np.mean(np.abs(proto) ** 2))
+    power = float(np.mean(np.abs(proto) ** 2))  # I + jQ drawn first, then scaled
     noise = np.sqrt(power / 2.0) * (
         noise_rng.standard_normal(gen_packets.shape)
         + 1j * noise_rng.standard_normal(gen_packets.shape)
@@ -409,8 +514,8 @@ def _validate_recomputing_everything(tensor, stats, log, cfg, gen_packets):
     band = occupied_band_bins(spectral_matrix(proto), cfg.coverage)
     raw_proto = in_band_fraction(proto, band)
     report = ValidationReport(
-        ks_proto_vs_gen=ks_distance(pooled(proto), pooled(gen_packets)),
-        ks_proto_vs_noise=ks_distance(pooled(proto), pooled(noise)),
+        ks_proto_vs_gen=reference_ks(pooled(proto), pooled(gen_packets)),
+        ks_proto_vs_noise=reference_ks(pooled(proto), pooled(noise)),
         band_energy_fraction_gen=min(1.0, in_band_fraction(gen_packets, band) / raw_proto),
         band_energy_fraction_noise=min(1.0, in_band_fraction(noise, band) / raw_proto),
         mean_d_accuracy=float(np.mean([log.mean_accuracy(last_n=-(-len(log) // 4))])),
@@ -420,13 +525,13 @@ def _validate_recomputing_everything(tensor, stats, log, cfg, gen_packets):
     )
     sigma = float(np.std(pooled(proto)))
     span = cfg.sigma_span * (sigma if sigma > 0.0 else 1.0)
-    centers, proto_mass = empirical_pdf(pooled(proto), cfg.n_bins, (-span, span))
+    centers, proto_mass = reference_pdf(pooled(proto), cfg.n_bins, (-span, span))
     tables = {
         "histogram": (
             centers,
             proto_mass,
-            empirical_pdf(pooled(gen_packets), cfg.n_bins, (-span, span))[1],
-            empirical_pdf(pooled(noise), cfg.n_bins, (-span, span))[1],
+            reference_pdf(pooled(gen_packets), cfg.n_bins, (-span, span))[1],
+            reference_pdf(pooled(noise), cfg.n_bins, (-span, span))[1],
         ),
         "spectrum_prototype": spectral_matrix(proto),
         "spectrum_generated": spectral_matrix(gen_packets),
@@ -467,6 +572,53 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
         got = rep.tables[name].magnitudes
         assert got.flags.c_contiguous
         assert got.tobytes() == tables[name].magnitudes.tobytes()
+
+
+def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
+    """The pooled samples are sorted in place once; the statistics see them
+    sorted and sort no copy of them (np.sort serves only the band bins)."""
+    tensor, stats = _tensor()
+    log = _log([0.5] * 4)
+    expect = validate(_gens(), tensor, stats, log, ValidationConfig(seed=2, snr_db=-27.0), with_tables=True)
+    sizes = []
+    original = np.sort
+
+    def recording_sort(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", recording_sort)
+    rep = validate(_gens(), tensor, stats, log, ValidationConfig(seed=2, snr_db=-27.0), with_tables=True)
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= N_FFT
+    assert rep.to_text() == expect.to_text()
+    for got, want in zip(rep.tables["histogram"], expect.tables["histogram"]):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pooled_values_are_the_real_parts_then_the_imaginary_parts():
+    rng = np.random.default_rng(8)
+    packets = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+    for p in (packets, packets.astype(np.complex64), packets[::2, ::3], packets.T):
+        expect = np.concatenate([p.real.ravel(), p.imag.ravel()]).astype(np.float64)
+        assert validation._pooled_values(p).tobytes() == expect.tobytes()
+
+
+def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
+    rng = np.random.default_rng(4)
+    n = 24 * N_FFT
+    z = np.exp(3 * rng.standard_normal(n)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rec = IQRecording(samples=z, sample_rate_hz=1e6, center_freq_hz=1e9, rx_gain_db=0.0)
+    tensor, stats = normalize_frames(frame_tensor(rec, N_FFT, 1))
+    proto = denormalize(tensor.complex_packets(0), float(stats.per_frame_power[0]))
+    values = np.concatenate([proto.real.ravel(), proto.imag.ravel()])
+    assert np.std(values) != np.std(np.sort(values))  # heavy tails: the sum's order shows
+    log, cfg = _log([0.5] * 4), ValidationConfig(seed=1)
+    gen = 300.0 * (rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT)))
+    rep = validate(_gens(), tensor, stats, log, cfg, generated=gen, with_tables=True)
+    _, tables = _validate_recomputing_everything(tensor, stats, log, cfg, gen)
+    for got, want in zip(rep.tables["histogram"], tables["histogram"]):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_validate_input_checks():
