@@ -32,7 +32,7 @@ from .gan import (
     save_gan,
     train,
 )
-from .iqcore import FrameStats, frame_tensor, load_iq, normalize_frames, save_iq
+from .iqcore import COMPONENTS, FrameStats, frame_tensor, load_iq, normalize_frames, save_iq
 from .kvfile import parse_kv, read_kv, write_kv
 from .manifest import write_manifest
 from .protogen import MODULATIONS, SyntheticScenario, synth_prototype
@@ -45,7 +45,7 @@ from .synthesis import (
     resolve_frame,
     synthesize,
 )
-from .validation import ValidationConfig, validate
+from .validation import DEFAULT_COVERAGE, ValidationConfig, validate
 
 PRESETS = {
     # Band center deliberately off fs/4: a quarter-rate carrier hits only
@@ -171,12 +171,7 @@ def _train_one_component(tensor, stats, component, frame, cfg):
     if cfg.n_epoch == 0:
         return GanModel(generator, discriminator, None, None, cfg, component, frame), TrainingLog()
     if cfg.n_epoch_pretrain > 0:
-        pretrain_discriminator(
-            discriminator,
-            tensor.component_packets(frame, component),
-            cfg,
-            labels=("pretrain", component),
-        )
+        pretrain_discriminator(discriminator, tensor.component_packets(frame, component), cfg, component)
     return train(generator, discriminator, tensor, stats, component, frame, cfg)
 
 
@@ -241,12 +236,14 @@ def cmd_train(args) -> int:
             f"n_examples={cfg.n_examples} exceeds packets per frame ({tensor.n_packets}); "
             f"pass --examples {tensor.n_packets} or fewer"
         )
+    if not 0 <= args.frame < tensor.n_frames:
+        raise ValueError(f"frame {args.frame} out of range [0, {tensor.n_frames})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.sweep:
         return _run_sweep(args, rec, tensor, stats, cfg, out_dir)
 
-    for component in ("I", "Q"):
+    for component in COMPONENTS:
         tic = time.perf_counter()
         try:
             model, log = _train_one_component(tensor, stats, component, args.frame, cfg)
@@ -362,12 +359,8 @@ def cmd_validate(args) -> int:
         n_gen=args.ngen,
         snr_db=0.5 * (float(meta["snr_low"]) + float(meta["snr_high"])),
         seed=args.seed,
-        allow_empty_log=True,
     )
-    report = validate(
-        (model_i.generator, model_q.generator), tensor, fresh_stats, logs, cfg,
-        generated=generated, with_tables=True,
-    )
+    report = validate((model_i.generator, model_q.generator), tensor, fresh_stats, logs, cfg, generated)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -379,9 +372,9 @@ def cmd_validate(args) -> int:
         "run_dir": str(run_dir),
         "frame": frame,
         "generated": args.generated or "",
-        "coverage": repr(cfg.coverage),
-        "band_ratio_min": repr(cfg.band_ratio_min),
-        "accuracy_band": f"{cfg.accuracy_band[0]}:{cfg.accuracy_band[1]}",
+        "coverage": repr(DEFAULT_COVERAGE),
+        "band_ratio_min": repr(report.band_ratio_min),
+        "accuracy_band": f"{report.accuracy_band[0]}:{report.accuracy_band[1]}",
     }
     write_manifest(out_dir / "validate.manifest", "validate", resolved, args.seed)
     _say(args, f"verdict: {report.verdict}")

@@ -42,8 +42,6 @@ DISCRIMINATOR_DECAY = 1e-4
 DISCRIMINATOR_LR = 1e-4
 DROPOUT_RATE = 0.5
 
-COMPONENTS = ("I", "Q")
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient goes non-finite; carries the partial log."""
@@ -243,10 +241,6 @@ def config_from_pairs(pairs: dict, base: TrainConfig | None = None) -> TrainConf
     if base is None:
         return TrainConfig(**kwargs)
     return replace(base, **kwargs)
-
-
-def config_from_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    return config_from_pairs(parse_kv(text), base=base)
 
 
 @dataclass
@@ -455,57 +449,69 @@ def _generator_minibatch(generator, discriminator, opt, z, dropout_rng):
     return opt
 
 
-def pretrain_discriminator(discriminator, prototype_frame, cfg: TrainConfig, labels=("pretrain",)):
-    """Supervised warm-up: prototype packets vs raw latent noise.
+def _epoch_streams(seed: int, *labels: str) -> dict:
+    """The named substreams that every epoch of one run draws from."""
+    return {name: substream(seed, *labels, name) for name in ("snr", "latent", "pick", "shuffle", "dropout")}
+
+
+def _draw_epoch(streams: dict, packets: np.ndarray, cfg: TrainConfig):
+    """One epoch's ``(snr_db, latent, real)``: a virtual SNR drawn uniformly
+    from ``cfg.snr_range_db``, ``n_examples`` latent packets at that SNR
+    against unit power (frames are normalized), then as many packets picked
+    without replacement, in that order."""
+    snr_db = float(streams["snr"].uniform(*cfg.snr_range_db))
+    sigma2 = latent_noise_variance(1.0, snr_db)
+    latent = sample_latent(cfg.n_examples, packets.shape[1], sigma2, streams["latent"])
+    real = packets[streams["pick"].permutation(packets.shape[0])[: cfg.n_examples]]
+    return snr_db, latent, real
+
+
+def _discriminator_epoch(discriminator, opt, real, fake, cfg: TrainConfig, batch: int, streams: dict):
+    """Update the discriminator on the shuffled pool of real (targets
+    ``1 - alpha``) and fake (target 0) packets in minibatches of ``batch``;
+    returns the new Adam state."""
+    pool = np.concatenate([real, fake], axis=0)
+    targets = _class_targets(len(real), len(fake), cfg.label_smoothing_alpha)
+    order = streams["shuffle"].permutation(pool.shape[0])
+    for start in range(0, order.size, batch):
+        sel = order[start : start + batch]
+        opt = _supervised_minibatch(discriminator, opt, pool[sel], targets[sel], streams["dropout"])
+    return opt
+
+
+def pretrain_discriminator(discriminator, frame_packets, cfg: TrainConfig, component: str):
+    """Supervised warm-up of one rail's discriminator: its frame's packets vs raw latent noise.
 
     Runs ``cfg.n_epoch_pretrain`` epochs of minibatch cross-entropy updates
     (minibatch ``cfg.s_minibatch_pretrain``) with real targets ``1 - alpha``
     and noise targets 0; the generator is untouched. Returns the (mutated)
     discriminator.
     """
-    packets = np.asarray(prototype_frame, dtype=np.float64)
+    packets = np.asarray(frame_packets, dtype=np.float64)
     if packets.ndim != 2 or packets.size == 0:
-        raise ValueError("prototype_frame must be a non-empty 2-D packet array")
+        raise ValueError("frame_packets must be a non-empty 2-D packet array")
     if cfg.n_examples > packets.shape[0]:
         raise ValueError(
             f"n_examples={cfg.n_examples} exceeds available packets ({packets.shape[0]})"
         )
-    n_fft = packets.shape[1]
-    lo, hi = cfg.snr_range_db
-    snr_rng = substream(cfg.seed, *labels, "snr")
-    latent_rng = substream(cfg.seed, *labels, "latent")
-    pick_rng = substream(cfg.seed, *labels, "pick")
-    shuffle_rng = substream(cfg.seed, *labels, "shuffle")
-    dropout_rng = substream(cfg.seed, *labels, "dropout")
+    streams = _epoch_streams(cfg.seed, "pretrain", component)
     opt = AdamState.for_params(net_params(discriminator.layers), cfg.eta_d)
     for _ in range(cfg.n_epoch_pretrain):
-        snr_db = float(snr_rng.uniform(lo, hi))
-        sigma2 = latent_noise_variance(1.0, snr_db)
-        noise = sample_latent(cfg.n_examples, n_fft, sigma2, latent_rng)
-        real = packets[pick_rng.permutation(packets.shape[0])[: cfg.n_examples]]
-        pool = np.concatenate([real, noise], axis=0)
-        targets = _class_targets(cfg.n_examples, cfg.n_examples, cfg.label_smoothing_alpha)
-        order = shuffle_rng.permutation(pool.shape[0])
-        for start in range(0, order.size, cfg.s_minibatch_pretrain):
-            sel = order[start : start + cfg.s_minibatch_pretrain]
-            opt = _supervised_minibatch(discriminator, opt, pool[sel], targets[sel], dropout_rng)
+        _, noise, real = _draw_epoch(streams, packets, cfg)
+        opt = _discriminator_epoch(discriminator, opt, real, noise, cfg, cfg.s_minibatch_pretrain, streams)
     return discriminator
 
 
 def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainConfig):
     """Adversarial training on one component of one frame.
 
-    Per epoch: draw a virtual SNR uniformly from ``cfg.snr_range_db``, set the
-    latent variance against unit power (frames are normalized), sample
-    ``n_examples`` latent packets and as many prototype packets (without
-    replacement, reshuffled each epoch), update the discriminator on the
-    shuffled labeled pool in ceil-division minibatches of ``s_batch``, then
-    update the generator through the frozen discriminator (dropout active) on
-    the non-saturating objective. Metrics are evaluated after both updates in
-    inference mode and appended to the log. Returns ``(GanModel, TrainingLog)``.
+    Per epoch: draw the SNR, latent and prototype packets (``_draw_epoch``),
+    update the discriminator on the shuffled labeled pool in ceil-division
+    minibatches of ``s_batch``, then update the generator through the frozen
+    discriminator (dropout active) on the non-saturating objective. Metrics
+    are evaluated after both updates in inference mode and appended to the
+    log. Returns ``(GanModel, TrainingLog)``.
     """
-    if component not in COMPONENTS:
-        raise ValueError(f"component must be 'I' or 'Q', got {component!r}")
     if not tensor.normalized:
         raise ValueError("tensor must be normalized before training")
     if not 0 <= frame < tensor.n_frames:
@@ -521,13 +527,8 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
             f"n_examples={cfg.n_examples} exceeds packets per frame ({tensor.n_packets})"
         )
 
-    packets = tensor.component_packets(frame, component)
-    lo, hi = cfg.snr_range_db
-    snr_rng = substream(cfg.seed, "train", component, "snr")
-    latent_rng = substream(cfg.seed, "train", component, "latent")
-    pick_rng = substream(cfg.seed, "train", component, "pick")
-    shuffle_rng = substream(cfg.seed, "train", component, "shuffle")
-    dropout_rng = substream(cfg.seed, "train", component, "dropout")
+    packets = tensor.component_packets(frame, component)  # raises for a component not I or Q
+    streams = _epoch_streams(cfg.seed, "train", component)
 
     g_opt = AdamState.for_params(generator.params(), cfg.eta_g)
     d_opt = AdamState.for_params(discriminator.params(), cfg.eta_d)
@@ -540,21 +541,13 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
             d_opt = replace(d_opt, learning_rate=cfg.eta_d * scale)
             g_opt = replace(g_opt, learning_rate=cfg.eta_g * scale)
 
-        snr_db = float(snr_rng.uniform(lo, hi))
-        sigma2 = latent_noise_variance(1.0, snr_db)
-        z = sample_latent(cfg.n_examples, n_fft, sigma2, latent_rng)
-        real = packets[pick_rng.permutation(tensor.n_packets)[: cfg.n_examples]]
+        snr_db, z, real = _draw_epoch(streams, packets, cfg)
         fake = net_forward(generator.layers, z)[0]
-        pool = np.concatenate([real, fake], axis=0)
-        targets = _class_targets(cfg.n_examples, cfg.n_examples, cfg.label_smoothing_alpha)
-        order = shuffle_rng.permutation(pool.shape[0])
         try:
-            for start in range(0, order.size, cfg.s_batch):
-                sel = order[start : start + cfg.s_batch]
-                d_opt = _supervised_minibatch(discriminator, d_opt, pool[sel], targets[sel], dropout_rng)
+            d_opt = _discriminator_epoch(discriminator, d_opt, real, fake, cfg, cfg.s_batch, streams)
             for start in range(0, cfg.n_examples, cfg.s_batch):
                 zb = z[start : start + cfg.s_batch]
-                g_opt = _generator_minibatch(generator, discriminator, g_opt, zb, dropout_rng)
+                g_opt = _generator_minibatch(generator, discriminator, g_opt, zb, streams["dropout"])
         except ValueError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}", epoch, log) from exc
 

@@ -20,7 +20,7 @@ PAYLOAD_DTYPE = np.dtype("<f4")
 META_SUFFIX = ".meta"
 REQUIRED_META = ("sample_rate_hz", "center_freq_hz", "rx_gain_db")
 
-_COMPONENTS = ("I", "Q")
+COMPONENTS = ("I", "Q")  # the signal rails, one GAN each
 
 
 class IQFormatError(ValueError):
@@ -66,20 +66,9 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + META_SUFFIX)
 
 
-def load_iq(path: str | Path, expected_format: str = "cf32") -> IQRecording:
-    """Load a raw interleaved float32 I/Q payload and its metadata sidecar.
-
-    Parameters
-    ----------
-    path : str or Path
-        Payload file; ``path + ".meta"`` must exist alongside it.
-    expected_format : str
-        Payload sample format tag. Only ``"cf32"`` (complex float32) is
-        defined; anything else raises ``IQFormatError``.
-    """
+def load_iq(path: str | Path) -> IQRecording:
+    """Load a raw interleaved float32 I/Q payload and its ``path + ".meta"`` sidecar."""
     path = Path(path)
-    if expected_format != "cf32":
-        raise IQFormatError(f"unsupported payload format {expected_format!r}")
     raw = path.read_bytes()
     if len(raw) == 0:
         raise IQFormatError(f"{path}: empty payload")
@@ -179,9 +168,9 @@ class PrototypeTensor:
 
     def component_packets(self, frame: int, component: str) -> np.ndarray:
         """Real packets [n_packets, packet_len] of one component of one frame."""
-        if component not in _COMPONENTS:
+        if component not in COMPONENTS:
             raise ValueError(f"component must be 'I' or 'Q', got {component!r}")
-        return self.data[self._check_frame(frame), :, _COMPONENTS.index(component), :]
+        return self.data[self._check_frame(frame), :, COMPONENTS.index(component), :]
 
     def complex_packets(self, frame: int) -> np.ndarray:
         """Complex packets [n_packets, packet_len] of one frame."""

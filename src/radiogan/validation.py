@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import dft
-from .gan import Net, TrainingLog
-from .iqcore import FrameStats, IQRecording, PrototypeTensor, denormalize
+from .gan import Net
+from .iqcore import COMPONENTS, FrameStats, IQRecording, PrototypeTensor, denormalize
 from .kvfile import format_kv, parse_kv
 from .seeding import substream
 from .synthesis import assemble_iq, generate_packets
@@ -148,32 +148,17 @@ def occupied_band_bins(spectral: SpectralMatrix, coverage: float = DEFAULT_COVER
     return np.sort(order[:n_needed])
 
 
-def band_bin_indices(f_lo: float, f_hi: float, n_fft: int) -> np.ndarray:
-    """DFT bins whose center frequency (as a fraction of fs) falls in [f_lo, f_hi]."""
-    k = np.arange(n_fft)
-    freqs = np.where(k <= n_fft // 2, k / n_fft, k / n_fft - 1.0)
-    return np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
-
-
-def in_band_fraction(packets: np.ndarray, bins: np.ndarray) -> float:
-    """Fraction of a packet matrix's spectral energy inside the given bins."""
-    return spectral_matrix(packets).band_fraction(bins)
-
-
 @dataclass
 class ValidationConfig:
-    """Validation knobs; defaults match the calibrated report thresholds."""
+    """What to score: the frame, the in-process packet count and SNR, the seed.
+
+    The thresholds are the ``DEFAULT_*`` constants, which the report stores.
+    """
 
     frame: int = 0
     n_gen: int | None = None
     snr_db: float = 0.0
-    coverage: float = DEFAULT_COVERAGE
-    n_bins: int = DEFAULT_N_BINS
-    sigma_span: float = DEFAULT_SIGMA_SPAN
-    band_ratio_min: float = DEFAULT_BAND_RATIO_MIN
-    accuracy_band: tuple = DEFAULT_ACCURACY_BAND
     seed: int = 0
-    allow_empty_log: bool = False
 
 
 @dataclass
@@ -279,30 +264,29 @@ def _frame_packets(rec: IQRecording, n_fft: int) -> np.ndarray:
     return rec.samples[: n_packets * n_fft].reshape(n_packets, n_fft)
 
 
-def _compare_with_prototype(packets, proto_values, band, n_bins, pdf_range):
+def _compare_with_prototype(packets, proto_values, band, pdf_range):
     """``(ks, raw in-band fraction, spectra, PDF masses)`` of one packet matrix.
 
     Its spectra and pooled values are computed once each, the values sorted
     once in place for the KS distance and the PDF, and serve both the numbers
-    and the tables; ``pdf_range=None`` skips the PDF masses.
+    and the tables.
     """
     spectral = spectral_matrix(packets)
     values = _pooled_values(packets)
     values.sort()
-    mass = None if pdf_range is None else empirical_pdf(values, n_bins, pdf_range)[1]
+    mass = empirical_pdf(values, DEFAULT_N_BINS, pdf_range)[1]
     return ks_distance(proto_values, values), spectral.band_fraction(band), spectral, mass
 
 
-def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
-             cfg: ValidationConfig | None = None, generated=None,
-             with_tables: bool = False) -> ValidationReport:
-    """Score a trained model pair against its prototype.
+def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs,
+             cfg: ValidationConfig | None = None, generated=None) -> ValidationReport:
+    """Score a trained model pair against its prototype; the report carries its tables.
 
     ``model`` is the ``(i_model, q_model)`` pair of the rails' generators.
-    ``log`` is one TrainingLog or a sequence of them; the mean
-    discriminator accuracy over the final quartile of each non-empty log is
-    averaged. ``generated`` optionally supplies an already-synthesized
-    recording (or complex packet matrix); otherwise ``cfg.n_gen`` packets
+    ``logs`` is a sequence of TrainingLogs; the mean discriminator accuracy
+    over the final quartile of each non-empty log is averaged, and is 0.0
+    when every log is empty. ``generated`` optionally supplies an
+    already-synthesized IQRecording; otherwise ``cfg.n_gen`` packets
     (default: the prototype's packet count) are generated in-process.
     """
     cfg = cfg or ValidationConfig()
@@ -320,44 +304,36 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
     if i_model.n_fft != n_fft or q_model.n_fft != n_fft:
         raise ValueError("model packet length does not match tensor")
 
-    logs = [log] if isinstance(log, TrainingLog) else list(log)
     populated = [l for l in logs if len(l) > 0]
+    mean_accuracy = 0.0  # every log empty, as after train --epochs 0
     if populated:
         quartiles = [l.mean_accuracy(last_n=-(-len(l) // 4)) for l in populated]
         mean_accuracy = float(np.mean(quartiles))
-    elif cfg.allow_empty_log:
-        mean_accuracy = 0.0
-    else:
-        raise ValueError("empty training log")
 
     frame_power = float(stats.per_frame_power[cfg.frame])
     proto_packets = denormalize(tensor.complex_packets(cfg.frame), frame_power)
 
     if generated is None:
-        n_gen = cfg.n_gen or tensor.n_packets
-        i_mat = generate_packets(i_model, n_gen, cfg.snr_db, substream(cfg.seed, "validate", "latent", "I"))
-        q_mat = generate_packets(q_model, n_gen, cfg.snr_db, substream(cfg.seed, "validate", "latent", "Q"))
+        n_gen = tensor.n_packets if cfg.n_gen is None else cfg.n_gen
+        i_mat, q_mat = (
+            generate_packets(m, n_gen, cfg.snr_db, substream(cfg.seed, "validate", "latent", rail))
+            for m, rail in zip((i_model, q_model), COMPONENTS)
+        )
         gen_packets = assemble_iq(i_mat, q_mat, frame_power)
-    elif isinstance(generated, IQRecording):
-        gen_packets = _frame_packets(generated, n_fft)
     else:
-        gen_packets = np.asarray(generated, dtype=np.complex128)
-        if gen_packets.ndim != 2 or gen_packets.shape[1] != n_fft:
-            raise ValueError(f"generated packets must be [P, {n_fft}]")
+        gen_packets = _frame_packets(generated, n_fft)
 
     proto_values = _pooled_values(proto_packets)
     sigma = float(np.std(proto_values))  # before the sort, which would reorder its sum
     proto_values.sort()
     proto_spectral = spectral_matrix(proto_packets)
-    band = occupied_band_bins(proto_spectral, cfg.coverage)
+    band = occupied_band_bins(proto_spectral, DEFAULT_COVERAGE)
     raw_proto = proto_spectral.band_fraction(band)
-    pdf_range = None
-    if with_tables:
-        span = cfg.sigma_span * (sigma if sigma > 0.0 else 1.0)
-        pdf_range = (-span, span)
-        centers, proto_mass = empirical_pdf(proto_values, cfg.n_bins, pdf_range)
+    span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
+    pdf_range = (-span, span)
+    centers, proto_mass = empirical_pdf(proto_values, DEFAULT_N_BINS, pdf_range)
     ks_gen, raw_gen, gen_spectral, gen_mass = _compare_with_prototype(
-        gen_packets, proto_values, band, cfg.n_bins, pdf_range
+        gen_packets, proto_values, band, pdf_range
     )
 
     noise_rng = substream(cfg.seed, "validate", "noise")
@@ -366,24 +342,20 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, log,
     for part in (noise_packets.real, noise_packets.imag):  # the real draws first
         np.multiply(scale, noise_rng.standard_normal(gen_packets.shape), out=part)
     ks_noise, raw_noise, noise_spectral, noise_mass = _compare_with_prototype(
-        noise_packets, proto_values, band, cfg.n_bins, pdf_range
+        noise_packets, proto_values, band, pdf_range
     )
 
-    report = ValidationReport(
+    return ValidationReport(
         ks_proto_vs_gen=ks_gen,
         ks_proto_vs_noise=ks_noise,
         band_energy_fraction_gen=min(1.0, raw_gen / raw_proto),
         band_energy_fraction_noise=min(1.0, raw_noise / raw_proto),
         mean_d_accuracy=mean_accuracy,
         packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
-        band_ratio_min=cfg.band_ratio_min,
-        accuracy_band=cfg.accuracy_band,
-    )
-    if with_tables:
-        report.tables = {
+        tables={
             "histogram": (centers, proto_mass, gen_mass, noise_mass),
             "spectrum_prototype": proto_spectral,
             "spectrum_generated": gen_spectral,
             "spectrum_noise": noise_spectral,
-        }
-    return report
+        },
+    )

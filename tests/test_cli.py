@@ -12,7 +12,7 @@ from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
 from radiogan.gan import CONFIG_PARSERS, TrainConfig
 from radiogan.iqcore import load_iq, sidecar_path
 from radiogan.kvfile import read_kv
-from radiogan.manifest import read_manifest
+from radiogan.manifest import config_digest, read_manifest
 from radiogan.net.checkpoint import load_stacks, save_stacks
 from radiogan.net.layers import DropoutLayer, FlattenLayer
 from radiogan.seeding import substream
@@ -188,6 +188,15 @@ def test_train_rejects_oversized_examples(tmp_path, capsys):
     rc, _ = _train(tmp_path, proto, extra=("--examples", "64"))
     assert rc == 2
     assert "exceeds packets per frame" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [("--epochs", "0", "--frame", "99"), ("--frame", "-1"), ("--frame", "2")])
+def test_train_frame_out_of_range_exits_2_without_writing(tmp_path, capsys, extra):
+    proto = _protogen(tmp_path)
+    rc, run_dir = _train(tmp_path, proto, extra=extra)
+    assert rc == 2
+    assert "out of range [0, 2)" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):
@@ -402,6 +411,39 @@ def test_validate_writes_report_and_tables(trained_run, capsys):
         assert lines[0].startswith("bin,packet_0")
         assert len(lines) == 1 + NFFT
     assert read_manifest(out_dir / "validate.manifest").command == "validate"
+
+
+def test_validate_manifest_records_the_thresholds(trained_run):
+    tmp_path, proto, run_dir = trained_run
+    out_dir = tmp_path / "val_manifest"
+    rc = main(
+        ["validate", "--proto", str(proto), "--run-dir", str(run_dir),
+         "--out-dir", str(out_dir), "--frame", "1", "--seed", "4", "--quiet"]
+    )
+    assert rc in (0, 1)
+    manifest = read_manifest(out_dir / "validate.manifest")
+    expected = {
+        "run_dir": str(run_dir),
+        "frame": 1,
+        "generated": "",
+        "coverage": "0.9",
+        "band_ratio_min": "2.0",
+        "accuracy_band": "0.3:0.8",
+    }
+    assert manifest.config_digest == config_digest(expected)
+    assert manifest.seed == 4
+
+
+def test_validate_zero_packets_exits_2_without_writing(trained_run, capsys):
+    tmp_path, proto, run_dir = trained_run
+    out_dir = tmp_path / "val_ngen0"
+    rc = main(
+        ["validate", "--proto", str(proto), "--run-dir", str(run_dir),
+         "--out-dir", str(out_dir), "--ngen", "0", "--quiet"]
+    )
+    assert rc == 2
+    assert "n_gen must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_validate_scores_a_generated_file(trained_run):

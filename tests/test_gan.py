@@ -11,7 +11,7 @@ from radiogan.gan import (
     TrainingLog,
     build_discriminator,
     build_generator,
-    config_from_text,
+    config_from_pairs,
     config_to_text,
     discriminator_accuracy,
     discriminator_loss,
@@ -24,6 +24,7 @@ from radiogan.gan import (
     _generator_minibatch,
     _supervised_minibatch,
 )
+from radiogan.kvfile import parse_kv
 from radiogan.net.adam import AdamState, adam_step
 from radiogan.net.layers import net_backward, net_forward, net_params, set_net_params
 from radiogan.seeding import substream
@@ -290,16 +291,16 @@ _NON_DEFAULT_CONFIG = dict(
 
 def test_config_text_round_trip():
     cfg = TrainConfig(n_epoch=42, snr_range_db=(-12.5, -3.0), eta_g=0.007, early_stop_band=(0.4, 0.6))
-    back = config_from_text(config_to_text(cfg))
+    back = config_from_pairs(parse_kv(config_to_text(cfg)))
     assert back == cfg
     # every field, each with a non-default value
     assert set(_NON_DEFAULT_CONFIG) == {f.name for f in fields(TrainConfig)}
     default = TrainConfig()
     for name, value in _NON_DEFAULT_CONFIG.items():
         assert getattr(default, name) != value, name
-    assert config_from_text(config_to_text(default)) == default  # early_stop_band=none
+    assert config_from_pairs(parse_kv(config_to_text(default))) == default  # early_stop_band=none
     cfg = TrainConfig(**_NON_DEFAULT_CONFIG)
-    back = config_from_text(config_to_text(cfg))
+    back = config_from_pairs(parse_kv(config_to_text(cfg)))
     assert back == cfg
     for name, value in _NON_DEFAULT_CONFIG.items():
         assert type(getattr(back, name)) is type(value), name
@@ -317,12 +318,12 @@ def test_default_config_text_is_stable():
 
 def test_config_from_text_unknown_key():
     with pytest.raises(ValueError):
-        config_from_text("no_such_knob=1\n")
+        config_from_pairs(parse_kv("no_such_knob=1\n"))
 
 
 def test_config_from_text_partial_override():
     base = TrainConfig()
-    cfg = config_from_text("n_epoch=7\nsnr_range_db=-5.0:5.0\n", base=base)
+    cfg = config_from_pairs(parse_kv("n_epoch=7\nsnr_range_db=-5.0:5.0\n"), base=base)
     assert cfg.n_epoch == 7
     assert cfg.snr_range_db == (-5.0, 5.0)
     assert cfg.eta_g == base.eta_g

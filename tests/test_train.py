@@ -169,9 +169,7 @@ def test_pretrain_zero_epochs_is_identity():
     _, d = _models(seed=6)
     before = [p.copy() for p in d.params()]
     tensor, _ = _tensor()
-    out = pretrain_discriminator(
-        d, tensor.component_packets(0, "I"), _cfg(n_epoch_pretrain=0)
-    )
+    out = pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(n_epoch_pretrain=0), "I")
     for p, q in zip(before, out.params()):
         assert np.array_equal(p, q)
 
@@ -189,7 +187,7 @@ def test_pretrain_moves_weights_and_separates():
         return float(np.mean(p_real) - np.mean(p_noise))
 
     before = separation(d)
-    pretrain_discriminator(d, packets, _cfg(n_epoch_pretrain=100, eta_d=3e-3))
+    pretrain_discriminator(d, packets, _cfg(n_epoch_pretrain=100, eta_d=3e-3), "I")
     after = separation(d)
     assert after > before
     assert after > 0.5
@@ -199,9 +197,9 @@ def test_pretrain_rejects_insufficient_packets():
     tensor, _ = _tensor()
     _, d = _models()
     with pytest.raises(ValueError):
-        pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(n_examples=64))
+        pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(n_examples=64), "I")
     with pytest.raises(ValueError):
-        pretrain_discriminator(d, np.empty((0, N_FFT)), _cfg())
+        pretrain_discriminator(d, np.empty((0, N_FFT)), _cfg(), "I")
 
 
 def test_trained_model_round_trips_through_checkpoint(tmp_path):
