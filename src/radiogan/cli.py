@@ -342,6 +342,8 @@ def _write_spectrum_csv(path: Path, spectral, max_cols: int = 64) -> None:
 
 
 def cmd_validate(args) -> int:
+    if args.generated and args.ngen is not None:
+        raise ValueError("--ngen sets the in-process packet count; it does not apply with --generated")
     run_dir = Path(args.run_dir)
     meta, model_i, model_q, stats = _load_run(run_dir)
     n_fft = int(meta["n_fft"])
@@ -354,12 +356,9 @@ def cmd_validate(args) -> int:
     ]
     generated = load_iq(args.generated) if args.generated else None
     frame = args.frame if args.frame is not None else int(meta["frame"])
-    cfg = ValidationConfig(
-        frame=frame,
-        n_gen=args.ngen,
-        snr_db=0.5 * (float(meta["snr_low"]) + float(meta["snr_high"])),
-        seed=args.seed,
-    )
+    n_gen = tensor.n_packets if args.ngen is None else args.ngen
+    snr_db = 0.5 * (float(meta["snr_low"]) + float(meta["snr_high"]))
+    cfg = ValidationConfig(frame=frame, n_gen=n_gen, snr_db=snr_db, seed=args.seed)
     report = validate((model_i.generator, model_q.generator), tensor, fresh_stats, logs, cfg, generated)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -372,6 +371,8 @@ def cmd_validate(args) -> int:
         "run_dir": str(run_dir),
         "frame": frame,
         "generated": args.generated or "",
+        "n_gen": "" if args.generated else n_gen,
+        "snr_db": repr(snr_db),
         "coverage": repr(DEFAULT_COVERAGE),
         "band_ratio_min": repr(report.band_ratio_min),
         "accuracy_band": f"{report.accuracy_band[0]}:{report.accuracy_band[1]}",
@@ -465,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generated", default=None, help="generated I/Q payload (default: generate in-process)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--frame", type=int, default=None, help="frame to score (default: training frame)")
-    p.add_argument("--ngen", type=int, default=None, help="packets for in-process generation")
+    p.add_argument("--ngen", type=int, default=None, help="packets for in-process generation (not with --generated)")
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 

@@ -1,9 +1,10 @@
 """Spectral transforms and the pulse-shaping filter for stream assembly.
 
-The DFT here is deliberately self-contained: an iterative radix-2
-Cooley-Tukey with bit-reversal permutation for power-of-two lengths and a
-direct O(N^2) evaluation otherwise. Nothing in the package imports an FFT
-from elsewhere; tests check this implementation against a naive transform.
+The DFT here is deliberately self-contained: a four-step FFT for
+power-of-two lengths, whose short DFTs are matrix products with cached DFT
+matrices (so its time goes to BLAS), and a direct O(N^2) evaluation
+otherwise. Nothing in the package imports an FFT from elsewhere; tests check
+this implementation against a naive transform and a radix-2 FFT.
 """
 
 from __future__ import annotations
@@ -20,34 +21,26 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-# Size of the radix-2 FFT's work block: rows are transformed in place as many
-# at a time as fit, at least one, so a block's butterflies stay in cache. The
-# result does not depend on it.
+# Length of the short DFTs the FFT is built from, each done as a matrix
+# product. A length n > FFT_RADIX is split as FFT_RADIX * (n // FFT_RADIX).
+FFT_RADIX = 64
+
+# Size of the FFT's row blocks: rows are transformed as many at a time as fit,
+# at least one, so a block's intermediates stay in cache. The result does not
+# depend on it.
 FFT_BLOCK_BYTES = 256 * 1024
 
 
 @functools.lru_cache(maxsize=32)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for bit in range(bits):
-        rev |= ((idx >> bit) & 1) << (bits - 1 - bit)
-    rev.setflags(write=False)
-    return rev
+def _roots(n: int, rows: int, cols: int) -> np.ndarray:
+    """Read-only ``exp(-2j pi (j k mod n) / n)`` for ``j < rows``, ``k < cols``.
 
-
-@functools.lru_cache(maxsize=32)
-def _twiddles(n: int) -> tuple:
-    """Twiddle factors of each butterfly stage of a length-``n`` transform."""
-    stages = []
-    span = 2
-    while span <= n:
-        twiddle = np.exp(-2j * np.pi * np.arange(span // 2) / span)
-        twiddle.setflags(write=False)
-        stages.append(twiddle)
-        span *= 2
-    return tuple(stages)
+    ``_roots(n, n, n)`` is the length-``n`` DFT matrix (it is symmetric).
+    """
+    jk = np.outer(np.arange(rows), np.arange(cols)) % n
+    table = np.exp(-2j * np.pi * jk / n)
+    table.setflags(write=False)
+    return table
 
 
 def fft_block_rows(n: int) -> int:
@@ -55,33 +48,53 @@ def fft_block_rows(n: int) -> int:
     return max(1, FFT_BLOCK_BYTES // (16 * n))
 
 
-def _butterfly_stages(work: np.ndarray, product: np.ndarray, twiddles: tuple) -> list:
-    """``(even, odd, product, twiddle)`` views of each radix-2 stage of ``work``.
+def _four_step(x: np.ndarray) -> np.ndarray:
+    """DFT of each row of the complex ``(rows, n)`` array ``x``, ``n`` a power of two.
 
-    ``product`` is a C-contiguous ``(rows, n // 2)`` scratch block.
+    Bailey's four-step FFT: with ``n = FFT_RADIX * n2``, row element
+    ``n2 * j1 + j2`` goes to cell ``(j1, j2)`` of a matrix. Length-``FFT_RADIX``
+    DFTs down its columns, a twiddle ``exp(-2j pi k1 j2 / n)`` on cell
+    ``(k1, j2)`` and length-``n2`` DFTs down the columns of its transpose
+    leave bin ``k1 + FFT_RADIX * k2`` at ``(k2, k1)``, in natural order.
+    Every product is stacked per row, so each row gets the same BLAS calls
+    whatever the number of rows.
     """
-    rows, n = work.shape
-    stages = []
-    for twiddle in twiddles:
-        half = twiddle.size
-        pairs = work.reshape(rows, n // (2 * half), 2 * half)
-        even, odd = pairs[..., :half], pairs[..., half:]
-        if half < 8:
-            # Put the long group axis innermost so each ufunc loop is long.
-            even, odd, twiddle = even.transpose(0, 2, 1), odd.transpose(0, 2, 1), twiddle[:, None]
-        stages.append((even, odd, product.reshape(even.shape), twiddle))
-    return stages
+    rows, n = x.shape
+    if n <= FFT_RADIX:
+        return (x[:, None, :] @ _roots(n, n, n)).reshape(rows, n)
+    n2 = n // FFT_RADIX
+    cells = _roots(FFT_RADIX, FFT_RADIX, FFT_RADIX) @ x.reshape(rows, FFT_RADIX, n2)
+    cells *= _roots(n, FFT_RADIX, n2)
+    return _dft_columns(cells.transpose(0, 2, 1)).reshape(rows, n)
+
+
+def _dft_columns(a: np.ndarray) -> np.ndarray:
+    """DFT down the columns of each matrix of the ``(stack, n, cols)`` array ``a``.
+
+    A length ``n > FFT_RADIX`` goes four-step as ``n1 * FFT_RADIX``: column
+    element ``FFT_RADIX * j1 + j2`` to cell ``(j1, j2)``, length-``n1`` DFTs
+    over ``j1`` (recursing), twiddles, length-``FFT_RADIX`` DFTs over ``j2``,
+    then bin ``k1 + n1 * k2`` from cell ``(k1, k2)``. Each product covers
+    every column at once.
+    """
+    stack, n, cols = a.shape
+    if n <= FFT_RADIX:
+        return _roots(n, n, n) @ a
+    n1 = n // FFT_RADIX
+    cells = _dft_columns(a.reshape(stack, n1, FFT_RADIX * cols)).reshape(stack, n1, FFT_RADIX, cols)
+    cells *= _roots(n, n1, FFT_RADIX)[:, :, None]
+    spectra = _roots(FFT_RADIX, FFT_RADIX, FFT_RADIX) @ cells.reshape(-1, FFT_RADIX, cols)
+    return spectra.reshape(stack, n1, FFT_RADIX, cols).transpose(0, 2, 1, 3).reshape(stack, n, cols)
 
 
 def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT over the last axis.
+    """Four-step FFT over the last axis, for a power-of-two length.
 
-    Rows go ``fft_block_rows(n)`` at a time through a work block that stays
-    in cache: bit-reversed into it, transformed there in place, copied out.
-    ``run_blocks`` spreads the blocks over the CPUs, each worker with its own
-    work block. Each row goes through the same operations in the same order
-    whatever the block or the worker. ``inverse`` computes
-    ``conj(fft(conj(x))) / n`` instead. The output is C-contiguous.
+    Rows go ``fft_block_rows(n)`` at a time through ``_four_step``;
+    ``run_blocks`` spreads the blocks over the CPUs, as BLAS work. Each row
+    goes through the same operations in the same order whatever the block or
+    the worker. ``inverse`` computes ``conj(fft(conj(x))) / n`` instead. The
+    output is C-contiguous.
     """
     n = x.shape[-1]
     out = np.empty(x.shape, dtype=np.complex128)
@@ -90,37 +103,20 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     total = dst.shape[0]
     if total == 0:
         return out
-    rev = _bit_reverse_indices(n)
-    twiddles = _twiddles(n)
     step = fft_block_rows(n)
     conjugate_in = inverse and np.iscomplexobj(x)
 
-    def transform(run, buffers):
-        work, product, stages = buffers
+    def transform(run, _):
         for start in run:
-            rows = min(work.shape[0], total - start)
-            if rows < work.shape[0]:  # ragged last block
-                work, product = work[:rows], product[:rows]
-                stages = _butterfly_stages(work, product, twiddles)
-            np.take(src[start : start + rows], rev, axis=1, out=work, mode="clip")
-            if conjugate_in:
-                np.conjugate(work, out=work)
-            for even, odd, product, twiddle in stages:
-                np.multiply(odd, twiddle, out=product)
-                np.subtract(even, product, out=odd)
-                np.add(even, product, out=even)
+            rows = src[start : start + step]
+            spectra = _four_step(np.conjugate(rows) if conjugate_in else rows)
             if inverse:
-                np.conjugate(work, out=work)
-                np.divide(work, n, out=work)
-            dst[start : start + rows] = work
+                np.divide(np.conjugate(spectra, out=spectra), n, out=dst[start : start + step])
+            else:
+                dst[start : start + step] = spectra
         return [None] * len(run)
 
-    def scratch():
-        work = np.empty((min(step, total), n), dtype=np.complex128)
-        product = np.empty((work.shape[0], n // 2), dtype=np.complex128)
-        return work, product, _butterfly_stages(work, product, twiddles)
-
-    run_blocks(transform, range(0, total, step), scratch)
+    run_blocks(transform, range(0, total, step), lambda: None, blas=True)
     return out
 
 
@@ -136,7 +132,7 @@ def _dft_direct(x: np.ndarray) -> np.ndarray:
 def dft(x: np.ndarray, *, inverse: bool = False) -> np.ndarray:
     """Discrete Fourier transform over the last axis (any length >= 1).
 
-    Power-of-two lengths take the radix-2 fast path; other lengths fall back
+    Power-of-two lengths take the four-step FFT; other lengths fall back
     to the direct transform. Output is complex128 with numpy conventions
     (bin k holds ``sum_n x[n] exp(-2j pi k n / N)``, no scaling).
     ``inverse=True`` gives the inverse transform, as ``idft``.

@@ -105,13 +105,11 @@ def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) 
     finite or lies beyond float32 range, which ``load_iq`` would refuse.
     """
     path = Path(path)
-    interleaved = np.empty(2 * rec.n_samples, dtype=PAYLOAD_DTYPE)
     with np.errstate(over="ignore", invalid="ignore"):
-        interleaved[0::2] = rec.samples.real.astype(PAYLOAD_DTYPE)
-        interleaved[1::2] = rec.samples.imag.astype(PAYLOAD_DTYPE)
+        interleaved = np.ascontiguousarray(rec.samples).view(np.float64).astype(PAYLOAD_DTYPE)
     if not np.isfinite(interleaved).all():
         raise ValueError("samples must be finite and within float32 range")
-    path.write_bytes(interleaved.tobytes())
+    path.write_bytes(interleaved)
     meta = {
         "sample_rate_hz": repr(rec.sample_rate_hz),
         "center_freq_hz": repr(rec.center_freq_hz),

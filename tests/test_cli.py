@@ -426,6 +426,8 @@ def test_validate_manifest_records_the_thresholds(trained_run):
         "run_dir": str(run_dir),
         "frame": 1,
         "generated": "",
+        "n_gen": 16,  # the frame's packet count
+        "snr_db": "-27.0",  # the middle of the default training SNR range
         "coverage": "0.9",
         "band_ratio_min": "2.0",
         "accuracy_band": "0.3:0.8",
@@ -443,6 +445,32 @@ def test_validate_zero_packets_exits_2_without_writing(trained_run, capsys):
     )
     assert rc == 2
     assert "n_gen must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_validate_manifest_digest_follows_the_packet_count(trained_run):
+    tmp_path, proto, run_dir = trained_run
+    digests = []
+    for n_gen in ("16", "37"):
+        out_dir = tmp_path / f"val_ngen{n_gen}"
+        rc = main(["validate", "--proto", str(proto), "--run-dir", str(run_dir),
+                   "--out-dir", str(out_dir), "--ngen", n_gen, "--quiet"])
+        assert rc in (0, 1)
+        digests.append(read_manifest(out_dir / "validate.manifest").config_digest)
+    assert digests[0] != digests[1]
+
+
+def test_validate_refuses_ngen_with_a_generated_file_without_writing(trained_run, capsys):
+    tmp_path, proto, run_dir = trained_run
+    gen = tmp_path / "gen_ngen_refused.iq"
+    assert main(["generate", "--run-dir", str(run_dir), "--ngen", "4", "--out", str(gen), "--quiet"]) == 0
+    out_dir = tmp_path / "val_file_ngen"
+    rc = main(
+        ["validate", "--proto", str(proto), "--run-dir", str(run_dir),
+         "--generated", str(gen), "--ngen", "0", "--out-dir", str(out_dir), "--quiet"]
+    )
+    assert rc == 2
+    assert "--ngen" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -1,5 +1,9 @@
 """Transform, filter-tap, and block-convolution checks against direct oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -112,12 +116,12 @@ def test_dft_rejects_empty():
         dft(np.array([]))
 
 
-# --- blocked in-place FFT against the whole-batch loop ------------------------
+# --- blocked four-step FFT: row by row and against radix-2 -------------------
 
 
 def reference_fft_pow2(x):
     """The radix-2 loop over the whole batch at once, stage by stage, as the
-    package first wrote it; the blocked in-place FFT must match it bit for bit."""
+    package first wrote it: an accuracy oracle for the four-step FFT."""
     n = x.shape[-1]
     bits = n.bit_length() - 1
     idx = np.arange(n)
@@ -153,32 +157,45 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def one_row_at_a_time(transform, x):
+    """``transform`` of each row of ``x`` on its own: one row, one block, one thread."""
+    x = np.asarray(x)
+    rows = x.reshape(-1, x.shape[-1])
+    return np.stack([transform(row) for row in rows]).reshape(x.shape)
+
+
+def assert_fft_bits_per_row(x):
+    """``dft`` and ``idft`` of the batch give each row the bits it gets alone,
+    and differ from radix-2 by at most 1e-14 times the spectrum's peak."""
+    for transform, reference in ((dft, reference_fft_pow2), (idft, reference_ifft_pow2)):
+        out = transform(x)
+        assert out.flags.c_contiguous
+        assert_same_bits(out, one_row_at_a_time(transform, x))
+        expect = reference(x)
+        assert np.max(np.abs(out - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize(
-    "shape", [(2,), (64,), (2048,), (5, 64), (3, 256), (2, 3, 128), (2, 2, 2, 32)]
+    "shape",
+    [(2,), (64,), (2048,), (5, 64), (3, 256), (2, 3, 128), (2, 2, 2, 32), (3, 4096), (3, 8192), (2, 32768)],
 )
 def test_fft_matches_whole_batch_loop_bitwise(shape):
+    # 4096 is the longest split in one pass; 8192 and 32768 recurse
     rng = np.random.default_rng(sum(shape))
     x = _complex(rng, shape)
-    out = dft(x)
-    assert out.flags.c_contiguous
-    assert_same_bits(out, reference_fft_pow2(x))
+    assert_fft_bits_per_row(x)
     if shape[-1] <= 256:
-        assert np.max(np.abs(out - naive_dft(x))) < 1e-9
-    inv = idft(x)
-    assert inv.flags.c_contiguous
-    assert_same_bits(inv, reference_ifft_pow2(x))
+        assert np.max(np.abs(dft(x) - naive_dft(x))) < 1e-9
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
 def test_fft_real_input_matches_whole_batch_loop_bitwise(dtype):
     rng = np.random.default_rng(7)
-    x = (100 * rng.standard_normal((4, 128))).astype(dtype)
-    assert_same_bits(dft(x), reference_fft_pow2(x))
-    assert_same_bits(idft(x), reference_ifft_pow2(x))
+    assert_fft_bits_per_row((100 * rng.standard_normal((4, 128))).astype(dtype))
 
 
 @pytest.mark.parametrize("real", [False, True])
@@ -188,8 +205,8 @@ def test_fft_exact_zeros_keep_their_signs(real):
     x[2, ::2] = complex(-0.0, 0.0)
     if real:
         x = np.concatenate([x.real, np.eye(16), np.ones((1, 16))])
-    assert_same_bits(dft(x), reference_fft_pow2(x))
-    assert_same_bits(idft(x), reference_ifft_pow2(x))
+    assert_fft_bits_per_row(x)
+    assert not np.any(dft(x[:3])) and not np.any(idft(x[:3]))
 
 
 @pytest.mark.parametrize("n_fft,length", [(256, 129), (64, 5)])
@@ -200,10 +217,7 @@ def test_fft_of_overlap_save_windows_matches_whole_batch_loop(n_fft, length):
     padded = np.concatenate([np.zeros(length - 1), _complex(rng, 20 * n_fft), np.zeros(hop)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     assert not windows.flags.c_contiguous
-    out = dft(windows)
-    assert out.flags.c_contiguous
-    assert_same_bits(out, reference_fft_pow2(windows))
-    assert_same_bits(idft(windows), reference_ifft_pow2(windows))
+    assert_fft_bits_per_row(windows)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3])
@@ -212,29 +226,70 @@ def test_fft_block_boundaries(monkeypatch, block_rows, n_rows):
     # batches inside one block, on block boundaries, and with a ragged tail
     monkeypatch.setattr(dsp, "FFT_BLOCK_BYTES", block_rows * 16 * 64)
     assert dsp.fft_block_rows(64) == block_rows
-    x = _complex(np.random.default_rng(n_rows), (n_rows, 64))
-    assert_same_bits(dft(x), reference_fft_pow2(x))
-    assert_same_bits(idft(x), reference_ifft_pow2(x))
+    assert_fft_bits_per_row(_complex(np.random.default_rng(n_rows), (n_rows, 64)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 @pytest.mark.parametrize("n_rows", [1, 2, 4, 7, 17])
 def test_fft_on_any_worker_count_matches_the_whole_batch_loop(monkeypatch, workers, block_rows, n_rows):
-    # fewer blocks than workers, runs of several blocks, ragged last blocks
+    # fewer blocks than workers, runs of several blocks, ragged last blocks;
+    # one BLAS thread, so BLAS work gets every worker
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
     monkeypatch.setattr(dsp, "FFT_BLOCK_BYTES", block_rows * 16 * 64)
     x = _complex(np.random.default_rng(100 * workers + n_rows), (n_rows, 64))
-    assert_same_bits(dft(x), reference_fft_pow2(x))
-    assert_same_bits(idft(x), reference_ifft_pow2(x))
-    assert_same_bits(idft(x.real), reference_ifft_pow2(x.real))
+    assert_fft_bits_per_row(x)
+    assert_fft_bits_per_row(x.real)
 
 
 def test_fft_default_blocks_with_ragged_tail():
     step = dsp.fft_block_rows(2048)
     assert step >= 1
-    x = _complex(np.random.default_rng(11), (2 * step + 3, 2048))
-    assert_same_bits(dft(x), reference_fft_pow2(x))
+    assert_fft_bits_per_row(_complex(np.random.default_rng(11), (2 * step + 3, 2048)))
+
+
+_BLAS_THREAD_BYTES = """
+import hashlib, sys
+import numpy as np
+from radiogan.dsp import dft, idft
+for n in (64, 256, 2048, 8192):
+    x = np.random.default_rng(n).standard_normal((37, 2 * n)).view(np.complex128)
+    print(n, hashlib.sha256(dft(x).tobytes() + idft(x).tobytes()).hexdigest())
+"""
+
+
+def test_fft_bits_do_not_depend_on_the_blas_thread_count():
+    # with 1 thread each CPU runs blocks; with 2 the blocks run serially and
+    # BLAS may split a product over threads. OpenBLAS reads its own variable first.
+    src = os.path.dirname(os.path.dirname(dsp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _BLAS_THREAD_BYTES],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert digests[0].count("\n") == 4
+    assert digests[0] == digests[1]
+
+
+def test_fft_blocks_run_as_blas_work(monkeypatch):
+    # so that BLAS's own threads and the block workers do not share a CPU
+    marks = []
+
+    def recording_run_blocks(work, block_starts, scratch, blas=False):
+        marks.append(blas)
+        return blocks.run_blocks(work, block_starts, scratch, blas)
+
+    monkeypatch.setattr(dsp, "run_blocks", recording_run_blocks)
+    dft(np.ones((3, 64)))
+    idft(np.ones(8))
+    assert marks == [True, True]
 
 
 def test_fft_of_zero_rows_is_empty():
@@ -251,13 +306,11 @@ def test_fft_does_not_modify_its_input():
 
 
 def test_fft_cached_tables_are_read_only():
-    dft(np.ones(64))
-    rev = dsp._bit_reverse_indices(64)
-    with pytest.raises(ValueError):
-        rev[0] = 1
-    for twiddle in dsp._twiddles(64):
+    dft(np.ones(8192))
+    # the radix DFT matrix, the twiddles of each split and the last DFT matrix
+    for table in (dsp._roots(64, 64, 64), dsp._roots(8192, 64, 128), dsp._roots(128, 64, 2), dsp._roots(2, 2, 2)):
         with pytest.raises(ValueError):
-            twiddle[0] = 0.0
+            table[0, 0] = 0.0
     assert np.allclose(dft(np.eye(64)), naive_dft(np.eye(64)), atol=1e-9)
 
 
