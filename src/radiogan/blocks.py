@@ -48,6 +48,11 @@ def blas_threads(cpus: int) -> int:
     return cpus
 
 
+def row_blocks(rows: int, step: int) -> list:
+    """Slices cutting ``rows`` rows into blocks of ``step``, the last one ragged."""
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
 def _executor(cpus: int):
     # Keyed on the pid as well, so a forked child starts its own threads.
     global _pool, _pool_key
@@ -73,8 +78,8 @@ def run_blocks(work, blocks, scratch, blas: bool = False) -> list:
     whose time goes mostly to BLAS calls.
     """
     blocks = list(blocks)
-    if not blocks:
-        return []
+    if len(blocks) <= 1:  # no CPU or BLAS lookups for work too small to split
+        return list(work(blocks, scratch())) if blocks else []
     cpus = cpu_count()
     workers = min(cpus // blas_threads(cpus) if blas else cpus, len(blocks))
     if workers <= 1:

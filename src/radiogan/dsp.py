@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import run_blocks
+from .blocks import row_blocks, run_blocks
 
 
 def _is_pow2(n: int) -> bool:
@@ -100,23 +100,18 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     out = np.empty(x.shape, dtype=np.complex128)
     src = np.asarray(x, dtype=np.complex128).reshape(-1, n)
     dst = out.reshape(-1, n)
-    total = dst.shape[0]
-    if total == 0:
-        return out
-    step = fft_block_rows(n)
     conjugate_in = inverse and np.iscomplexobj(x)
 
     def transform(run, _):
-        for start in run:
-            rows = src[start : start + step]
-            spectra = _four_step(np.conjugate(rows) if conjugate_in else rows)
+        for rows in run:
+            spectra = _four_step(np.conjugate(src[rows]) if conjugate_in else src[rows])
             if inverse:
-                np.divide(np.conjugate(spectra, out=spectra), n, out=dst[start : start + step])
+                np.divide(np.conjugate(spectra, out=spectra), n, out=dst[rows])
             else:
-                dst[start : start + step] = spectra
+                dst[rows] = spectra
         return [None] * len(run)
 
-    run_blocks(transform, range(0, total, step), lambda: None, blas=True)
+    run_blocks(transform, row_blocks(dst.shape[0], fft_block_rows(n)), lambda: None, blas=True)
     return out
 
 

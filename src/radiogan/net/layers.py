@@ -11,16 +11,19 @@ to the weight gradient inside the owning layer's backward.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..blocks import run_blocks
+from ..blocks import row_blocks, run_blocks
 from ..seeding import as_generator
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
 # Size of each per-block temporary of Conv1DLayer (im2col columns, input-
-# gradient taps): the batch is processed in as many rows as fit, at least one.
-CONV_BLOCK_BYTES = 2 * 1024 * 1024
+# gradient taps) and of each row block of a DenseLayer product: the batch is
+# processed in as many rows as fit, at least one.
+BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def xavier_init(fan_in: int, fan_out: int, seed) -> np.ndarray:
@@ -38,22 +41,22 @@ def xavier_init(fan_in: int, fan_out: int, seed) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max subtraction)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _activate("softmax", np.array(logits, dtype=np.float64))
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
+    """Apply the activation to the float64 array ``z`` in place; returns ``z``."""
     if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "softmax":
-        return softmax(z)
-    raise ValueError(f"unknown activation {name!r}")
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif name == "softmax":
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+    elif name != "identity":
+        raise ValueError(f"unknown activation {name!r}")
+    return z
 
 
 def _activate_backward(name: str, out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -70,12 +73,39 @@ def _activate_backward(name: str, out: np.ndarray, grad_out: np.ndarray) -> np.n
     raise ValueError(f"unknown activation {name!r}")
 
 
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, finish=None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` in row blocks of the leading axis, on the CPU pool.
+
+    Each block is as many leading rows as fit in ``BLOCK_BYTES`` and goes
+    through the same matmul as the whole array. The blocks are cut the same
+    way for any worker count, so the bits do not depend on it. A 3-D ``a``
+    keeps numpy's per-slice GEMMs, so its bits are those of the one-call
+    product; a 2-D one's are those of its row-block GEMMs, which BLAS may
+    round differently from one GEMM over every row. ``finish(block)``, if
+    given, then works on each block of ``out`` in place, so the workers
+    allocate nothing large.
+    """
+    step = max(1, BLOCK_BYTES // (8 * max(math.prod(a.shape[1:]), math.prod(out.shape[1:]), 1)))
+
+    def work(run, _):
+        for rows in run:
+            block = np.matmul(a[rows], b, out=out[rows])
+            if finish is not None:
+                finish(block)
+        return [None] * len(run)
+
+    run_blocks(work, row_blocks(a.shape[0], step), lambda: None, blas=True)
+    return out
+
+
 class DenseLayer:
     """Fully connected layer ``act(x @ W.T + b)`` over the last input axis.
 
     Leading axes are preserved, so a [B, C, fan_in] input maps each length-
     ``fan_in`` row independently (the shared per-channel dense used after the
-    convolution).
+    convolution). The forward product and the input gradient run in row
+    blocks of the batch axis on the CPU pool; the weight gradient, a sum over
+    the whole batch, stays one product, as splitting it would change its bits.
     """
 
     def __init__(self, weights, bias, activation="identity", weight_decay_lambda=0.0):
@@ -120,15 +150,20 @@ class DenseLayer:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.fan_in:
-            raise ValueError(f"expected last axis {self.fan_in}, got {x.shape}")
-        out = _activate(self.activation, x @ self.weights.T + self.bias)
+        if x.ndim < 2 or x.shape[-1] != self.fan_in:
+            raise ValueError(f"expected [batch, ..., {self.fan_in}] input, got shape {x.shape}")
+
+        def finish(z):
+            z += self.bias
+            _activate(self.activation, z)
+
+        out = _matmul_rows(x, self.weights.T, np.empty(x.shape[:-1] + (self.fan_out,)), finish)
         return out, ("dense", x, out)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, x, out = cache
         grad_z = _activate_backward(self.activation, out, grad_out)
-        grad_x = grad_z @ self.weights if input_grad else None
+        grad_x = _matmul_rows(grad_z, self.weights, np.empty(x.shape)) if input_grad else None
         if not param_grads:
             return grad_x, []
         z2 = grad_z.reshape(-1, self.fan_out)
@@ -143,10 +178,12 @@ class DenseLayer:
 def conv_block_rows(n_in: int, kernel_len: int) -> int:
     """Batch rows per Conv1DLayer block for an input of length ``n_in``.
 
-    The largest per-row temporary is the input-gradient tap buffer of
-    ``kernel_len * (n_in + 1)`` float64 values; the im2col columns are smaller.
+    Each block builds its im2col columns and input-gradient taps in its
+    worker's buffers, so neither spans the whole batch. The largest per-row
+    temporary is the tap buffer of ``kernel_len * (n_in + 1)`` float64 values;
+    the im2col columns are smaller.
     """
-    return max(1, CONV_BLOCK_BYTES // (8 * kernel_len * (n_in + 1)))
+    return max(1, BLOCK_BYTES // (8 * kernel_len * (n_in + 1)))
 
 
 class Conv1DLayer:
@@ -199,7 +236,7 @@ class Conv1DLayer:
         kern = self.kernels[:, 0, :]
         out = np.empty((x.shape[0], self.n_kernels, x.shape[1] - self.kernel_len + 1))
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
-        blocks = self._row_blocks(x)
+        blocks = row_blocks(x.shape[0], conv_block_rows(x.shape[1], self.kernel_len))
 
         def work(run, cols_buffer):
             for rows in run:
@@ -220,7 +257,7 @@ class Conv1DLayer:
         kern_t = self.kernels[:, 0, :].T
         grad_x = np.empty((batch, n_in)) if input_grad else None
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
-        blocks = self._row_blocks(x)
+        blocks = row_blocks(batch, conv_block_rows(n_in, self.kernel_len))
 
         def scratch():
             rows = blocks[0].stop
@@ -258,17 +295,6 @@ class Conv1DLayer:
         for partial in partials:  # block order, whatever the worker count
             grad_k += partial
         return grad_x, [grad_k[:, None, :], grad_out.sum(axis=(0, 2))]
-
-    def _row_blocks(self, x):
-        """Row slices of the batch, each as many rows as fit in ``CONV_BLOCK_BYTES``.
-
-        Each block builds its im2col columns and input-gradient taps in its
-        worker's buffers, so neither spans the whole batch; ``run_blocks``
-        spreads the blocks over the CPUs.
-        """
-        batch, n_in = x.shape
-        step = conv_block_rows(n_in, self.kernel_len)
-        return [slice(start, min(start + step, batch)) for start in range(0, batch, step)]
 
 
 class DropoutLayer:

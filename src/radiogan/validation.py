@@ -36,13 +36,15 @@ class SpectralMatrix:
     """Per-packet magnitude spectra, one column per packet: [n_fft, n_packets]."""
 
     magnitudes: np.ndarray
+    _energies: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
         if self.magnitudes.ndim != 2 or self.magnitudes.size == 0:
             raise ValueError("magnitudes must be a non-empty 2-D array")
-        if np.any(self.magnitudes < 0.0):
-            raise ValueError("magnitudes must be non-negative")
+        # NaN fails both comparisons
+        if not (self.magnitudes.min() >= 0.0 and self.magnitudes.max() < np.inf):
+            raise ValueError("magnitudes must be finite and non-negative")
 
     @property
     def n_fft(self) -> int:
@@ -53,8 +55,15 @@ class SpectralMatrix:
         return self.magnitudes.shape[1]
 
     def bin_energies(self) -> np.ndarray:
-        """Total energy per frequency bin, summed over packets."""
-        return np.sum(self.magnitudes**2, axis=1)
+        """Total energy per frequency bin, summed over packets (computed once, read-only).
+
+        The sum runs down the packet axis of ``magnitudes.T``, which is C-contiguous
+        for the matrices ``spectral_matrix`` makes.
+        """
+        if self._energies is None:
+            self._energies = np.sum(np.square(self.magnitudes.T), axis=0)
+            self._energies.setflags(write=False)
+        return self._energies
 
     def band_fraction(self, bins: np.ndarray) -> float:
         """Fraction of the total spectral energy inside the given bins."""
@@ -66,15 +75,15 @@ class SpectralMatrix:
 
 
 def spectral_matrix(packets: np.ndarray) -> SpectralMatrix:
-    """Magnitude spectra of a packet matrix [P, n_fft], transposed to [n_fft, P].
+    """Magnitude spectra of a packet matrix [P, n_fft], as [n_fft, P].
 
-    The magnitudes are C-contiguous, so each bin's energy sums along a
-    contiguous row.
+    The magnitudes are the transposed view of the C-contiguous
+    ``|dft(packets)|``: no transposed copy is made.
     """
     packets = np.asarray(packets, dtype=np.complex128)
     if packets.ndim != 2 or packets.shape[0] < 1:
         raise ValueError("packets must be a non-empty 2-D array")
-    return SpectralMatrix(magnitudes=np.abs(dft(packets).T, order="C"))
+    return SpectralMatrix(magnitudes=np.abs(dft(packets)).T)
 
 
 def _ascending(x) -> np.ndarray:
@@ -124,9 +133,14 @@ def ks_distance(a, b) -> float:
     if np.isnan(a[-1]) or np.isnan(b[-1]):
         raise ValueError("samples contain NaN")
     last = np.flatnonzero(np.append(a[1:] != a[:-1], True))  # the end of each run of equal values
+    values = a[last]
     count_a = last + 1.0
-    at_v = count_a / a.size - np.searchsorted(b, a[last], side="right") / b.size
-    below_v = np.append(0.0, count_a[:-1]) / a.size - np.searchsorted(b, a[last], side="left") / b.size
+    upto = np.searchsorted(b, values, side="right")  # #b <= v
+    below = upto.copy()  # #b < v: the same count unless b holds v
+    held = (b[upto - 1] == values) & (upto > 0)
+    below[held] = np.searchsorted(b, values[held], side="left")
+    at_v = count_a / a.size - upto / b.size
+    below_v = np.append(0.0, count_a[:-1]) / a.size - below / b.size
     return float(max(np.max(np.abs(at_v)), np.max(np.abs(below_v))))
 
 
@@ -242,6 +256,20 @@ def _pooled_values(packets: np.ndarray) -> np.ndarray:
     return values.reshape(-1)
 
 
+def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> tuple:
+    """``(pooled values, packets)`` of white noise with the prototype's power.
+
+    One draw of the real parts, then the imaginary parts, scaled in place,
+    is both the pooled values and the source of the complex packets.
+    """
+    scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
+    draws = substream(seed, "validate", "noise").standard_normal((2,) + tuple(shape))
+    draws *= scale
+    packets = np.empty(shape, dtype=np.complex128)
+    packets.real, packets.imag = draws
+    return draws.reshape(-1), packets
+
+
 def _mean_pairwise_correlation(packets: np.ndarray, max_packets: int = 256) -> float:
     """Mean absolute pairwise Pearson correlation between packets (diversity stat)."""
     rows = np.asarray(packets)[:max_packets]
@@ -264,18 +292,11 @@ def _frame_packets(rec: IQRecording, n_fft: int) -> np.ndarray:
     return rec.samples[: n_packets * n_fft].reshape(n_packets, n_fft)
 
 
-def _compare_with_prototype(packets, proto_values, band, pdf_range):
-    """``(ks, raw in-band fraction, spectra, PDF masses)`` of one packet matrix.
-
-    Its spectra and pooled values are computed once each, the values sorted
-    once in place for the KS distance and the PDF, and serve both the numbers
-    and the tables.
-    """
-    spectral = spectral_matrix(packets)
-    values = _pooled_values(packets)
+def _sample_stats(values, proto_values, pdf_range) -> tuple:
+    """``(ks, PDF masses)`` of one packet matrix's pooled ``values``, which are
+    sorted once, in place, for both."""
     values.sort()
-    mass = empirical_pdf(values, DEFAULT_N_BINS, pdf_range)[1]
-    return ks_distance(proto_values, values), spectral.band_fraction(band), spectral, mass
+    return ks_distance(proto_values, values), empirical_pdf(values, DEFAULT_N_BINS, pdf_range)[1]
 
 
 def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs,
@@ -332,24 +353,21 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs,
     span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
     pdf_range = (-span, span)
     centers, proto_mass = empirical_pdf(proto_values, DEFAULT_N_BINS, pdf_range)
-    ks_gen, raw_gen, gen_spectral, gen_mass = _compare_with_prototype(
-        gen_packets, proto_values, band, pdf_range
-    )
+    # Each matrix's spectra and pooled values are computed once, and
+    # serve both the numbers and the tables.
+    ks_gen, gen_mass = _sample_stats(_pooled_values(gen_packets), proto_values, pdf_range)
+    gen_spectral = spectral_matrix(gen_packets)
 
-    noise_rng = substream(cfg.seed, "validate", "noise")
-    scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
-    noise_packets = np.empty(gen_packets.shape, dtype=np.complex128)
-    for part in (noise_packets.real, noise_packets.imag):  # the real draws first
-        np.multiply(scale, noise_rng.standard_normal(gen_packets.shape), out=part)
-    ks_noise, raw_noise, noise_spectral, noise_mass = _compare_with_prototype(
-        noise_packets, proto_values, band, pdf_range
-    )
+    noise_values, noise_packets = _noise_baseline(proto_packets, gen_packets.shape, cfg.seed)
+    ks_noise, noise_mass = _sample_stats(noise_values, proto_values, pdf_range)
+    del noise_values  # spent: freed before the transform's buffers are made
+    noise_spectral = spectral_matrix(noise_packets)
 
     return ValidationReport(
         ks_proto_vs_gen=ks_gen,
         ks_proto_vs_noise=ks_noise,
-        band_energy_fraction_gen=min(1.0, raw_gen / raw_proto),
-        band_energy_fraction_noise=min(1.0, raw_noise / raw_proto),
+        band_energy_fraction_gen=min(1.0, gen_spectral.band_fraction(band) / raw_proto),
+        band_energy_fraction_noise=min(1.0, noise_spectral.band_fraction(band) / raw_proto),
         mean_d_accuracy=mean_accuracy,
         packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
         tables={

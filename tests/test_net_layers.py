@@ -5,7 +5,7 @@ import pytest
 
 from radiogan import blocks
 from radiogan.net.layers import (
-    CONV_BLOCK_BYTES,
+    BLOCK_BYTES,
     Conv1DLayer,
     DenseLayer,
     DropoutLayer,
@@ -146,7 +146,7 @@ def test_conv_matches_einsum_oracle(batch, n_in, n_kernels, kernel_len):
 
 def test_conv_block_rows_bounds_the_temporaries():
     # the input-gradient tap buffer, kernel_len * (n_in + 1) float64 a row, is the largest
-    assert 1 < DESK_ROWS and DESK_ROWS * 8 * 128 * 257 <= CONV_BLOCK_BYTES
+    assert 1 < DESK_ROWS and DESK_ROWS * 8 * 128 * 257 <= BLOCK_BYTES
     assert conv_block_rows(2048, 128) == 1  # a published row alone is about the budget
     assert conv_block_rows(10**7, 128) == 1  # never fewer than one row
 
@@ -226,6 +226,91 @@ def test_conv_on_any_worker_count_matches_the_serial_loop(monkeypatch, workers, 
     assert len(grads) == len(want_grads)
     for got, want in zip(grads, want_grads):
         assert_same_bytes(got, want)
+
+
+# --- dense row blocks on several workers -----------------------------------------
+
+
+def _dense_blocks(x, fan_out):
+    """The row blocks DenseLayer cuts: as many leading rows as fit in BLOCK_BYTES,
+    counting the larger of an input and an output row."""
+    row = max(x[0].size, x[0].size // x.shape[-1] * fan_out)
+    step = max(1, BLOCK_BYTES // (8 * row))
+    return [slice(start, start + step) for start in range(0, x.shape[0], step)]
+
+
+_ACTIVATIONS = {"identity": lambda z: z, "tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "softmax": softmax}
+
+
+def serial_dense_forward(layer, x):
+    """The single-thread block loop, out of place; any worker count must match it bit for bit."""
+    act = _ACTIVATIONS[layer.activation]
+    return np.concatenate([act(x[rows] @ layer.weights.T + layer.bias) for rows in _dense_blocks(x, layer.fan_out)])
+
+
+def _dense_grad_z(layer, out, grad_out):
+    if layer.activation == "tanh":
+        return grad_out * (1.0 - out**2)
+    if layer.activation == "relu":
+        return grad_out * (out > 0.0)
+    if layer.activation == "softmax":
+        return out * (grad_out - np.sum(grad_out * out, axis=-1, keepdims=True))
+    return grad_out  # identity
+
+
+def serial_dense_backward(layer, x, out, grad_out, input_grad, param_grads):
+    grad_z = _dense_grad_z(layer, out, grad_out)
+    grad_x = None
+    if input_grad:
+        grad_x = np.concatenate([grad_z[rows] @ layer.weights for rows in _dense_blocks(x, layer.fan_out)])
+    if not param_grads:
+        return grad_x, []
+    z2, x2 = grad_z.reshape(-1, layer.fan_out), x.reshape(-1, layer.fan_in)
+    return grad_x, [z2.T @ x2 + 2.0 * layer.weight_decay_lambda * layer.weights, z2.sum(axis=0)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "shape, fan_out, activation",
+    [
+        ((3 * 63 + 2, 32, 129), 32, "relu"),  # desk conv output: 63 rows a block, a ragged last one
+        ((9, 32, 1921), 32, "relu"),  # published conv output: 4 rows a block
+        ((300, 2048), 128, "tanh"),  # the generator's input layer at published scale: 128 rows a block
+        ((300, 128), 2048, "tanh"),  # its output layer
+        ((600, 1024), 32, "identity"),  # the discriminator after the flatten: 256 rows a block
+        ((130, 4096), 2, "softmax"),  # 64 rows a block
+    ],
+)
+@pytest.mark.parametrize("input_grad, param_grads", [(True, True), (True, False), (False, True), (False, False)])
+def test_dense_on_any_worker_count_matches_the_serial_loop(
+    monkeypatch, workers, shape, fan_out, activation, input_grad, param_grads
+):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one BLAS thread: a worker per CPU
+    monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
+    layer = DenseLayer.create(shape[-1], fan_out, activation, 4, weight_decay_lambda=0.01)
+    layer.bias = np.random.default_rng(1).standard_normal(fan_out)
+    x = np.random.default_rng(2).standard_normal(shape)
+    assert len(_dense_blocks(x, fan_out)) >= 3
+    out, cache = layer.forward(x)
+    want = serial_dense_forward(layer, x)
+    assert_same_bytes(out, want)
+    grad_out = np.random.default_rng(3).standard_normal(out.shape)
+    grad_x, grads = layer.backward(cache, grad_out, input_grad=input_grad, param_grads=param_grads)
+    want_x, want_grads = serial_dense_backward(layer, x, out, grad_out, input_grad, param_grads)
+    assert_same_bytes(grad_x, want_x)
+    assert len(grads) == len(want_grads)
+    for got, expect in zip(grads, want_grads):
+        assert_same_bytes(got, expect)
+    if x.ndim == 3:
+        # numpy's per-slice GEMMs: the same bits as the one-call product
+        assert_same_bytes(out, _ACTIVATIONS[activation](x @ layer.weights.T + layer.bias))
+        if input_grad:
+            assert_same_bytes(grad_x, _dense_grad_z(layer, out, grad_out) @ layer.weights)
+
+
+def test_dense_refuses_an_input_without_a_batch_axis():
+    with pytest.raises(ValueError, match="expected"):
+        DenseLayer.create(4, 3, "tanh", 0).forward(np.ones(4))
 
 
 # --- skipping gradients ---------------------------------------------------------

@@ -61,6 +61,12 @@ def test_spectral_matrix_validation():
         spectral_matrix(np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_spectral_matrix_refuses_non_finite_or_negative_magnitudes(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SpectralMatrix(magnitudes=np.array([[bad, 1.0], [2.0, 3.0]]))
+
+
 def test_bin_energies_sums_over_packets():
     sm = SpectralMatrix(magnitudes=np.array([[1.0, 2.0], [3.0, 0.0]]))
     assert np.allclose(sm.bin_energies(), [5.0, 9.0])
@@ -566,7 +572,7 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
         assert got.tobytes() == want.tobytes()
     for name in ("spectrum_prototype", "spectrum_generated", "spectrum_noise"):
         got = rep.tables[name].magnitudes
-        assert got.flags.c_contiguous
+        assert got.T.flags.c_contiguous  # a view of the transform's layout, no transposed copy
         assert got.tobytes() == tables[name].magnitudes.tobytes()
 
 
@@ -590,6 +596,19 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
     assert rep.to_text() == expect.to_text()
     for got, want in zip(rep.tables["histogram"], expect.tables["histogram"]):
         assert got.tobytes() == want.tobytes()
+
+
+def test_noise_baseline_is_the_two_draw_formulation_byte_for_byte():
+    rng = np.random.default_rng(9)
+    proto = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    values, packets = validation._noise_baseline(proto, (7, 16), 11)
+    noise_rng = substream(11, "validate", "noise")
+    scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
+    want = np.empty((7, 16), dtype=np.complex128)
+    for part in (want.real, want.imag):  # a draw of the real parts, then one of the imaginary parts
+        np.multiply(scale, noise_rng.standard_normal((7, 16)), out=part)
+    assert packets.tobytes() == want.tobytes()
+    assert values.tobytes() == validation._pooled_values(want).tobytes()
 
 
 def test_pooled_values_are_the_real_parts_then_the_imaginary_parts():
