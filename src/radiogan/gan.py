@@ -5,6 +5,9 @@ the discriminator is a conv1d front end followed by dense/dropout stages and
 a two-class softmax. Latent noise is Gaussian with a per-epoch variance set
 by a virtual SNR drawn uniformly from a configured range, real-class targets
 are smoothed one-sidedly to ``1 - alpha``, and both nets update with Adam.
+
+Both nets hold float32 parameters, so their layers and Adam run in float32;
+the losses on their ``[B, 2]`` outputs are computed in float64.
 """
 
 from __future__ import annotations
@@ -72,8 +75,18 @@ class Net:
         set_net_params(self.layers, params)
 
 
+def _float32(layers) -> list:
+    """The stack with its parameters cast to float32 (drawn in float64)."""
+    set_net_params(layers, [p.astype(np.float32) for p in net_params(layers)])
+    return layers
+
+
 def build_generator(n_fft, seed, width=GENERATOR_WIDTH, weight_decay=GENERATOR_DECAY) -> Net:
-    """Latent packet -> synthetic packet MLP; output bounded to (-1, 1)."""
+    """Latent packet -> synthetic packet float32 MLP with a tanh head.
+
+    Outputs lie in [-1, 1]: float32 ``tanh`` rounds to exactly +-1.0 beyond
+    about |9|, so the open interval (-1, 1) holds only before that rounding.
+    """
     if n_fft < 2:
         raise ValueError(f"n_fft must be >= 2, got {n_fft}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "generator-init")
@@ -82,7 +95,7 @@ def build_generator(n_fft, seed, width=GENERATOR_WIDTH, weight_decay=GENERATOR_D
         DenseLayer.create(width, width, "tanh", rng, weight_decay_lambda=weight_decay),
         DenseLayer.create(width, n_fft, "tanh", rng),
     ]
-    return Net(layers, n_fft)
+    return Net(_float32(layers), n_fft)
 
 
 def build_discriminator(
@@ -94,7 +107,7 @@ def build_discriminator(
     dropout_rate=DROPOUT_RATE,
     weight_decay=DISCRIMINATOR_DECAY,
 ) -> Net:
-    """Packet -> [P(real), P(fake)] classifier with conv front end."""
+    """Packet -> [P(real), P(fake)] float32 classifier with conv front end."""
     if n_fft < kernel_len:
         raise ValueError(f"n_fft={n_fft} shorter than conv kernel ({kernel_len})")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "discriminator-init")
@@ -112,7 +125,7 @@ def build_discriminator(
         DropoutLayer(dropout_rate),
         DenseLayer.create(width, 2, "softmax", rng),
     ]
-    return Net(layers, n_fft)
+    return Net(_float32(layers), n_fft)
 
 
 def check_generator(layers, n_fft: int) -> None:

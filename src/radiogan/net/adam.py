@@ -1,10 +1,16 @@
-"""Bias-corrected Adam over flat lists of parameter arrays."""
+"""Bias-corrected Adam over flat lists of parameter arrays.
+
+Moments take the dtype of their parameters (``float_dtype``), and the update
+mixes them only with Python scalars, so a float32 parameter list stays float32.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .layers import float_dtype
 
 
 @dataclass
@@ -30,8 +36,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
         return cls(
-            first_moment=[np.zeros_like(p, dtype=np.float64) for p in params],
-            second_moment=[np.zeros_like(p, dtype=np.float64) for p in params],
+            first_moment=[np.zeros_like(p, dtype=float_dtype(p)) for p in params],
+            second_moment=[np.zeros_like(p, dtype=float_dtype(p)) for p in params],
             step_count=0,
             learning_rate=learning_rate,
             beta1=beta1,
@@ -58,7 +64,9 @@ def adam_step(params, grads, state: AdamState):
             raise ValueError("non-finite gradient")
 
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    # Python floats, which numpy's arrays do not upcast
+    b1, b2 = float(state.beta1), float(state.beta2)
+    lr, eps = float(state.learning_rate), float(state.epsilon)
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     new_params, new_m, new_v = [], [], []
@@ -67,7 +75,7 @@ def adam_step(params, grads, state: AdamState):
         v = b2 * v + (1.0 - b2) * g**2
         m_hat = m / corr1
         v_hat = v / corr2
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
         new_m.append(m)
         new_v.append(v)
     new_state = AdamState(
@@ -75,8 +83,8 @@ def adam_step(params, grads, state: AdamState):
         second_moment=new_v,
         step_count=t,
         learning_rate=state.learning_rate,
-        beta1=b1,
-        beta2=b2,
+        beta1=state.beta1,
+        beta2=state.beta2,
         epsilon=state.epsilon,
     )
     return new_params, new_state

@@ -25,7 +25,8 @@ float32 in layer order):
     config_len      u32
     config          UTF-8 text, config_len bytes (key=value lines)
 
-Loading then saving reproduces the file byte-for-byte. The loader refuses
+Loading gives float32 layers and moments holding the stored values, so
+loading then saving reproduces the file byte-for-byte. The loader refuses
 non-finite floats, in a header or a payload, and header values the layer or
 optimizer constructors reject, with ``CheckpointError``, and the writer
 refuses to write them.
@@ -108,7 +109,7 @@ class _Reader:
         self.pos += size
         if not np.isfinite(arr).all():
             raise CheckpointError("non-finite parameter or moment value")
-        return arr.astype(np.float64).reshape(shape)
+        return arr.astype(np.float32).reshape(shape)  # native float32, a copy of the bytes
 
 
 def _unpack_layer(reader: _Reader):

@@ -7,6 +7,13 @@ takes the cache and the upstream gradient and returns ``(input_gradient,
 which then comes back as ``None`` or ``[]``. Weight-decay
 terms (``lambda * ||W||^2`` added to the loss) contribute ``2 * lambda * W``
 to the weight gradient inside the owning layer's backward.
+
+A layer computes in the dtype of its parameters: float32 parameters make a
+float32 layer, and anything else is stored as float64. Inputs and upstream
+gradients are cast to that dtype on entry, so a float64 caller cannot upcast
+a float32 net. Every gradient a backward pass returns, and each activation
+gradient before it enters a product, has its subnormal entries set to zero
+(``flush_subnormal``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
 # Size of each per-block temporary of Conv1DLayer (im2col columns, input-
 # gradient taps) and of each row block of a DenseLayer product: the batch is
-# processed in as many rows as fit, at least one.
+# processed in as many rows as fit, at least one. Rows are counted at 8 bytes
+# a value whatever the dtype, so a float32 net keeps the float64 row counts:
+# counting float32's 4 bytes doubled the rows per block and made desk-scale
+# training about 12% slower.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 
@@ -39,13 +49,36 @@ def xavier_init(fan_in: int, fan_out: int, seed) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
+def float_dtype(values) -> type:
+    """float32 for float32 values; float64 for anything else."""
+    return np.float32 if np.asarray(values).dtype == np.float32 else np.float64
+
+
+def flush_subnormal(a: np.ndarray) -> np.ndarray:
+    """Set the entries of ``a`` smaller in magnitude than ``np.finfo(a.dtype).tiny``
+    to zero, in place; returns ``a``.
+
+    BLAS and numpy's loops run several times slower on subnormal floats. A
+    saturated softmax sends a whole packet's gradient down through values that
+    turn subnormal in float32, so each backward pass flushes them before the
+    next product. No float64 gradient here comes near float64's tiny, so a
+    float64 net's values do not change.
+    """
+    tiny = np.finfo(a.dtype).tiny
+    small = np.less(a, tiny)
+    small &= np.greater(a, -tiny)
+    if small.any():
+        np.copyto(a, 0, where=small)
+    return a
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max subtraction)."""
     return _activate("softmax", np.array(logits, dtype=np.float64))
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    """Apply the activation to the float64 array ``z`` in place; returns ``z``."""
+    """Apply the activation to the float array ``z`` in place; returns ``z``."""
     if name == "tanh":
         np.tanh(z, out=z)
     elif name == "relu":
@@ -60,16 +93,20 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _activate_backward(name: str, out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. pre-activation, expressed through the activation output."""
+    """Gradient w.r.t. pre-activation, expressed through the activation output.
+
+    tanh and softmax scale by factors that can be near zero, so their result
+    is flushed; identity and relu pass values through or zero them.
+    """
     if name == "identity":
         return grad_out
     if name == "tanh":
-        return grad_out * (1.0 - out**2)
+        return flush_subnormal(grad_out * (1.0 - out**2))
     if name == "relu":
         return grad_out * (out > 0.0)
     if name == "softmax":
         inner = np.sum(grad_out * out, axis=-1, keepdims=True)
-        return out * (grad_out - inner)
+        return flush_subnormal(out * (grad_out - inner))
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -106,11 +143,13 @@ class DenseLayer:
     convolution). The forward product and the input gradient run in row
     blocks of the batch axis on the CPU pool; the weight gradient, a sum over
     the whole batch, stays one product, as splitting it would change its bits.
+    The bias takes the dtype of the weights.
     """
 
     def __init__(self, weights, bias, activation="identity", weight_decay_lambda=0.0):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
+        dtype = float_dtype(weights)
+        self.weights = np.asarray(weights, dtype=dtype)
+        self.bias = np.asarray(bias, dtype=dtype)
         if self.weights.ndim != 2:
             raise ValueError("weights must be 2-D [fan_out, fan_in]")
         if self.bias.shape != (self.weights.shape[0],):
@@ -149,7 +188,7 @@ class DenseLayer:
         self.weights, self.bias = weights, bias
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weights.dtype)
         if x.ndim < 2 or x.shape[-1] != self.fan_in:
             raise ValueError(f"expected [batch, ..., {self.fan_in}] input, got shape {x.shape}")
 
@@ -157,22 +196,26 @@ class DenseLayer:
             z += self.bias
             _activate(self.activation, z)
 
-        out = _matmul_rows(x, self.weights.T, np.empty(x.shape[:-1] + (self.fan_out,)), finish)
+        out = np.empty(x.shape[:-1] + (self.fan_out,), dtype=x.dtype)
+        out = _matmul_rows(x, self.weights.T, out, finish)
         return out, ("dense", x, out)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, x, out = cache
+        grad_out = np.asarray(grad_out, dtype=x.dtype)
         grad_z = _activate_backward(self.activation, out, grad_out)
-        grad_x = _matmul_rows(grad_z, self.weights, np.empty(x.shape)) if input_grad else None
+        grad_x = None
+        if input_grad:
+            grad_x = _matmul_rows(grad_z, self.weights, np.empty(x.shape, dtype=x.dtype), flush_subnormal)
         if not param_grads:
             return grad_x, []
         z2 = grad_z.reshape(-1, self.fan_out)
         x2 = x.reshape(-1, self.fan_in)
         grad_w = z2.T @ x2
         if self.weight_decay_lambda > 0.0:
-            grad_w = grad_w + 2.0 * self.weight_decay_lambda * self.weights
+            grad_w += 2.0 * self.weight_decay_lambda * self.weights
         grad_b = z2.sum(axis=0)
-        return grad_x, [grad_w, grad_b]
+        return grad_x, [flush_subnormal(grad_w), flush_subnormal(grad_b)]
 
 
 def conv_block_rows(n_in: int, kernel_len: int) -> int:
@@ -180,8 +223,8 @@ def conv_block_rows(n_in: int, kernel_len: int) -> int:
 
     Each block builds its im2col columns and input-gradient taps in its
     worker's buffers, so neither spans the whole batch. The largest per-row
-    temporary is the tap buffer of ``kernel_len * (n_in + 1)`` float64 values;
-    the im2col columns are smaller.
+    temporary is the tap buffer of ``kernel_len * (n_in + 1)`` values, counted
+    at 8 bytes each (see ``BLOCK_BYTES``); the im2col columns are smaller.
     """
     return max(1, BLOCK_BYTES // (8 * kernel_len * (n_in + 1)))
 
@@ -190,12 +233,14 @@ class Conv1DLayer:
     """Valid 1-D convolution of a single-channel input with a kernel bank.
 
     Input [B, n_in] maps to [B, n_kernels, n_in - kernel_len + 1]. Kernels are
-    stored [n_kernels, 1, kernel_len] (explicit input-channel axis).
+    stored [n_kernels, 1, kernel_len] (explicit input-channel axis); the bias
+    takes the dtype of the kernels.
     """
 
     def __init__(self, kernels, bias):
-        self.kernels = np.asarray(kernels, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
+        dtype = float_dtype(kernels)
+        self.kernels = np.asarray(kernels, dtype=dtype)
+        self.bias = np.asarray(bias, dtype=dtype)
         if self.kernels.ndim != 3 or self.kernels.shape[1] != 1:
             raise ValueError("kernels must be 3-D [n_kernels, 1, kernel_len]")
         if self.bias.shape != (self.kernels.shape[0],):
@@ -228,13 +273,13 @@ class Conv1DLayer:
         self.kernels, self.bias = kernels, bias
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.kernels.dtype)
         if x.ndim != 2:
             raise ValueError(f"expected [batch, n_in] input, got shape {x.shape}")
         if x.shape[1] < self.kernel_len:
             raise ValueError(f"input length {x.shape[1]} shorter than kernel {self.kernel_len}")
         kern = self.kernels[:, 0, :]
-        out = np.empty((x.shape[0], self.n_kernels, x.shape[1] - self.kernel_len + 1))
+        out = np.empty((x.shape[0], self.n_kernels, x.shape[1] - self.kernel_len + 1), dtype=x.dtype)
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
         blocks = row_blocks(x.shape[0], conv_block_rows(x.shape[1], self.kernel_len))
 
@@ -247,24 +292,26 @@ class Conv1DLayer:
                 block += self.bias[:, None]
             return [None] * len(run)
 
-        run_blocks(work, blocks, lambda: np.empty((blocks[0].stop, *windows.shape[1:])), blas=True)
+        cols_shape = (blocks[0].stop, *windows.shape[1:])
+        run_blocks(work, blocks, lambda: np.empty(cols_shape, dtype=x.dtype), blas=True)
         return out, ("conv1d", x, None)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, x, _ = cache
+        grad_out = np.asarray(grad_out, dtype=x.dtype)
         batch, n_in = x.shape
         n_out = n_in - self.kernel_len + 1
         kern_t = self.kernels[:, 0, :].T
-        grad_x = np.empty((batch, n_in)) if input_grad else None
+        grad_x = np.empty((batch, n_in), dtype=x.dtype) if input_grad else None
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
         blocks = row_blocks(batch, conv_block_rows(n_in, self.kernel_len))
 
         def scratch():
             rows = blocks[0].stop
             return (
-                np.empty((rows, *windows.shape[1:])) if param_grads else None,
-                np.empty((rows, self.n_kernels, self.kernel_len)) if param_grads else None,
-                np.empty((rows, self.kernel_len, n_in + 1)) if input_grad else None,
+                np.empty((rows, *windows.shape[1:]), dtype=x.dtype) if param_grads else None,
+                np.empty((rows, self.n_kernels, self.kernel_len), dtype=x.dtype) if param_grads else None,
+                np.empty((rows, self.kernel_len, n_in + 1), dtype=x.dtype) if input_grad else None,
             )
 
         def work(run, buffers):
@@ -286,15 +333,16 @@ class Conv1DLayer:
                     taps[:, :, n_out:] = 0.0
                     flat = taps.reshape(g.shape[0], -1)[:, : self.kernel_len * n_in]
                     np.sum(flat.reshape(g.shape[0], self.kernel_len, n_in), axis=1, out=grad_x[rows])
+                    flush_subnormal(grad_x[rows])
             return partials if param_grads else [None] * len(run)
 
         partials = run_blocks(work, blocks, scratch, blas=True)
         if not param_grads:
             return grad_x, []
-        grad_k = np.zeros((self.n_kernels, self.kernel_len))
+        grad_k = np.zeros((self.n_kernels, self.kernel_len), dtype=x.dtype)
         for partial in partials:  # block order, whatever the worker count
             grad_k += partial
-        return grad_x, [grad_k[:, None, :], grad_out.sum(axis=(0, 2))]
+        return grad_x, [flush_subnormal(grad_k[:, None, :]), flush_subnormal(grad_out.sum(axis=(0, 2)))]
 
 
 class DropoutLayer:
@@ -313,8 +361,10 @@ class DropoutLayer:
             raise ValueError("dropout has no parameters")
 
     def apply(self, x, train, rng=None):
-        """Return ``(output, mask)``; the mask is boolean keep/drop per unit."""
-        x = np.asarray(x, dtype=np.float64)
+        """Return ``(output, mask)``; the mask is boolean keep/drop per unit.
+
+        The output keeps the dtype of a float32 or float64 input."""
+        x = np.asarray(x, dtype=float_dtype(x))
         if not train or self.rate == 0.0:
             return x, np.ones(x.shape, dtype=bool)
         if rng is None:
@@ -324,13 +374,14 @@ class DropoutLayer:
 
     def forward(self, x, train=False, rng=None):
         out, mask = self.apply(x, train, rng)
-        multiplier = None if (not train or self.rate == 0.0) else mask / (1.0 - self.rate)
-        return out, ("dropout", multiplier, None)
+        multiplier = None if (not train or self.rate == 0.0) else (mask / (1.0 - self.rate)).astype(out.dtype)
+        return out, ("dropout", multiplier, out.dtype)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
-        tag, multiplier, _ = cache
+        tag, multiplier, dtype = cache
         if not input_grad:
             return None, []
+        grad_out = np.asarray(grad_out, dtype=dtype)
         return (grad_out if multiplier is None else grad_out * multiplier), []
 
 
@@ -345,12 +396,12 @@ class FlattenLayer:
             raise ValueError("flatten has no parameters")
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return x.reshape(x.shape[0], -1), ("flatten", x.shape, None)
+        x = np.asarray(x, dtype=float_dtype(x))
+        return x.reshape(x.shape[0], -1), ("flatten", x.shape, x.dtype)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
-        tag, shape, _ = cache
-        return (grad_out.reshape(shape) if input_grad else None), []
+        tag, shape, dtype = cache
+        return (np.asarray(grad_out, dtype=dtype).reshape(shape) if input_grad else None), []
 
 
 _TAGS = {DenseLayer: "dense", Conv1DLayer: "conv1d", DropoutLayer: "dropout", FlattenLayer: "flatten"}
@@ -414,5 +465,5 @@ def decay_penalty(layers) -> float:
     total = 0.0
     for layer in layers:
         if isinstance(layer, DenseLayer) and layer.weight_decay_lambda > 0.0:
-            total += layer.weight_decay_lambda * float(np.sum(layer.weights**2))
+            total += layer.weight_decay_lambda * float(np.sum(np.square(layer.weights, dtype=np.float64)))
     return total

@@ -45,7 +45,8 @@ class SynthesisConfig:
 def generate_packets(g: Net, n_gen: int, snr_db: float, seed) -> np.ndarray:
     """Run ``n_gen`` dropout-free generator passes over fresh latent draws.
 
-    Returns the normalized packets, [n_gen, n_fft] in (-1, 1). The latent
+    Returns the normalized packets, [n_gen, n_fft] in [-1, 1] (the tanh
+    head), as float64 for the DSP whatever the generator's dtype. The latent
     variance follows the virtual-SNR rule against unit power, the same
     convention the generator was trained under.
     """
@@ -55,7 +56,7 @@ def generate_packets(g: Net, n_gen: int, snr_db: float, seed) -> np.ndarray:
         raise ValueError(f"n_gen must be >= 1, got {n_gen}")
     sigma2 = latent_noise_variance(1.0, snr_db)
     z = sample_latent(n_gen, g.n_fft, sigma2, as_generator(seed))
-    return g.predict(z)
+    return g.predict(z).astype(np.float64)
 
 
 def assemble_iq(i_mat: np.ndarray, q_mat: np.ndarray, frame_power: float) -> np.ndarray:

@@ -285,7 +285,8 @@ def test_save_load_save_is_byte_identical_for_any_checkpoint(tmp_path_factory, c
     assert text2 == text
     for layers, back in zip(stacks, stacks2):
         for orig, got in zip(net_params(layers), net_params(back)):
-            assert got.tobytes() == orig.astype(np.float64).tobytes()  # float32 values, exact
+            assert got.dtype == np.float32
+            assert got.tobytes() == orig.astype(np.float32).tobytes()  # the stored values, exact
 
 
 def _header_fields(stacks, opts):
@@ -327,7 +328,8 @@ def test_save_raises_before_writing_or_the_file_loads_back_unchanged(tmp_path_fa
     for layers, back in zip(stacks, stacks2):
         assert [type(l) for l in layers] == [type(l) for l in back]
         for orig, got in zip(net_params(layers), net_params(back)):
-            assert got.tobytes() == orig.astype(np.float32).astype(np.float64).tobytes()
+            assert got.dtype == np.float32
+            assert got.tobytes() == orig.astype(np.float32).tobytes()
     for (obj, name), (obj2, name2) in zip(headers, _header_fields(stacks2, opts2)):
         assert name == name2 and getattr(obj, name) == getattr(obj2, name2)
     for opt, opt2 in zip(opts, opts2):
@@ -335,7 +337,8 @@ def test_save_raises_before_writing_or_the_file_loads_back_unchanged(tmp_path_fa
         if opt is not None:
             assert opt.step_count == opt2.step_count
             for orig, got in zip(opt.first_moment + opt.second_moment, opt2.first_moment + opt2.second_moment):
-                assert got.tobytes() == orig.astype(np.float32).astype(np.float64).tobytes()
+                assert got.dtype == np.float32
+                assert got.tobytes() == orig.astype(np.float32).tobytes()
 
 
 def _all_finite(stacks, opts):
