@@ -7,24 +7,36 @@ call only numpy (its matmul, copies and ufunc loops release the GIL).
 ``taskset`` limits the CPUs; with one CPU the blocks run in the calling thread
 and no pool is created.
 
-Work that calls BLAS shares the CPUs with the BLAS library's own threads, so
-it gets one worker per that many CPUs: with BLAS left at its default of one
-thread per CPU, it runs serially, as the library's threads would otherwise
-compete with the workers for the same cores. The thread count is read as the
-OpenBLAS that numpy ships with reads it; other BLAS libraries are not
-modelled.
+Importing this module runs numpy's bundled OpenBLAS on one thread, so the blocks
+own the CPUs and no bits depend on a BLAS thread count (stderr says if none is found).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
-import re
+import sys
 
-# The thread variables OpenBLAS reads, in its order: the first positive one wins.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+import numpy as np
 
 _pool = None
 _pool_key = None
+
+
+def one_blas_thread(libdir: str) -> None:
+    """Run the OpenBLAS in ``libdir`` on one thread, or say on stderr that there is none."""
+    names = sorted(name for name in os.listdir(libdir) if "openblas" in name) if os.path.isdir(libdir) else []
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libdir, name))  # numpy has loaded it already
+        # the setters of numpy 2's scipy-openblas and of older numpy wheels' OpenBLAS
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+            if hasattr(lib, symbol):
+                getattr(lib, symbol)(1)
+                return
+    print(f"radiogan: no OpenBLAS in {libdir}; n_fft 2048 bits may depend on the BLAS thread count", file=sys.stderr)
+
+
+one_blas_thread(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"))
 
 
 def cpu_count() -> int:
@@ -33,19 +45,6 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def blas_threads(cpus: int) -> int:
-    """Threads OpenBLAS uses: the first positive thread variable, at most ``cpus``.
-
-    Values are read as C's ``atoi`` reads them (leading digits, else 0), as
-    OpenBLAS does; with none positive it uses one thread per CPU.
-    """
-    for var in BLAS_THREAD_VARS:
-        digits = re.match(r"\s*\+?(\d*)", os.environ.get(var, "")).group(1)
-        if digits and int(digits) > 0:
-            return min(int(digits), cpus)
-    return cpus
 
 
 def row_blocks(rows: int, step: int) -> list:
@@ -66,7 +65,7 @@ def _executor(cpus: int):
     return _pool
 
 
-def run_blocks(work, blocks, scratch, blas: bool = False) -> list:
+def run_blocks(work, blocks, scratch) -> list:
     """Return ``work``'s per-block results for ``blocks``, in block order.
 
     ``work(run, buffers)`` takes a contiguous run of blocks and the buffers
@@ -74,16 +73,13 @@ def run_blocks(work, blocks, scratch, blas: bool = False) -> list:
     worker gets one run of whole blocks; the calling thread takes the first
     run and makes every run's buffers, since a worker thread's own large
     allocations would stay resident in its malloc arena. A worker's exception
-    reaches the caller once every run has finished. ``blas=True`` marks work
-    whose time goes mostly to BLAS calls.
+    reaches the caller once every run has finished.
     """
     blocks = list(blocks)
-    if len(blocks) <= 1:  # no CPU or BLAS lookups for work too small to split
-        return list(work(blocks, scratch())) if blocks else []
     cpus = cpu_count()
-    workers = min(cpus // blas_threads(cpus) if blas else cpus, len(blocks))
+    workers = min(cpus, len(blocks))
     if workers <= 1:
-        return list(work(blocks, scratch()))
+        return list(work(blocks, scratch())) if blocks else []
     cuts = [len(blocks) * i // workers for i in range(workers + 1)]
     runs = [(blocks[lo:hi], scratch()) for lo, hi in zip(cuts, cuts[1:])]
     pool = _executor(cpus)

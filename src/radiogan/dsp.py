@@ -91,7 +91,7 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Four-step FFT over the last axis, for a power-of-two length.
 
     Rows go ``fft_block_rows(n)`` at a time through ``_four_step``;
-    ``run_blocks`` spreads the blocks over the CPUs, as BLAS work. Each row
+    ``run_blocks`` spreads the blocks over the CPUs. Each row
     goes through the same operations in the same order whatever the block or
     the worker. ``inverse`` computes ``conj(fft(conj(x))) / n`` instead. The
     output is C-contiguous.
@@ -111,7 +111,7 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
                 dst[rows] = spectra
         return [None] * len(run)
 
-    run_blocks(transform, row_blocks(dst.shape[0], fft_block_rows(n)), lambda: None, blas=True)
+    run_blocks(transform, row_blocks(dst.shape[0], fft_block_rows(n)), lambda: None)
     return out
 
 

@@ -377,9 +377,11 @@ def latent_noise_variance(power: float, snr_db: float) -> float:
     ``sigma^2 = 10 ** ((10*log10(power) - snr_db) / 10)``: at 0 dB the noise
     power equals the signal power; each -10 dB multiplies it by 10.
     """
-    if power <= 0.0:
-        raise ValueError(f"power must be positive, got {power}")
-    return float(10.0 ** ((10.0 * np.log10(power) - snr_db) / 10.0))
+    with np.errstate(all="ignore"):  # a refused power or SNR may overflow on the way
+        sigma2 = float(10.0 ** ((10.0 * np.log10(power) - snr_db) / 10.0))
+    if not (power > 0.0 and np.isfinite(snr_db) and np.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValueError(f"power {power} and snr_db {snr_db} give no finite positive noise variance ({sigma2})")
+    return sigma2
 
 
 def sample_latent(n: int, n_fft: int, sigma2: float, seed) -> np.ndarray:

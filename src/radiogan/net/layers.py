@@ -131,7 +131,7 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, finish=None) -> 
                 finish(block)
         return [None] * len(run)
 
-    run_blocks(work, row_blocks(a.shape[0], step), lambda: None, blas=True)
+    run_blocks(work, row_blocks(a.shape[0], step), lambda: None)
     return out
 
 
@@ -293,7 +293,7 @@ class Conv1DLayer:
             return [None] * len(run)
 
         cols_shape = (blocks[0].stop, *windows.shape[1:])
-        run_blocks(work, blocks, lambda: np.empty(cols_shape, dtype=x.dtype), blas=True)
+        run_blocks(work, blocks, lambda: np.empty(cols_shape, dtype=x.dtype))
         return out, ("conv1d", x, None)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
@@ -336,7 +336,7 @@ class Conv1DLayer:
                     flush_subnormal(grad_x[rows])
             return partials if param_grads else [None] * len(run)
 
-        partials = run_blocks(work, blocks, scratch, blas=True)
+        partials = run_blocks(work, blocks, scratch)
         if not param_grads:
             return grad_x, []
         grad_k = np.zeros((self.n_kernels, self.kernel_len), dtype=x.dtype)

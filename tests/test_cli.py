@@ -3,13 +3,14 @@
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
-from radiogan.gan import CONFIG_PARSERS, TrainConfig
+from radiogan.gan import CONFIG_PARSERS, Net, TrainConfig
 from radiogan.iqcore import load_iq, sidecar_path
 from radiogan.kvfile import read_kv
 from radiogan.manifest import config_digest, read_manifest
@@ -320,6 +321,23 @@ def test_generate_frame_out_of_range_exits_2(trained_run, capsys):
     )
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def _no_generator_pass(*args, **kwargs):
+    raise AssertionError("a generator pass ran")
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_generate_refuses_a_non_finite_snr_before_any_generator_pass(trained_run, monkeypatch, capsys, snr):
+    tmp_path, _, run_dir = trained_run
+    monkeypatch.setattr(Net, "predict", _no_generator_pass)
+    out = tmp_path / "snr.iq"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["generate", "--run-dir", str(run_dir), "--out", str(out), f"--snr={snr}", "--quiet"])
+    assert rc == 2
+    assert not out.exists()
+    assert "finite positive noise variance" in capsys.readouterr().err
 
 
 def test_generate_missing_run_dir_exits_2(tmp_path, capsys):

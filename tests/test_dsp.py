@@ -233,9 +233,7 @@ def test_fft_block_boundaries(monkeypatch, block_rows, n_rows):
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 @pytest.mark.parametrize("n_rows", [1, 2, 4, 7, 17])
 def test_fft_on_any_worker_count_matches_the_whole_batch_loop(monkeypatch, workers, block_rows, n_rows):
-    # fewer blocks than workers, runs of several blocks, ragged last blocks;
-    # one BLAS thread, so BLAS work gets every worker
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # fewer blocks than workers, runs of several blocks, ragged last blocks
     monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
     monkeypatch.setattr(dsp, "FFT_BLOCK_BYTES", block_rows * 16 * 64)
     x = _complex(np.random.default_rng(100 * workers + n_rows), (n_rows, 64))
@@ -250,46 +248,53 @@ def test_fft_default_blocks_with_ragged_tail():
 
 
 _BLAS_THREAD_BYTES = """
-import hashlib, sys
+import ctypes, hashlib, os
 import numpy as np
+import radiogan
 from radiogan.dsp import dft, idft
+from radiogan.net.layers import DenseLayer
+libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+for name in [name for name in sorted(os.listdir(libdir)) if "openblas" in name] if os.path.isdir(libdir) else []:
+    lib = ctypes.CDLL(os.path.join(libdir, name))
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+        if hasattr(lib, symbol):
+            print("threads", getattr(lib, symbol)())  # the count the loaded library runs
 for n in (64, 256, 2048, 8192):
     x = np.random.default_rng(n).standard_normal((37, 2 * n)).view(np.complex128)
     print(n, hashlib.sha256(dft(x).tobytes() + idft(x).tobytes()).hexdigest())
+# the discriminator's first dense layer at n_fft 2048: stacked (32 x 1921) . (1921 x 32) GEMMs
+layer = DenseLayer.create(1921, 32, "relu", 1)
+layer.weights, layer.bias = layer.weights.astype(np.float32), np.full(32, 0.1, np.float32)
+x = np.random.default_rng(2).standard_normal((64, 32, 1921)).astype(np.float32)
+out, cache = layer.forward(x)
+grad_x, grads = layer.backward(cache, np.random.default_rng(3).standard_normal(out.shape))
+print("dense", hashlib.sha256(b"".join(a.tobytes() for a in (out, grad_x, *grads))).hexdigest())
 """
 
 
 def test_fft_bits_do_not_depend_on_the_blas_thread_count():
-    # with 1 thread each CPU runs blocks; with 2 the blocks run serially and
-    # BLAS may split a product over threads. OpenBLAS reads its own variable first.
+    # importing radiogan sets numpy's OpenBLAS to one thread, whatever the
+    # variables say, so the FFT and the stacked dense GEMMs give the same bytes
     src = os.path.dirname(os.path.dirname(dsp.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    digests = [
-        subprocess.run(
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = {
+        threads: subprocess.run(
             [sys.executable, "-c", _BLAS_THREAD_BYTES],
-            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
             capture_output=True,
             text=True,
             check=True,
         ).stdout
-        for threads in ("1", "2")
-    ]
-    assert digests[0].count("\n") == 4
-    assert digests[0] == digests[1]
-
-
-def test_fft_blocks_run_as_blas_work(monkeypatch):
-    # so that BLAS's own threads and the block workers do not share a CPU
-    marks = []
-
-    def recording_run_blocks(work, block_starts, scratch, blas=False):
-        marks.append(blas)
-        return blocks.run_blocks(work, block_starts, scratch, blas)
-
-    monkeypatch.setattr(dsp, "run_blocks", recording_run_blocks)
-    dft(np.ones((3, 64)))
-    idft(np.ones(8))
-    assert marks == [True, True]
+        for threads in ("1", "2", "64", None)
+    }
+    if not outputs["1"].startswith("threads "):
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    for out in outputs.values():
+        assert out.splitlines()[0] == "threads 1"
+    digests = {out.split("\n", 1)[1] for out in outputs.values()}
+    assert len(digests) == 1
+    assert digests.pop().count("\n") == 5
 
 
 def test_fft_of_zero_rows_is_empty():

@@ -2,6 +2,8 @@
 
 from dataclasses import fields
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ def test_latent_variance_recovers_sigma():
 def test_latent_variance_rejects_nonpositive_power():
     with pytest.raises(ValueError):
         latent_noise_variance(0.0, 0.0)
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+def test_latent_variance_rejects_an_snr_without_a_finite_positive_variance(snr_db):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite positive noise variance"):
+            latent_noise_variance(1.0, snr_db)
 
 
 def test_sample_latent_statistics():

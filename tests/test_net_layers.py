@@ -212,7 +212,6 @@ def assert_same_bytes(actual, expected):
 )
 @pytest.mark.parametrize("input_grad, param_grads", [(True, True), (True, False), (False, True), (False, False)])
 def test_conv_on_any_worker_count_matches_the_serial_loop(monkeypatch, workers, batch, n_in, input_grad, param_grads):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one BLAS thread: a worker per CPU
     monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
     layer = Conv1DLayer.create(32, 128, batch + n_in)
     layer.bias = np.random.default_rng(1).standard_normal(32)
@@ -285,7 +284,6 @@ def serial_dense_backward(layer, x, out, grad_out, input_grad, param_grads):
 def test_dense_on_any_worker_count_matches_the_serial_loop(
     monkeypatch, workers, shape, fan_out, activation, input_grad, param_grads
 ):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one BLAS thread: a worker per CPU
     monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
     layer = DenseLayer.create(shape[-1], fan_out, activation, 4, weight_decay_lambda=0.01)
     layer.bias = np.random.default_rng(1).standard_normal(fan_out)
