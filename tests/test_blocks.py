@@ -1,6 +1,8 @@
 """The row-block runner: order, contiguous runs, errors, one CPU, fork, the BLAS setter."""
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -70,6 +72,61 @@ def test_no_openblas_found_keeps_running_and_says_so_once(tmp_path, capsys, miss
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "BLAS thread count" in captured.err
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the environments the old model of OpenBLAS's variables was checked against, and more
+_THREAD_ENVS = [
+    {},
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OPENBLAS_NUM_THREADS": "64"},
+    {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": " 1x"},
+    {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"},
+    {"OMP_NUM_THREADS": "4"},
+    {"MKL_NUM_THREADS": "1"},
+    {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+]
+
+_LOADED_BLAS_THREADS = """
+import ctypes, os
+import numpy as np
+import radiogan
+libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+for name in [name for name in sorted(os.listdir(libdir)) if "openblas" in name] if os.path.isdir(libdir) else []:
+    lib = ctypes.CDLL(os.path.join(libdir, name))
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+        if hasattr(lib, symbol):
+            print(getattr(lib, symbol)())  # the count the loaded library runs
+"""
+
+
+@pytest.mark.parametrize("env", _THREAD_ENVS)
+def test_importing_radiogan_runs_the_loaded_openblas_on_one_thread(env):
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    clean["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(blocks.__file__)), clean.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BLAS_THREADS], env={**clean, **env}, capture_output=True, text=True, check=True
+    )
+    if not done.stdout.strip():
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    assert done.stdout.split() == ["1"]
+    assert "no OpenBLAS" not in done.stderr
+
+
+@pytest.mark.parametrize("env", _THREAD_ENVS[:4])
+def test_blas_thread_variables_do_not_change_the_worker_count(monkeypatch, env):
+    # BLAS runs one thread, so the blocks take every CPU whatever the variables say
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 3)
+    calls = []
+    assert blocks.run_blocks(_recording_work(calls), range(8), _scratch) == [10 * b for b in range(8)]
+    assert len(calls) == 3
 
 
 def test_cpu_count_reads_the_affinity_mask():
