@@ -65,27 +65,28 @@ def _executor(cpus: int):
     return _pool
 
 
-def run_blocks(work, blocks, scratch) -> list:
-    """Return ``work``'s per-block results for ``blocks``, in block order.
+def run_blocks(work, blocks, scratch=lambda: None) -> list:
+    """Return ``[work(rows, buffers) for rows in blocks]``, in block order.
 
-    ``work(run, buffers)`` takes a contiguous run of blocks and the buffers
-    ``scratch()`` made for that run, and returns one result per block. Each
-    worker gets one run of whole blocks; the calling thread takes the first
-    run and makes every run's buffers, since a worker thread's own large
-    allocations would stay resident in its malloc arena. A worker's exception
-    reaches the caller once every run has finished.
+    ``work`` runs once per block, with the buffers ``scratch()`` made for the
+    run of blocks it belongs to. Each worker gets one contiguous run of whole
+    blocks; the calling thread takes the first run and makes every run's
+    buffers, since a worker thread's own large allocations would stay
+    resident in its malloc arena. A worker's exception reaches the caller
+    once every run has finished.
     """
     blocks = list(blocks)
     cpus = cpu_count()
     workers = min(cpus, len(blocks))
-    if workers <= 1:
-        return list(work(blocks, scratch())) if blocks else []
-    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)] if blocks else []
     runs = [(blocks[lo:hi], scratch()) for lo, hi in zip(cuts, cuts[1:])]
-    pool = _executor(cpus)
-    futures = [pool.submit(work, *run) for run in runs[1:]]
+
+    def run(part, buffers):
+        return [work(rows, buffers) for rows in part]
+
+    futures = [_executor(cpus).submit(run, *r) for r in runs[1:]]
     try:
-        results = list(work(*runs[0]))
+        results = run(*runs[0]) if runs else []
     finally:
         for future in futures:
             future.exception()  # waits; the result is read below

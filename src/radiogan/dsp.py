@@ -102,16 +102,14 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     dst = out.reshape(-1, n)
     conjugate_in = inverse and np.iscomplexobj(x)
 
-    def transform(run, _):
-        for rows in run:
-            spectra = _four_step(np.conjugate(src[rows]) if conjugate_in else src[rows])
-            if inverse:
-                np.divide(np.conjugate(spectra, out=spectra), n, out=dst[rows])
-            else:
-                dst[rows] = spectra
-        return [None] * len(run)
+    def transform(rows, _):
+        spectra = _four_step(np.conjugate(src[rows]) if conjugate_in else src[rows])
+        if inverse:
+            np.divide(np.conjugate(spectra, out=spectra), n, out=dst[rows])
+        else:
+            dst[rows] = spectra
 
-    run_blocks(transform, row_blocks(dst.shape[0], fft_block_rows(n)), lambda: None)
+    run_blocks(transform, row_blocks(dst.shape[0], fft_block_rows(n)))
     return out
 
 

@@ -62,17 +62,13 @@ class Net:
         self.layers = list(layers)
         self.n_fft = int(n_fft)
 
-    def forward(self, x, train=False, rng=None):
-        return net_forward(self.layers, x, train=train, rng=rng)
-
     def predict(self, x) -> np.ndarray:
-        return self.forward(x)[0]
+        """The stack's inference-mode output (dropout off)."""
+        return net_forward(self.layers, x)[0]
 
     def params(self):
+        """The arrays the layers hold, not copies: an Adam step updates them in place."""
         return net_params(self.layers)
-
-    def set_params(self, params):
-        set_net_params(self.layers, params)
 
 
 def _float32(layers) -> list:
@@ -439,18 +435,16 @@ def _class_targets(n_real: int, n_fake: int, alpha: float) -> np.ndarray:
     return targets
 
 
-def _supervised_minibatch(discriminator, opt, x, targets, dropout_rng):
-    """One cross-entropy Adam step on the discriminator; returns the new state."""
+def _supervised_minibatch(discriminator, opt, x, targets, dropout_rng) -> None:
+    """One cross-entropy Adam step on the discriminator."""
     probs, caches = net_forward(discriminator.layers, x, train=True, rng=dropout_rng)
     p = _clamp(probs)
     grad = -(targets / p) / x.shape[0]
     _, grads = net_backward(discriminator.layers, caches, grad, input_grad=False)
-    new_params, opt = adam_step(net_params(discriminator.layers), grads, opt)
-    set_net_params(discriminator.layers, new_params)
-    return opt
+    adam_step(discriminator.params(), grads, opt)
 
 
-def _generator_minibatch(generator, discriminator, opt, z, dropout_rng):
+def _generator_minibatch(generator, discriminator, opt, z, dropout_rng) -> None:
     """One non-saturating Adam step on the generator through the frozen discriminator."""
     fake, g_caches = net_forward(generator.layers, z)
     probs, d_caches = net_forward(discriminator.layers, fake, train=True, rng=dropout_rng)
@@ -459,9 +453,7 @@ def _generator_minibatch(generator, discriminator, opt, z, dropout_rng):
     grad_probs[:, REAL] = -0.5 / (z.shape[0] * p_real)
     grad_fake, _ = net_backward(discriminator.layers, d_caches, grad_probs, param_grads=False)
     _, g_grads = net_backward(generator.layers, g_caches, grad_fake, input_grad=False)
-    new_params, opt = adam_step(net_params(generator.layers), g_grads, opt)
-    set_net_params(generator.layers, new_params)
-    return opt
+    adam_step(generator.params(), g_grads, opt)
 
 
 def _epoch_streams(seed: int, *labels: str) -> dict:
@@ -481,17 +473,15 @@ def _draw_epoch(streams: dict, packets: np.ndarray, cfg: TrainConfig):
     return snr_db, latent, real
 
 
-def _discriminator_epoch(discriminator, opt, real, fake, cfg: TrainConfig, batch: int, streams: dict):
+def _discriminator_epoch(discriminator, opt, real, fake, cfg: TrainConfig, batch: int, streams: dict) -> None:
     """Update the discriminator on the shuffled pool of real (targets
-    ``1 - alpha``) and fake (target 0) packets in minibatches of ``batch``;
-    returns the new Adam state."""
+    ``1 - alpha``) and fake (target 0) packets in minibatches of ``batch``."""
     pool = np.concatenate([real, fake], axis=0)
     targets = _class_targets(len(real), len(fake), cfg.label_smoothing_alpha)
     order = streams["shuffle"].permutation(pool.shape[0])
     for start in range(0, order.size, batch):
         sel = order[start : start + batch]
-        opt = _supervised_minibatch(discriminator, opt, pool[sel], targets[sel], streams["dropout"])
-    return opt
+        _supervised_minibatch(discriminator, opt, pool[sel], targets[sel], streams["dropout"])
 
 
 def pretrain_discriminator(discriminator, frame_packets, cfg: TrainConfig, component: str):
@@ -510,10 +500,10 @@ def pretrain_discriminator(discriminator, frame_packets, cfg: TrainConfig, compo
             f"n_examples={cfg.n_examples} exceeds available packets ({packets.shape[0]})"
         )
     streams = _epoch_streams(cfg.seed, "pretrain", component)
-    opt = AdamState.for_params(net_params(discriminator.layers), cfg.eta_d)
+    opt = AdamState.for_params(discriminator.params(), cfg.eta_d)
     for _ in range(cfg.n_epoch_pretrain):
         _, noise, real = _draw_epoch(streams, packets, cfg)
-        opt = _discriminator_epoch(discriminator, opt, real, noise, cfg, cfg.s_minibatch_pretrain, streams)
+        _discriminator_epoch(discriminator, opt, real, noise, cfg, cfg.s_minibatch_pretrain, streams)
     return discriminator
 
 
@@ -553,16 +543,16 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
         tic = time.perf_counter()
         if cfg.lr_decay > 0.0 and cfg.n_epoch > 1:
             scale = 1.0 - cfg.lr_decay * (epoch / (cfg.n_epoch - 1))
-            d_opt = replace(d_opt, learning_rate=cfg.eta_d * scale)
-            g_opt = replace(g_opt, learning_rate=cfg.eta_g * scale)
+            d_opt.learning_rate = cfg.eta_d * scale
+            g_opt.learning_rate = cfg.eta_g * scale
 
         snr_db, z, real = _draw_epoch(streams, packets, cfg)
         fake = net_forward(generator.layers, z)[0]
         try:
-            d_opt = _discriminator_epoch(discriminator, d_opt, real, fake, cfg, cfg.s_batch, streams)
+            _discriminator_epoch(discriminator, d_opt, real, fake, cfg, cfg.s_batch, streams)
             for start in range(0, cfg.n_examples, cfg.s_batch):
                 zb = z[start : start + cfg.s_batch]
-                g_opt = _generator_minibatch(generator, discriminator, g_opt, zb, streams["dropout"])
+                _generator_minibatch(generator, discriminator, g_opt, zb, streams["dropout"])
         except ValueError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}", epoch, log) from exc
 

@@ -1,4 +1,4 @@
-"""Bias-corrected Adam over flat lists of parameter arrays.
+"""Bias-corrected Adam over flat lists of parameter arrays, updated in place.
 
 Moments take the dtype of their parameters (``float_dtype``), and the update
 mixes them only with Python scalars, so a float32 parameter list stays float32.
@@ -6,7 +6,7 @@ mixes them only with Python scalars, so a float32 parameter list stays float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,32 +34,29 @@ class AdamState:
             raise ValueError("step_count must be >= 0")
 
     @classmethod
-    def for_params(cls, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        return cls(
-            first_moment=[np.zeros_like(p, dtype=float_dtype(p)) for p in params],
-            second_moment=[np.zeros_like(p, dtype=float_dtype(p)) for p in params],
-            step_count=0,
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def for_params(cls, params, learning_rate):
+        """Zero moments for ``params`` at step 0, with the default betas and epsilon."""
+        zeros = [np.zeros_like(p, dtype=float_dtype(p)) for p in params]
+        return cls(zeros, [z.copy() for z in zeros], 0, learning_rate)
 
 
-def adam_step(params, grads, state: AdamState):
-    """One Adam update; returns ``(new params, new state)``.
+def adam_step(params, grads, state: AdamState) -> None:
+    """One Adam update of ``params`` and ``state``'s moments, in place.
 
     Moments are bias-corrected with the incremented step count:
-    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``. Every check runs before
+    anything is written, so a refused step leaves the parameters and the
+    state as they were.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
+    sizes = {len(params), len(grads), len(state.first_moment), len(state.second_moment)}
+    if len(sizes) != 1:
         raise ValueError(
             f"size mismatch: {len(params)} params, {len(grads)} grads, "
-            f"{len(state.first_moment)} moment arrays"
+            f"{len(state.first_moment)}/{len(state.second_moment)} moment arrays"
         )
-    for p, g, m in zip(params, grads, state.first_moment):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, moment {m.shape}")
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        if not p.shape == g.shape == m.shape == v.shape:
+            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, moments {m.shape}/{v.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient")
 
@@ -69,22 +66,10 @@ def adam_step(params, grads, state: AdamState):
     lr, eps = float(state.learning_rate), float(state.epsilon)
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g**2
-        m_hat = m / corr1
-        v_hat = v / corr2
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    new_state = AdamState(
-        first_moment=new_m,
-        second_moment=new_v,
-        step_count=t,
-        learning_rate=state.learning_rate,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new_params, new_state
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g**2
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    state.step_count = t

@@ -41,15 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from .adam import AdamState
-from .layers import Conv1DLayer, DenseLayer, DropoutLayer, FlattenLayer, net_params
+from .layers import ACTIVATIONS, Conv1DLayer, DenseLayer, DropoutLayer, FlattenLayer, net_params
 
 CHECKPOINT_MAGIC = b"PSG1"
 FORMAT_VERSION = 1
 
 _F32 = np.dtype("<f4")
 _KIND_DENSE, _KIND_CONV, _KIND_DROPOUT, _KIND_FLATTEN = 1, 2, 3, 4
-_ACT_CODES = {"identity": 0, "tanh": 1, "relu": 2, "softmax": 3}
-_ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 
 class CheckpointError(ValueError):
@@ -66,7 +64,7 @@ def _pack_layer(buf: bytearray, layer) -> None:
         buf += struct.pack(
             "<BBdII",
             _KIND_DENSE,
-            _ACT_CODES[layer.activation],
+            ACTIVATIONS.index(layer.activation),
             layer.weight_decay_lambda,
             layer.fan_out,
             layer.fan_in,
@@ -116,11 +114,11 @@ def _unpack_layer(reader: _Reader):
     (kind,) = reader.unpack("<B")
     if kind == _KIND_DENSE:
         act, decay, fan_out, fan_in = reader.unpack("<BdII")
-        if act not in _ACT_NAMES:
+        if act >= len(ACTIVATIONS):
             raise CheckpointError(f"unknown activation code {act}")
         weights = reader.array((fan_out, fan_in))
         bias = reader.array((fan_out,))
-        return DenseLayer(weights, bias, activation=_ACT_NAMES[act], weight_decay_lambda=decay)
+        return DenseLayer(weights, bias, activation=ACTIVATIONS[act], weight_decay_lambda=decay)
     if kind == _KIND_CONV:
         n_kernels, kernel_len = reader.unpack("<II")
         kernels = reader.array((n_kernels, 1, kernel_len))

@@ -25,6 +25,7 @@ import numpy as np
 from ..blocks import row_blocks, run_blocks
 from ..seeding import as_generator
 
+# A dense layer's activation code in a checkpoint is its index here.
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
 # Size of each per-block temporary of Conv1DLayer (im2col columns, input-
@@ -110,7 +111,7 @@ def _activate_backward(name: str, out: np.ndarray, grad_out: np.ndarray) -> np.n
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, finish=None) -> np.ndarray:
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, finish) -> np.ndarray:
     """``np.matmul(a, b, out=out)`` in row blocks of the leading axis, on the CPU pool.
 
     Each block is as many leading rows as fit in ``BLOCK_BYTES`` and goes
@@ -118,20 +119,12 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, finish=None) -> 
     way for any worker count, so the bits do not depend on it. A 3-D ``a``
     keeps numpy's per-slice GEMMs, so its bits are those of the one-call
     product; a 2-D one's are those of its row-block GEMMs, which BLAS may
-    round differently from one GEMM over every row. ``finish(block)``, if
-    given, then works on each block of ``out`` in place, so the workers
-    allocate nothing large.
+    round differently from one GEMM over every row. ``finish(block)`` then
+    works on each block of ``out`` in place, so the workers allocate nothing
+    large.
     """
     step = max(1, BLOCK_BYTES // (8 * max(math.prod(a.shape[1:]), math.prod(out.shape[1:]), 1)))
-
-    def work(run, _):
-        for rows in run:
-            block = np.matmul(a[rows], b, out=out[rows])
-            if finish is not None:
-                finish(block)
-        return [None] * len(run)
-
-    run_blocks(work, row_blocks(a.shape[0], step), lambda: None)
+    run_blocks(lambda rows, _: finish(np.matmul(a[rows], b, out=out[rows])), row_blocks(a.shape[0], step))
     return out
 
 
@@ -283,14 +276,11 @@ class Conv1DLayer:
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
         blocks = row_blocks(x.shape[0], conv_block_rows(x.shape[1], self.kernel_len))
 
-        def work(run, cols_buffer):
-            for rows in run:
-                block = out[rows]
-                cols = cols_buffer[: rows.stop - rows.start]
-                np.copyto(cols, windows[rows])
-                np.matmul(kern, cols.transpose(0, 2, 1), out=block)
-                block += self.bias[:, None]
-            return [None] * len(run)
+        def work(rows, cols_buffer):
+            cols = cols_buffer[: rows.stop - rows.start]
+            np.copyto(cols, windows[rows])
+            block = np.matmul(kern, cols.transpose(0, 2, 1), out=out[rows])
+            block += self.bias[:, None]
 
         cols_shape = (blocks[0].stop, *windows.shape[1:])
         run_blocks(work, blocks, lambda: np.empty(cols_shape, dtype=x.dtype))
@@ -314,27 +304,23 @@ class Conv1DLayer:
                 np.empty((rows, self.kernel_len, n_in + 1), dtype=x.dtype) if input_grad else None,
             )
 
-        def work(run, buffers):
+        def work(rows, buffers):
             cols_buffer, products_buffer, taps_buffer = buffers
-            partials = []
-            for rows in run:
-                g = grad_out[rows]
-                if param_grads:
-                    cols = cols_buffer[: g.shape[0]]
-                    np.copyto(cols, windows[rows])
-                    products = np.matmul(g, cols, out=products_buffer[: g.shape[0]])
-                    partials.append(products.sum(axis=0))
-                if input_grad:
-                    # taps[b, s, l] = sum_k kern[k, s] * g[b, k, l] lands on input l + s.
-                    # Rows of taps padded to n_in + 1 and re-read n_in at a time put
-                    # tap s, output l at column s + l, so the shift-add is one sum.
-                    taps = taps_buffer[: g.shape[0]]
-                    np.matmul(kern_t, g, out=taps[:, :, :n_out])
-                    taps[:, :, n_out:] = 0.0
-                    flat = taps.reshape(g.shape[0], -1)[:, : self.kernel_len * n_in]
-                    np.sum(flat.reshape(g.shape[0], self.kernel_len, n_in), axis=1, out=grad_x[rows])
-                    flush_subnormal(grad_x[rows])
-            return partials if param_grads else [None] * len(run)
+            g = grad_out[rows]
+            if input_grad:
+                # taps[b, s, l] = sum_k kern[k, s] * g[b, k, l] lands on input l + s.
+                # Rows of taps padded to n_in + 1 and re-read n_in at a time put
+                # tap s, output l at column s + l, so the shift-add is one sum.
+                taps = taps_buffer[: g.shape[0]]
+                np.matmul(kern_t, g, out=taps[:, :, :n_out])
+                taps[:, :, n_out:] = 0.0
+                flat = taps.reshape(g.shape[0], -1)[:, : self.kernel_len * n_in]
+                np.sum(flat.reshape(g.shape[0], self.kernel_len, n_in), axis=1, out=grad_x[rows])
+                flush_subnormal(grad_x[rows])
+            if param_grads:
+                cols = cols_buffer[: g.shape[0]]
+                np.copyto(cols, windows[rows])
+                return np.matmul(g, cols, out=products_buffer[: g.shape[0]]).sum(axis=0)
 
         partials = run_blocks(work, blocks, scratch)
         if not param_grads:
@@ -356,26 +342,19 @@ class DropoutLayer:
     def params(self):
         return []
 
-    def set_params(self, params):
-        if params:
-            raise ValueError("dropout has no parameters")
-
-    def apply(self, x, train, rng=None):
-        """Return ``(output, mask)``; the mask is boolean keep/drop per unit.
-
-        The output keeps the dtype of a float32 or float64 input."""
+    def forward(self, x, train=False, rng=None):
+        """Return ``(output, cache)``. In training mode each unit is kept with
+        probability ``1 - rate`` (one draw of ``rng`` per unit) and scaled by
+        ``1 / (1 - rate)``; otherwise ``x`` passes through. The output keeps
+        the dtype of a float32 or float64 input."""
         x = np.asarray(x, dtype=float_dtype(x))
         if not train or self.rate == 0.0:
-            return x, np.ones(x.shape, dtype=bool)
+            return x, ("dropout", None, x.dtype)
         if rng is None:
             raise ValueError("training-mode dropout requires an rng")
         mask = rng.random(x.shape) >= self.rate
-        return x * mask / (1.0 - self.rate), mask
-
-    def forward(self, x, train=False, rng=None):
-        out, mask = self.apply(x, train, rng)
-        multiplier = None if (not train or self.rate == 0.0) else (mask / (1.0 - self.rate)).astype(out.dtype)
-        return out, ("dropout", multiplier, out.dtype)
+        multiplier = (mask / (1.0 - self.rate)).astype(x.dtype)
+        return x * mask / (1.0 - self.rate), ("dropout", multiplier, x.dtype)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, multiplier, dtype = cache
@@ -390,10 +369,6 @@ class FlattenLayer:
 
     def params(self):
         return []
-
-    def set_params(self, params):
-        if params:
-            raise ValueError("flatten has no parameters")
 
     def forward(self, x):
         x = np.asarray(x, dtype=float_dtype(x))
@@ -449,12 +424,14 @@ def net_params(layers):
 
 
 def set_net_params(layers, params):
-    """Assign a flat parameter list (as produced by ``net_params``) back."""
+    """Assign a flat parameter list (as produced by ``net_params``) back,
+    skipping the layers that hold no parameters."""
     params = list(params)
     pos = 0
     for layer in layers:
         count = len(layer.params())
-        layer.set_params(params[pos : pos + count])
+        if count:
+            layer.set_params(params[pos : pos + count])
         pos += count
     if pos != len(params):
         raise ValueError(f"expected {pos} parameter arrays, got {len(params)}")

@@ -59,6 +59,8 @@ class SyntheticScenario:
             raise ValueError(f"modulation must be one of {MODULATIONS}, got {self.modulation!r}")
         if not 0.0 < self.symbol_rate_frac <= 0.5:
             raise ValueError(f"symbol_rate_frac must lie in (0, 0.5], got {self.symbol_rate_frac}")
+        if not self.snr_db > -np.inf:
+            raise ValueError(f"snr_db must be finite or inf (noiseless), got {self.snr_db}")
 
     def sidecar_extras(self) -> dict:
         """Ground-truth parameters recorded in the sidecar for later audit."""

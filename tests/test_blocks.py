@@ -15,36 +15,58 @@ from radiogan.net.layers import Conv1DLayer
 
 
 def _recording_work(calls):
-    def work(run, buffers):
-        assert buffers == ("made by", threading.main_thread().ident)
-        calls.append((list(run), threading.get_ident()))
-        return [block * 10 for block in run]
+    """Work that records ``(block, run buffers, thread)`` and returns ``10 * block``."""
+
+    def work(block, buffers):
+        assert buffers[0] == "made by" and buffers[1] == threading.main_thread().ident
+        calls.append((block, buffers[2], threading.get_ident()))
+        return block * 10
 
     return work
 
 
 def _scratch():
-    return ("made by", threading.get_ident())
+    _scratch.made += 1
+    return ("made by", threading.get_ident(), _scratch.made)
+
+
+_scratch.made = 0
+
+
+def _runs(calls):
+    """The blocks each set of run buffers saw, in the order they were worked."""
+    runs = {}
+    for block, run, _ in calls:
+        runs.setdefault(run, []).append(block)
+    return sorted(runs.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_blocks", [1, 2, 4, 7, 11])
 def test_results_come_back_in_block_order_from_contiguous_runs(monkeypatch, workers, n_blocks):
     monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
-    calls, made = [], []
-
-    def scratch():
-        made.append(threading.get_ident())
-        return _scratch()
-
-    assert blocks.run_blocks(_recording_work(calls), range(n_blocks), scratch) == [10 * b for b in range(n_blocks)]
-    runs = sorted(run for run, _ in calls)
-    assert len(runs) == min(workers, n_blocks)
-    assert made == [threading.get_ident()] * len(runs)  # one set of buffers a run, all made by the caller
-    assert [b for run in runs for b in run] == list(range(n_blocks))  # whole, contiguous, disjoint
+    calls = []
+    made = _scratch.made
+    assert blocks.run_blocks(_recording_work(calls), range(n_blocks), _scratch) == [10 * b for b in range(n_blocks)]
+    assert sorted(block for block, _, _ in calls) == list(range(n_blocks))  # each block once
+    runs = _runs(calls)
+    assert len(runs) == min(workers, n_blocks) == _scratch.made - made  # one set of buffers a run
+    for run in runs:  # whole, contiguous, in order
+        assert run == list(range(run[0], run[0] + len(run)))
+    assert [b for run in runs for b in run] == list(range(n_blocks))
     assert max(map(len, runs)) - min(map(len, runs)) <= 1
-    first = next(thread for run, thread in calls if 0 in run)
-    assert first == threading.get_ident()  # the caller runs the first run itself
+    for run in runs:  # a run stays on one thread; the caller runs the first itself
+        threads = {thread for block, _, thread in calls if block in run}
+        assert len(threads) == 1
+        if 0 in run:
+            assert threads == {threading.get_ident()}
+
+
+def test_work_gets_none_without_a_scratch(monkeypatch):
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 2)
+    seen = []
+    assert blocks.run_blocks(lambda block, buffers: seen.append(buffers) or block, range(4)) == [0, 1, 2, 3]
+    assert seen == [None] * 4
 
 
 def test_one_cpu_runs_serially_and_creates_no_pool(monkeypatch):
@@ -53,15 +75,19 @@ def test_one_cpu_runs_serially_and_creates_no_pool(monkeypatch):
     monkeypatch.setattr(blocks, "_pool_key", None)
     calls = []
     assert blocks.run_blocks(_recording_work(calls), range(6), _scratch) == [0, 10, 20, 30, 40, 50]
-    assert calls == [(list(range(6)), threading.get_ident())]
+    assert [block for block, _, _ in calls] == list(range(6))
+    assert {thread for _, _, thread in calls} == {threading.get_ident()}
+    assert len(_runs(calls)) == 1
     assert blocks._pool is None
 
 
 def test_no_blocks_runs_nothing(monkeypatch):
     monkeypatch.setattr(blocks, "cpu_count", lambda: 3)
     calls = []
+    made = _scratch.made
     assert blocks.run_blocks(_recording_work(calls), [], _scratch) == []
     assert calls == []
+    assert _scratch.made == made
 
 
 @pytest.mark.parametrize("missing", [False, True])
@@ -126,7 +152,7 @@ def test_blas_thread_variables_do_not_change_the_worker_count(monkeypatch, env):
     monkeypatch.setattr(blocks, "cpu_count", lambda: 3)
     calls = []
     assert blocks.run_blocks(_recording_work(calls), range(8), _scratch) == [10 * b for b in range(8)]
-    assert len(calls) == 3
+    assert len(_runs(calls)) == 3
 
 
 def test_cpu_count_reads_the_affinity_mask():
@@ -136,32 +162,35 @@ def test_cpu_count_reads_the_affinity_mask():
 
 
 @pytest.mark.parametrize("failing_block", [0, 5, 9])
-def test_a_worker_exception_reaches_the_caller(monkeypatch, failing_block):
+def test_a_worker_exception_reaches_the_caller_after_every_run_ends(monkeypatch, failing_block):
+    # 10 blocks on 3 workers run as [0, 3), [3, 6) and [6, 10)
     monkeypatch.setattr(blocks, "cpu_count", lambda: 3)
     finished = []
 
-    def work(run, buffers):
-        if failing_block in run:
-            raise ArithmeticError(f"block {failing_block}")
+    def work(block, buffers):
+        if block == failing_block:
+            raise ArithmeticError(f"block {block}")
         time.sleep(0.05)
-        finished.append(run[0])
-        return list(run)
+        finished.append(block)
+        return block
 
     with pytest.raises(ArithmeticError, match=f"block {failing_block}"):
         blocks.run_blocks(work, range(10), lambda: None)
-    # every other run had finished before the error was raised
-    assert len(finished) == 2
+    # the failing run stopped at its failing block; every other run had finished
+    run_end = next(end for end in (3, 6, 10) if failing_block < end)
+    assert sorted(finished) == [b for b in range(10) if not failing_block <= b < run_end]
 
 
-def test_the_first_failing_run_in_block_order_wins(monkeypatch):
+@pytest.mark.parametrize("failing", [{3, 4, 6, 7}, {5, 6}, {1, 8}, {7, 8}])
+def test_the_first_failing_block_in_block_order_wins(monkeypatch, failing):
     monkeypatch.setattr(blocks, "cpu_count", lambda: 3)
 
-    def work(run, buffers):
-        if run[0] > 0:
-            raise LookupError(f"run from {run[0]}")
-        return list(run)
+    def work(block, buffers):
+        if block in failing:
+            raise LookupError(f"block {block}")
+        return block
 
-    with pytest.raises(LookupError, match="run from 3"):
+    with pytest.raises(LookupError, match=f"block {min(failing)}"):
         blocks.run_blocks(work, range(9), lambda: None)
 
 

@@ -56,6 +56,18 @@ def test_layer_structure_survives(tmp_path):
     assert loaded[2].rate == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("activation,code", [("identity", 0), ("tanh", 1), ("relu", 2), ("softmax", 3)])
+def test_dense_activation_byte_is_the_documented_code(tmp_path, activation, code):
+    # magic 4, version u16, n_stacks u32, n_layers u32, then the dense kind byte at 14
+    path = tmp_path / "m.psg"
+    save_stacks(path, [[DenseLayer.create(3, 2, activation, 0)]], [None], "")
+    data = path.read_bytes()
+    assert data[14] == 1  # dense
+    assert data[15] == code
+    (loaded,), _, _ = load_stacks(path)
+    assert loaded[0].activation == activation
+
+
 def test_optimizer_state_survives(tmp_path):
     stack = _stack(2)
     opt = AdamState.for_params(net_params(stack), learning_rate=0.011)

@@ -111,6 +111,18 @@ def test_protogen_invalid_band_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr,rc", [("inf", 0), ("-inf", 2), ("nan", 2)])
+def test_protogen_refuses_a_non_finite_snr_other_than_inf(tmp_path, capsys, snr, rc):
+    out = tmp_path / "x.iq"
+    args = ["protogen", "--preset", "qpsk-burst", "--seed", "7", "--samples", "8192", f"--snr={snr}"]
+    assert main(args + ["--out", str(out), "--quiet"]) == rc
+    if rc:
+        assert "snr_db" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+    else:
+        assert out.exists()
+
+
 def test_version_flag():
     assert main(["--version"]) == 0
 

@@ -86,9 +86,8 @@ def test_adam_keeps_the_parameter_dtype(dtype):
     # numpy float64 scalars as hyperparameters must not upcast either
     state.learning_rate, state.beta1 = np.float64(0.1), np.float64(0.9)
     grads = [np.array([[0.25, -1.0]], dtype=dtype), np.array([2.0], dtype=dtype)]
-    new_params, new_state = adam_step(params, grads, state)
-    for arrays in (state.first_moment, state.second_moment, new_params, new_state.first_moment,
-                   new_state.second_moment):
+    adam_step(params, grads, state)
+    for arrays in (params, state.first_moment, state.second_moment):
         assert all(a.dtype == dtype for a in arrays)
 
 
@@ -112,8 +111,8 @@ def test_both_training_steps_keep_the_parameter_dtype(dtype):
     d_opt = AdamState.for_params(d.params(), 1e-3)
     g_opt = AdamState.for_params(g.params(), 1e-3)
     x = substream(33, "x").standard_normal((8, 256))  # float64 packets, as the DSP gives them
-    d_opt = _supervised_minibatch(d, d_opt, x, _class_targets(4, 4, 0.2), substream(34, "drop"))
-    g_opt = _generator_minibatch(g, d, g_opt, x, substream(35, "drop"))
+    _supervised_minibatch(d, d_opt, x, _class_targets(4, 4, 0.2), substream(34, "drop"))
+    _generator_minibatch(g, d, g_opt, x, substream(35, "drop"))
     for net, opt in ((d, d_opt), (g, g_opt)):
         assert opt.step_count == 1
         for arrays in (net.params(), opt.first_moment, opt.second_moment):

@@ -28,7 +28,7 @@ from radiogan.gan import (
 )
 from radiogan.kvfile import parse_kv
 from radiogan.net.adam import AdamState, adam_step
-from radiogan.net.layers import net_backward, net_forward, net_params, set_net_params
+from radiogan.net.layers import net_backward, net_forward, net_params
 from radiogan.seeding import substream
 
 
@@ -194,9 +194,7 @@ def _reference_supervised_step(discriminator, opt, x, targets, dropout_rng):
     probs, caches = net_forward(discriminator.layers, x, train=True, rng=dropout_rng)
     grad = -(targets / _clamp(probs)) / x.shape[0]
     _, grads = net_backward(discriminator.layers, caches, grad)
-    new_params, opt = adam_step(net_params(discriminator.layers), grads, opt)
-    set_net_params(discriminator.layers, new_params)
-    return opt
+    adam_step(net_params(discriminator.layers), grads, opt)
 
 
 def _reference_generator_step(generator, discriminator, opt, z, dropout_rng):
@@ -206,9 +204,7 @@ def _reference_generator_step(generator, discriminator, opt, z, dropout_rng):
     grad_probs[:, REAL] = -0.5 / (z.shape[0] * _clamp(probs[:, REAL]))
     grad_fake, _ = net_backward(discriminator.layers, d_caches, grad_probs)
     _, g_grads = net_backward(generator.layers, g_caches, grad_fake)
-    new_params, opt = adam_step(net_params(generator.layers), g_grads, opt)
-    set_net_params(generator.layers, new_params)
-    return opt
+    adam_step(net_params(generator.layers), g_grads, opt)
 
 
 def _assert_bit_identical(params_a, opt_a, params_b, opt_b):
@@ -224,11 +220,11 @@ def _assert_bit_identical(params_a, opt_a, params_b, opt_b):
 
 def test_supervised_step_matches_full_backward_reference():
     fast, ref = build_discriminator(256, 11), build_discriminator(256, 11)
-    opt = AdamState.for_params(fast.params(), 1e-3)
+    opt_fast, opt_ref = AdamState.for_params(fast.params(), 1e-3), AdamState.for_params(ref.params(), 1e-3)
     x = substream(12, "x").standard_normal((8, 256))
     targets = _class_targets(4, 4, 0.2)
-    opt_fast = _supervised_minibatch(fast, opt, x, targets, substream(13, "drop"))
-    opt_ref = _reference_supervised_step(ref, opt, x, targets, substream(13, "drop"))
+    assert _supervised_minibatch(fast, opt_fast, x, targets, substream(13, "drop")) is None
+    _reference_supervised_step(ref, opt_ref, x, targets, substream(13, "drop"))
     _assert_bit_identical(fast.params(), opt_fast, ref.params(), opt_ref)
     assert not np.array_equal(fast.params()[0], build_discriminator(256, 11).params()[0])
 
@@ -237,12 +233,28 @@ def test_generator_step_matches_full_backward_reference_and_freezes_discriminato
     g_fast, g_ref = build_generator(256, 21), build_generator(256, 21)
     d_fast, d_ref = build_discriminator(256, 22), build_discriminator(256, 22)
     d_before = [p.copy() for p in d_fast.params()]
-    opt = AdamState.for_params(g_fast.params(), 1e-3)
+    opt_fast, opt_ref = AdamState.for_params(g_fast.params(), 1e-3), AdamState.for_params(g_ref.params(), 1e-3)
     z = substream(23, "z").standard_normal((8, 256))
-    opt_fast = _generator_minibatch(g_fast, d_fast, opt, z, substream(24, "drop"))
-    opt_ref = _reference_generator_step(g_ref, d_ref, opt, z, substream(24, "drop"))
+    assert _generator_minibatch(g_fast, d_fast, opt_fast, z, substream(24, "drop")) is None
+    _reference_generator_step(g_ref, d_ref, opt_ref, z, substream(24, "drop"))
     _assert_bit_identical(g_fast.params(), opt_fast, g_ref.params(), opt_ref)
     assert all(np.array_equal(a, b) for a, b in zip(d_fast.params(), d_before))
+
+
+def test_steps_update_the_arrays_the_nets_hold():
+    g, d = build_generator(256, 31, width=16), build_discriminator(256, 32, n_kernels=4, kernel_len=16, width=8)
+    g_opt, d_opt = AdamState.for_params(g.params(), 1e-3), AdamState.for_params(d.params(), 1e-3)
+    held = [(net, net.params(), [p.copy() for p in net.params()]) for net in (g, d)]
+    moments = [list(opt.first_moment) + list(opt.second_moment) for opt in (g_opt, d_opt)]
+    x = substream(33, "x").standard_normal((8, 256))
+    _supervised_minibatch(d, d_opt, x, _class_targets(4, 4, 0.2), substream(34, "drop"))
+    _generator_minibatch(g, d, g_opt, x, substream(35, "drop"))
+    for net, arrays, values in held:
+        assert all(a is b for a, b in zip(net.params(), arrays))  # no copy was set back
+        assert all(not np.array_equal(a, v) for a, v in zip(arrays, values) if a.ndim > 1)
+    for opt, arrays in zip((g_opt, d_opt), moments):
+        assert opt.step_count == 1
+        assert all(a is b for a, b in zip(opt.first_moment + opt.second_moment, arrays))
 
 
 def test_config_defaults_match_published_table():

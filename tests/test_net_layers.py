@@ -373,17 +373,17 @@ def test_net_backward_skips_match_full_call():
 def test_dropout_rate_zero_and_inference_are_identity():
     layer = DropoutLayer(rate=0.0)
     x = np.random.default_rng(0).standard_normal((4, 8))
-    out, _ = layer.apply(x, train=True, rng=np.random.default_rng(1))
+    out, _ = layer.forward(x, train=True, rng=np.random.default_rng(1))
     assert np.array_equal(out, x)
     layer = DropoutLayer(rate=0.7)
-    out, _ = layer.apply(x, train=False)
+    out, _ = layer.forward(x, train=False)
     assert np.array_equal(out, x)
 
 
 def test_dropout_mask_statistics_and_scaling():
     layer = DropoutLayer(rate=0.25)
     x = np.ones((200, 200))
-    out, _ = layer.apply(x, train=True, rng=np.random.default_rng(42))
+    out, _ = layer.forward(x, train=True, rng=np.random.default_rng(42))
     kept = out != 0.0
     assert kept.mean() == pytest.approx(0.75, abs=0.01)
     # inverted dropout: survivors are scaled so the expectation is preserved
@@ -394,11 +394,11 @@ def test_dropout_mask_statistics_and_scaling():
 def test_dropout_determinism_and_missing_rng():
     layer = DropoutLayer(rate=0.5)
     x = np.ones((8, 8))
-    a, _ = layer.apply(x, train=True, rng=substream(9, "drop"))
-    b, _ = layer.apply(x, train=True, rng=substream(9, "drop"))
+    a, _ = layer.forward(x, train=True, rng=substream(9, "drop"))
+    b, _ = layer.forward(x, train=True, rng=substream(9, "drop"))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        layer.apply(x, train=True)
+        layer.forward(x, train=True)
 
 
 def test_flatten_round_trip_gradient():
@@ -472,7 +472,8 @@ def test_stale_cache_rejected():
 
 
 def test_set_net_params_round_trip_and_length_check():
-    layers = [DenseLayer.create(4, 3, "relu", 0), DenseLayer.create(3, 2, "softmax", 1)]
+    # layers without parameters are skipped
+    layers = [DenseLayer.create(4, 3, "relu", 0), DropoutLayer(0.5), FlattenLayer(), DenseLayer.create(3, 2, "softmax", 1)]
     flat = net_params(layers)
     assert len(flat) == 4
     doubled = [p * 2.0 for p in flat]
