@@ -9,6 +9,7 @@ and no pool is created.
 
 Importing this module runs numpy's bundled OpenBLAS on one thread, so the blocks
 own the CPUs and no bits depend on a BLAS thread count (stderr says if none is found).
+The training loops call ``keep_heap_mapped`` when they start.
 """
 
 from __future__ import annotations
@@ -37,6 +38,27 @@ def one_blas_thread(libdir: str) -> None:
 
 
 one_blas_thread(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"))
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def keep_heap_mapped() -> None:
+    """Keep the memory one training step frees mapped for the next step (glibc only).
+
+    Sets glibc's mmap threshold to 16 MiB and its trim threshold to 64 MiB, so
+    freed arrays stay in the heap instead of going back to the kernel and
+    faulting in again on the next step. Not called at import: one-shot
+    generation and validation gain nothing from holding freed memory. A silent
+    no-op where libc has no ``mallopt`` or refuses a value; no result depends
+    on it.
+    """
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallopt"):
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def cpu_count() -> int:

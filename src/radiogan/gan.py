@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .blocks import keep_heap_mapped
 from .kvfile import format_kv, parse_kv
 from .net.adam import AdamState, adam_step
 from .net.checkpoint import CheckpointError, load_stacks, save_stacks
@@ -197,7 +198,7 @@ class TrainConfig:
         if self.early_stop_band is not None:
             self.early_stop_band = (float(self.early_stop_band[0]), float(self.early_stop_band[1]))
             if not 0.0 <= self.early_stop_band[0] < self.early_stop_band[1] <= 1.0:
-                raise ValueError(f"early_stop_band must be an ordered sub-range of [0,1]")
+                raise ValueError("early_stop_band must be an ordered sub-range of [0,1]")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -499,6 +500,7 @@ def pretrain_discriminator(discriminator, frame_packets, cfg: TrainConfig, compo
         raise ValueError(
             f"n_examples={cfg.n_examples} exceeds available packets ({packets.shape[0]})"
         )
+    keep_heap_mapped()
     streams = _epoch_streams(cfg.seed, "pretrain", component)
     opt = AdamState.for_params(discriminator.params(), cfg.eta_d)
     for _ in range(cfg.n_epoch_pretrain):
@@ -533,6 +535,7 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
         )
 
     packets = tensor.component_packets(frame, component)  # raises for a component not I or Q
+    keep_heap_mapped()
     streams = _epoch_streams(cfg.seed, "train", component)
 
     g_opt = AdamState.for_params(generator.params(), cfg.eta_g)

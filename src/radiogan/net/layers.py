@@ -354,7 +354,7 @@ class DropoutLayer:
             raise ValueError("training-mode dropout requires an rng")
         mask = rng.random(x.shape) >= self.rate
         multiplier = (mask / (1.0 - self.rate)).astype(x.dtype)
-        return x * mask / (1.0 - self.rate), ("dropout", multiplier, x.dtype)
+        return x * multiplier, ("dropout", multiplier, x.dtype)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
         tag, multiplier, dtype = cache

@@ -1,11 +1,14 @@
-"""The row-block runner: order, contiguous runs, errors, one CPU, fork, the BLAS setter."""
+"""The row-block runner: order, contiguous runs, errors, one CPU, fork, the BLAS setter, the heap policy."""
 
+import importlib.util
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -98,6 +101,41 @@ def test_no_openblas_found_keeps_running_and_says_so_once(tmp_path, capsys, miss
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "BLAS thread count" in captured.err
+
+
+@pytest.mark.parametrize("has_mallopt", [False, True], ids=["no mallopt", "mallopt refuses"])
+def test_keep_heap_mapped_is_a_silent_no_op_without_a_working_mallopt(monkeypatch, capsys, has_mallopt):
+    calls = []
+
+    def refusing_mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    libc = types.SimpleNamespace(**({"mallopt": refusing_mallopt} if has_mallopt else {}))
+    monkeypatch.setattr(blocks.ctypes, "CDLL", lambda name: libc)
+    blocks.keep_heap_mapped()
+    assert capsys.readouterr() == ("", "")
+    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    assert calls == ([(-3, 16 << 20), (-1, 64 << 20)] if has_mallopt else [])
+
+
+def test_keep_heap_mapped_twice_draws_no_random_number_and_calls_no_traced_name(monkeypatch, capsys):
+    # the benchmark's tracer, which wraps every name its per-layer counts come from
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    np_state, py_state = np.random.get_state(), random.getstate()
+    with tracer.recording("heap"):
+        blocks.keep_heap_mapped()
+        blocks.keep_heap_mapped()
+    assert tracer.spans == []
+    assert random.getstate() == py_state
+    after = np.random.get_state()
+    assert after[0] == np_state[0] and np.array_equal(after[1], np_state[1]) and after[2:] == np_state[2:]
+    assert capsys.readouterr() == ("", "")
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

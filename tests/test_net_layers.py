@@ -391,6 +391,17 @@ def test_dropout_mask_statistics_and_scaling():
     assert out.mean() == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.3, 0.5, 0.9])
+def test_dropout_forward_and_backward_apply_the_same_factor(dtype, rate):
+    layer = DropoutLayer(rate=rate)
+    x = np.random.default_rng(3).standard_normal(65536).astype(dtype)
+    out, cache = layer.forward(x, train=True, rng=np.random.default_rng(4))
+    factor, _ = layer.backward(cache, np.ones_like(x))
+    assert out.dtype == factor.dtype == dtype
+    assert np.array_equal(out, x * factor)
+
+
 def test_dropout_determinism_and_missing_rng():
     layer = DropoutLayer(rate=0.5)
     x = np.ones((8, 8))

@@ -1,10 +1,16 @@
 """Training loop behaviour: determinism, the SNR schedule, pretraining, stopping."""
 
+import ctypes
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiogan import gan
 from radiogan.gan import (
     GanModel,
     TrainConfig,
@@ -191,6 +197,52 @@ def test_pretrain_moves_weights_and_separates():
     after = separation(d)
     assert after > before
     assert after > 0.5
+
+
+def test_both_training_loops_keep_the_heap_mapped_and_no_bit_depends_on_it(monkeypatch):
+    def run():
+        tensor, stats = _tensor()
+        g, d = _models(seed=3)
+        pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(seed=3), "I")
+        return train(g, d, tensor, stats, "I", 0, _cfg(seed=3))
+
+    model_a, log_a = run()
+    calls = []
+    monkeypatch.setattr(gan, "keep_heap_mapped", lambda: calls.append(None))
+    model_b, log_b = run()
+    assert len(calls) == 2  # once as each loop starts, not per step
+    assert (log_a.d_loss, log_a.g_loss, log_a.d_accuracy) == (log_b.d_loss, log_b.g_loss, log_b.d_accuracy)
+    for pa, pb in zip(model_a.generator.params() + model_a.discriminator.params(),
+                      model_b.generator.params() + model_b.discriminator.params()):
+        assert np.array_equal(pa, pb)
+
+
+# A desk-shape train after a warm-up one, in a fresh interpreter; prints the
+# minor page faults of the second train.
+_TRAIN_FAULTS = """
+import resource, sys
+from radiogan.cli import main
+tmp = sys.argv[1]
+assert main(["protogen", "--preset", "qpsk-burst", "--seed", "7", "--out", tmp + "/proto.iq"]) == 0
+args = ["train", "--proto", tmp + "/proto.iq", "--nfft", "256", "--frames", "2", "--examples", "64", "--quiet"]
+assert main(args + ["--out-dir", tmp + "/warm", "--epochs", "2"]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(args + ["--out-dir", tmp + "/run", "--epochs", "5"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_training_steps_reuse_the_heap_instead_of_faulting_it_back_in(tmp_path):
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(gan.__file__)), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _TRAIN_FAULTS, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    faults = int(done.stdout.split()[-1])
+    # about 2,600 per rail-epoch when glibc trims the heap after every step
+    assert faults < 100 * 5 * 2, f"{faults} minor page faults over 5 epochs x 2 rails"
 
 
 def test_pretrain_rejects_insufficient_packets():
