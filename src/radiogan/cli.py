@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,8 @@ from .gan import (
     save_gan,
     train,
 )
-from .iqcore import COMPONENTS, FrameStats, frame_tensor, load_iq, normalize_frames, save_iq
+from .iqcore import (COMPONENTS, FrameStats, capture_meta, frame_tensor, load_iq, normalize_frames, save_iq,
+                     sidecar_path)
 from .kvfile import parse_kv, read_kv, write_kv
 from .manifest import write_manifest
 from .protogen import MODULATIONS, SyntheticScenario, synth_prototype
@@ -184,21 +185,16 @@ def _write_rail(out_dir: Path, model: GanModel, log: TrainingLog) -> None:
 
 def _write_run_files(out_dir: Path, command: str, rec, tensor, stats, frame: int,
                      cfg: TrainConfig, extra: dict) -> None:
-    """Write ``run.meta`` and ``train.manifest``; ``extra`` joins the manifest's config."""
+    """Write ``run.meta`` (what the checkpoints do not hold) and ``train.manifest``;
+    ``extra`` joins the manifest's config."""
     meta = {
-        "n_fft": tensor.packet_len,
         "n_frames": tensor.n_frames,
         "n_packets": tensor.n_packets,
-        "frame": frame,
-        "snr_low": repr(cfg.snr_range_db[0]),
-        "snr_high": repr(cfg.snr_range_db[1]),
-        "seed": cfg.seed,
         "sample_rate_hz": repr(rec.sample_rate_hz),
         "center_freq_hz": repr(rec.center_freq_hz),
         "rx_gain_db": repr(rec.rx_gain_db),
+        **{f"frame_power_{i}": repr(float(power)) for i, power in enumerate(stats.per_frame_power)},
     }
-    for i, power in enumerate(stats.per_frame_power):
-        meta[f"frame_power_{i}"] = repr(float(power))
     write_kv(out_dir / "run.meta", meta)
     resolved = parse_kv(config_to_text(cfg))
     resolved.update({"n_fft": tensor.packet_len, "frame": frame, **extra})
@@ -264,45 +260,81 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_run(run_dir: Path):
-    meta = read_kv(run_dir / "run.meta")
-    model_i = load_gan(run_dir / "model_i.psg")
-    model_q = load_gan(run_dir / "model_q.psg")
-    n_fft = int(meta["n_fft"])
-    if model_i.n_fft != n_fft or model_q.n_fft != n_fft:
-        raise ValueError(
-            f"checkpoint/nfft mismatch: run metadata says {n_fft}, models are "
-            f"{model_i.n_fft}/{model_q.n_fft}"
-        )
-    powers = [float(meta[f"frame_power_{i}"]) for i in range(int(meta["n_frames"]))]
-    stats = FrameStats(np.asarray(powers))
-    return meta, model_i, model_q, stats
+@dataclass(frozen=True)
+class Run:
+    """A trained run directory, parsed and cross-checked by ``_load_run``."""
+
+    model_i: GanModel
+    model_q: GanModel
+    logs: tuple  # the rails' TrainingLogs, I then Q
+    n_fft: int
+    frame: int  # the frame both rails trained on
+    snr_mid_db: float  # the middle of the training SNR range
+    n_packets: int  # prototype packets per frame
+    stats: FrameStats  # per-frame powers; stats.n_frames is the frame count
+    capture: dict  # the prototype's sample_rate_hz, center_freq_hz, rx_gain_db
+
+
+def _load_run(run_dir: Path) -> Run:
+    """Read a run directory: the one reader of its checkpoints, logs and ``run.meta``.
+
+    ``n_fft``, the training frame and the SNR range come from the checkpoints;
+    the keys an older ``run.meta`` repeated them under are ignored. Raises
+    ``ValueError`` for swapped or disagreeing rails, a corrupt log, a training
+    frame outside the run's frames, a missing or unparsable key in
+    ``run.meta``, or a stray frame power.
+    """
+    model_i, model_q = (load_gan(run_dir / f"model_{rail.lower()}.psg") for rail in COMPONENTS)
+    logs = tuple(TrainingLog.from_csv(run_dir / f"train_log_{rail.lower()}.csv") for rail in COMPONENTS)
+    for model, rail in zip((model_i, model_q), COMPONENTS):
+        if model.component != rail:
+            raise ValueError(f"{run_dir / f'model_{rail.lower()}.psg'} holds the {model.component} rail")
+    if (model_i.n_fft, model_i.frame, model_i.config) != (model_q.n_fft, model_q.frame, model_q.config):
+        raise ValueError(f"{run_dir}: the I and Q checkpoints disagree on n_fft, frame or config")
+    meta_path = run_dir / "run.meta"
+    meta = read_kv(meta_path)
+    try:
+        n_frames, n_packets = int(meta["n_frames"]), int(meta["n_packets"])
+        if n_frames < 1 or n_packets < 1:
+            raise ValueError(f"n_frames={n_frames} and n_packets={n_packets} must be >= 1")
+        if not 0 <= model_i.frame < n_frames:
+            raise ValueError(f"training frame {model_i.frame} out of range [0, {n_frames})")
+        power_keys = [f"frame_power_{k}" for k in range(n_frames)]
+        stray = sorted(key for key in meta if key.startswith("frame_power_") and key not in power_keys)
+        if stray:
+            raise ValueError(f"{stray} name frames beyond n_frames={n_frames}")
+        stats = FrameStats(np.asarray([float(meta[key]) for key in power_keys]))
+        snr_low, snr_high = model_i.config.snr_range_db
+        snr_mid_db = 0.5 * (snr_low + snr_high)
+        return Run(model_i, model_q, logs, model_i.n_fft, model_i.frame, snr_mid_db, n_packets, stats,
+                   capture_meta(meta))
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
     run_dir = Path(args.run_dir)
-    meta, model_i, model_q, stats = _load_run(run_dir)
-    n_fft = int(meta["n_fft"])
-    n_gen = args.ngen if args.ngen is not None else int(meta["n_packets"]) * GEN_PACKETS_PER_PROTOTYPE_PACKET
-    snr_db = args.snr if args.snr is not None else 0.5 * (float(meta["snr_low"]) + float(meta["snr_high"]))
-    frame = resolve_frame(args.frame, args.seed, stats.n_frames)  # the meta and manifest record the index
+    run = _load_run(run_dir)
+    n_gen = args.ngen if args.ngen is not None else run.n_packets * GEN_PACKETS_PER_PROTOTYPE_PACKET
+    snr_db = args.snr if args.snr is not None else run.snr_mid_db
+    frame = resolve_frame(args.frame, args.seed, run.stats.n_frames)  # the meta and manifest record the index
     cfg = SynthesisConfig(
         n_gen=n_gen,
         snr_db=snr_db,
         rc_length=args.rc_length,
         rolloff=args.rolloff,
         seed=args.seed,
-        sample_rate_hz=float(meta["sample_rate_hz"]),
-        center_freq_hz=float(meta["center_freq_hz"]),
-        rx_gain_db=float(meta["rx_gain_db"]),
+        **run.capture,
     )
-    rec = synthesize(model_i.generator, model_q.generator, cfg, stats, frame)
+    rec = synthesize(run.model_i.generator, run.model_q.generator, cfg, run.stats, frame)
     out = Path(args.out)
     save_iq(
         rec,
         out,
         extra_meta={
-            "n_fft": n_fft,
+            "n_fft": run.n_fft,
             "n_gen": n_gen,
             "gen_snr_db": repr(snr_db),
             "rc_length": args.rc_length,
@@ -345,21 +377,22 @@ def cmd_validate(args) -> int:
     if args.generated and args.ngen is not None:
         raise ValueError("--ngen sets the in-process packet count; it does not apply with --generated")
     run_dir = Path(args.run_dir)
-    meta, model_i, model_q, stats = _load_run(run_dir)
-    n_fft = int(meta["n_fft"])
+    run = _load_run(run_dir)
     rec = load_iq(args.proto)
-    tensor = frame_tensor(rec, n_fft, int(meta["n_frames"]))
+    tensor = frame_tensor(rec, run.n_fft, run.stats.n_frames)
+    if tensor.n_packets != run.n_packets:
+        raise ValueError(
+            f"{args.proto} frames into {tensor.n_packets} packets per frame; the run trained on {run.n_packets}"
+        )
     tensor, fresh_stats = normalize_frames(tensor)
-    logs = [
-        TrainingLog.from_csv(run_dir / "train_log_i.csv"),
-        TrainingLog.from_csv(run_dir / "train_log_q.csv"),
-    ]
     generated = load_iq(args.generated) if args.generated else None
-    frame = args.frame if args.frame is not None else int(meta["frame"])
+    frame = args.frame
+    if frame is None:  # the frame a generated file's power came from, else the training frame
+        recorded = read_kv(sidecar_path(args.generated)).get("frame") if args.generated else None
+        frame = run.frame if recorded is None else int(recorded)
     n_gen = tensor.n_packets if args.ngen is None else args.ngen
-    snr_db = 0.5 * (float(meta["snr_low"]) + float(meta["snr_high"]))
-    cfg = ValidationConfig(frame=frame, n_gen=n_gen, snr_db=snr_db, seed=args.seed)
-    report = validate((model_i.generator, model_q.generator), tensor, fresh_stats, logs, cfg, generated)
+    cfg = ValidationConfig(frame=frame, n_gen=n_gen, snr_db=run.snr_mid_db, seed=args.seed)
+    report = validate((run.model_i.generator, run.model_q.generator), tensor, fresh_stats, run.logs, cfg, generated)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -372,7 +405,7 @@ def cmd_validate(args) -> int:
         "frame": frame,
         "generated": args.generated or "",
         "n_gen": "" if args.generated else n_gen,
-        "snr_db": repr(snr_db),
+        "snr_db": repr(run.snr_mid_db),
         "coverage": repr(DEFAULT_COVERAGE),
         "band_ratio_min": repr(report.band_ratio_min),
         "accuracy_band": f"{report.accuracy_band[0]}:{report.accuracy_band[1]}",
@@ -465,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--generated", default=None, help="generated I/Q payload (default: generate in-process)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--frame", type=int, default=None, help="frame to score (default: training frame)")
+    p.add_argument("--frame", type=int, default=None,
+                   help="frame to score (default: the --generated file's frame, else the training frame)")
     p.add_argument("--ngen", type=int, default=None, help="packets for in-process generation (not with --generated)")
     _add_common(p)
     p.set_defaults(func=cmd_validate)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .blocks import keep_heap_mapped
+from .iqcore import COMPONENTS
 from .kvfile import format_kv, parse_kv
 from .net.adam import AdamState, adam_step
 from .net.checkpoint import CheckpointError, load_stacks, save_stacks
@@ -271,6 +272,10 @@ class TrainingLog:
     def append(self, d_loss, g_loss, d_accuracy, snr_db, wall_ms) -> None:
         if not 0.0 <= d_accuracy <= 1.0:
             raise ValueError(f"accuracy must lie in [0,1], got {d_accuracy}")
+        if not np.all(np.isfinite([d_loss, g_loss, snr_db])):
+            raise ValueError(f"losses and SNR must be finite, got {d_loss}, {g_loss}, {snr_db}")
+        if wall_ms < 0:
+            raise ValueError(f"wall_ms must be >= 0, got {wall_ms}")
         self.d_loss.append(float(d_loss))
         self.g_loss.append(float(g_loss))
         self.d_accuracy.append(float(d_accuracy))
@@ -316,7 +321,10 @@ class TrainingLog:
     def from_csv(cls, path) -> "TrainingLog":
         from pathlib import Path
 
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_csv_text(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -330,6 +338,12 @@ class GanModel:
     config: TrainConfig
     component: str = "I"
     frame: int = 0
+
+    def __post_init__(self) -> None:
+        if self.component not in COMPONENTS:
+            raise ValueError(f"component {self.component!r} is not one of {COMPONENTS}")
+        if self.frame < 0:
+            raise ValueError(f"training frame must be >= 0, got {self.frame}")
 
     @property
     def n_fft(self) -> int:
@@ -357,15 +371,18 @@ def load_gan(path) -> GanModel:
         raise CheckpointError(f"{path}: expected generator+discriminator, found {len(stacks)} stacks")
     try:
         pairs = parse_kv(text)
-        component = pairs.pop("component", "I")
-        frame = int(pairs.pop("frame", "0"))
+        component = pairs.pop("component")
+        frame = int(pairs.pop("frame"))
         n_fft = int(pairs.pop("n_fft"))
         cfg = config_from_pairs(pairs)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad embedded config ({exc!s})") from exc
     check_generator(stacks[0], n_fft)
     check_discriminator(stacks[1])
-    return GanModel(Net(stacks[0], n_fft), Net(stacks[1], n_fft), opts[0], opts[1], cfg, component, frame)
+    try:
+        return GanModel(Net(stacks[0], n_fft), Net(stacks[1], n_fft), opts[0], opts[1], cfg, component, frame)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def latent_noise_variance(power: float, snr_db: float) -> float:

@@ -27,6 +27,26 @@ class IQFormatError(ValueError):
     """Raised for malformed I/Q payloads or sidecar metadata."""
 
 
+def capture_meta(pairs: dict) -> dict[str, float]:
+    """The ``REQUIRED_META`` values of ``pairs`` as floats.
+
+    Raises ``ValueError`` for a missing, unparsable or non-finite value, a
+    sample rate that is not positive, or a negative center frequency.
+    """
+    missing = [key for key in REQUIRED_META if key not in pairs]
+    if missing:
+        raise ValueError(f"missing metadata keys {missing}")
+    values = {key: float(pairs[key]) for key in REQUIRED_META}
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if values["sample_rate_hz"] <= 0.0:
+        raise ValueError(f"sample_rate_hz must be positive, got {values['sample_rate_hz']}")
+    if values["center_freq_hz"] < 0.0:
+        raise ValueError(f"center_freq_hz must be non-negative, got {values['center_freq_hz']}")
+    return values
+
+
 @dataclass
 class IQRecording:
     """A contiguous complex baseband capture plus its physical metadata."""
@@ -40,15 +60,8 @@ class IQRecording:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        for name in REQUIRED_META:
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name, value in capture_meta({name: getattr(self, name) for name in REQUIRED_META}).items():
             setattr(self, name, value)
-        if self.sample_rate_hz <= 0.0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.center_freq_hz < 0.0:
-            raise ValueError(f"center_freq_hz must be non-negative, got {self.center_freq_hz}")
 
     @property
     def n_samples(self) -> int:
@@ -88,14 +101,10 @@ def load_iq(path: str | Path) -> IQRecording:
         meta = read_kv(meta_path)
     except ValueError as exc:  # not UTF-8, or a line that is not key=value
         raise IQFormatError(f"{meta_path}: unreadable metadata ({exc})") from exc
-    missing = [key for key in REQUIRED_META if key not in meta]
-    if missing:
-        raise IQFormatError(f"{meta_path}: missing metadata keys {missing}")
     try:
-        fields = {key: float(meta[key]) for key in REQUIRED_META}
-        return IQRecording(samples=samples, **fields)
+        return IQRecording(samples=samples, **capture_meta(meta))
     except ValueError as exc:
-        raise IQFormatError(f"{meta_path}: malformed metadata value ({exc})") from exc
+        raise IQFormatError(f"{meta_path}: malformed metadata ({exc})") from exc
 
 
 def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) -> None:
@@ -186,8 +195,8 @@ class FrameStats:
         self.per_frame_power = np.asarray(self.per_frame_power, dtype=np.float64)
         if self.per_frame_power.ndim != 1 or self.per_frame_power.size == 0:
             raise ValueError("per_frame_power must be a non-empty 1-D array")
-        if not np.all(self.per_frame_power > 0.0):
-            raise ValueError("frame powers must be positive")
+        if not np.all(np.isfinite(self.per_frame_power) & (self.per_frame_power > 0.0)):
+            raise ValueError(f"frame powers must be finite and positive, got {self.per_frame_power}")
 
     @property
     def n_frames(self) -> int:

@@ -4,15 +4,15 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
-from radiogan.gan import CONFIG_PARSERS, Net, TrainConfig
+from radiogan.gan import CONFIG_PARSERS, Net, TrainConfig, build_discriminator, build_generator, load_gan, save_gan
 from radiogan.iqcore import load_iq, sidecar_path
-from radiogan.kvfile import read_kv
+from radiogan.kvfile import read_kv, write_kv
 from radiogan.manifest import config_digest, read_manifest
 from radiogan.net.checkpoint import load_stacks, save_stacks
 from radiogan.net.layers import DropoutLayer, FlattenLayer
@@ -23,6 +23,9 @@ from test_checkpoint import write_with_field
 # desk-scale packet length: wide enough for the conv kernel and the
 # default 129-tap reconstruction filter
 NFFT = 256
+
+# Keys an older run.meta repeated from the checkpoints; no longer written or read.
+RETIRED_RUN_META = ("n_fft", "frame", "snr_low", "snr_high", "seed")
 
 
 def _protogen(tmp_path, name="proto.iq", extra=()):
@@ -141,10 +144,12 @@ def test_train_smoke_writes_run_dir(tmp_path):
     ):
         assert (run_dir / name).exists(), name
     meta = read_kv(run_dir / "run.meta")
-    assert meta["n_fft"] == str(NFFT)
     assert meta["n_frames"] == "2"
     assert meta["n_packets"] == "16"
-    assert meta["seed"] == "1"
+    assert not set(RETIRED_RUN_META) & set(meta)  # the checkpoints hold these
+    model = load_gan(run_dir / "model_i.psg")
+    assert model.n_fft == NFFT
+    assert model.config.seed == 1
     log_text = (run_dir / "train_log_i.csv").read_text()
     assert log_text.startswith("epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms")
     assert len(log_text.strip().split("\n")) == 3  # header + 2 epochs
@@ -165,8 +170,8 @@ def test_train_config_file_and_flag_precedence(tmp_path):
     cfg_file.write_text("n_epoch=5\neta_g=0.002\nseed=7\n")
     rc, run_dir = _train_with_config(tmp_path, proto, cfg_file)
     assert rc == 0
-    meta = read_kv(run_dir / "run.meta")
-    assert meta["seed"] == "7"  # file seed survives (no --seed flag)
+    assert load_gan(run_dir / "model_i.psg").config.seed == 7  # file seed survives (no --seed flag)
+    assert not set(RETIRED_RUN_META) & set(read_kv(run_dir / "run.meta"))
     log_text = (run_dir / "train_log_i.csv").read_text()
     assert len(log_text.strip().split("\n")) == 1 + 2  # --epochs 2 beat n_epoch=5
 
@@ -360,20 +365,50 @@ def test_generate_missing_run_dir_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _rewrite_rail_i(edit):
+    """A run-directory corruption: model_i.psg rewritten by ``edit(g, d, text) -> (stacks, text)``."""
+    def corrupt(run_dir):
+        (g, d), _, text = load_stacks(run_dir / "model_i.psg")
+        stacks, text = edit(g, d, text)
+        save_stacks(run_dir / "model_i.psg", stacks, [None, None], text)
+    return corrupt
+
+
+def _swap_rail_files(run_dir):
+    i_path, q_path = run_dir / "model_i.psg", run_dir / "model_q.psg"
+    i_bytes = i_path.read_bytes()
+    i_path.write_bytes(q_path.read_bytes())
+    q_path.write_bytes(i_bytes)
+
+
+def _drop_line(text, key):
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(f"{key}="))
+
+
+def _set_line(text, key, value):
+    return _drop_line(text, key) + f"{key}={value}\n"
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "corrupt",
     [
-        lambda g, d: [d, g],
-        lambda g, d: [g + [FlattenLayer()], d],
-        lambda g, d: [g, d + [DropoutLayer(0.5)]],
+        _rewrite_rail_i(lambda g, d, t: ([d, g], t)),
+        _rewrite_rail_i(lambda g, d, t: ([g + [FlattenLayer()], d], t)),
+        _rewrite_rail_i(lambda g, d, t: ([g, d + [DropoutLayer(0.5)]], t)),
+        _rewrite_rail_i(lambda g, d, t: ([g, d], _drop_line(t, "component"))),
+        _rewrite_rail_i(lambda g, d, t: ([g, d], _drop_line(t, "frame"))),
+        _rewrite_rail_i(lambda g, d, t: ([g, d], _set_line(t, "component", "X"))),
+        _rewrite_rail_i(lambda g, d, t: ([g, d], _set_line(t, "frame", "-1"))),
+        _swap_rail_files,
     ],
-    ids=["stacks_swapped", "generator_ends_non_dense", "discriminator_ends_in_dropout"],
+    ids=["stacks_swapped", "generator_ends_non_dense", "discriminator_ends_in_dropout",
+         "component_missing", "frame_missing", "component_not_a_rail", "frame_negative",
+         "rail_files_swapped"],
 )
-def test_generate_on_misbuilt_checkpoint_exits_2(trained_run, tmp_path, capsys, mutate):
+def test_generate_on_misbuilt_checkpoint_exits_2(trained_run, tmp_path, capsys, corrupt):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run[2], run_dir)
-    (g, d), _, text = load_stacks(run_dir / "model_i.psg")
-    save_stacks(run_dir / "model_i.psg", mutate(g, d), [None, None], text)
+    corrupt(run_dir)
     rc = main(["generate", "--run-dir", str(run_dir), "--out", str(tmp_path / "x.iq"), "--quiet"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -533,6 +568,191 @@ def test_validate_untrained_run_fails_cleanly(tmp_path, capsys):
     assert report.mean_d_accuracy == 0.0
     assert report.criteria["accuracy_in_band"] is False
     capsys.readouterr()
+
+
+# Every fact of a run directory corrupted in turn. Each case says whether
+# generate and validate must both refuse it (exit 2, an "error:" line,
+# nothing written) or both write the clean run's outputs byte for byte.
+_OUTPUTS = ("gen.iq", "gen.iq.meta", "val/report.txt", "val/histogram.csv", "val/spectrum_prototype.csv",
+            "val/spectrum_generated.csv", "val/spectrum_noise.csv")
+
+# Bad values of each key train writes into run.meta.
+_RUN_META_BAD = {
+    "n_frames": ("x", "2.0", "0", "-1", "1", "3"),
+    "n_packets": ("x", "0", "-16"),
+    "sample_rate_hz": ("x", "nan", "inf", "0.0", "-1.0"),
+    "center_freq_hz": ("x", "nan", "-inf", "-1.0"),
+    "rx_gain_db": ("x", "nan", "inf"),
+    "frame_power_0": ("x", "nan", "inf", "0.0", "-1.0"),
+    "frame_power_1": ("x", "nan", "inf", "0.0", "-1.0"),
+}
+
+
+def _edit_meta(**changes):
+    """A corruption of run.meta: each key set to its value, or deleted for None."""
+    def corrupt(run_dir):
+        pairs = read_kv(run_dir / "run.meta")
+        for key, value in changes.items():
+            pairs.pop(key)  # the key is there to corrupt
+            if value is not None:
+                pairs[key] = value
+        write_kv(run_dir / "run.meta", pairs)
+    return corrupt
+
+
+def _add_meta(**pairs):
+    """A corruption of run.meta: the pairs appended to it."""
+    def corrupt(run_dir):
+        text = (run_dir / "run.meta").read_text() + "".join(f"{k}={v}\n" for k, v in pairs.items())
+        (run_dir / "run.meta").write_text(text)
+    return corrupt
+
+
+def _edit_rails(edit, rails=("q",)):
+    """A corruption of the rails' checkpoints: each loaded, passed through ``edit`` and saved."""
+    def corrupt(run_dir):
+        for rail in rails:
+            path = run_dir / f"model_{rail}.psg"
+            save_gan(path, edit(load_gan(path)))
+    return corrupt
+
+
+def _other_n_fft(model):
+    nets = dict(generator=build_generator(NFFT // 2, 0), discriminator=build_discriminator(NFFT // 2, 1))
+    return replace(model, **nets, generator_opt=None, discriminator_opt=None)
+
+
+def _edit_log(edit):
+    """A corruption of train_log_i.csv: its first row's cells passed through ``edit``."""
+    def corrupt(run_dir):
+        path = run_dir / "train_log_i.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(edit(lines[1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
+def _set_cell(column, value):
+    return _edit_log(lambda cells: cells[:column] + [value] + cells[column + 1:])
+
+
+_CORRUPTIONS = (
+    [(f"meta_{key}_deleted", _edit_meta(**{key: None}), True) for key in _RUN_META_BAD]
+    + [(f"meta_{key}={value}", _edit_meta(**{key: value}), True)
+       for key, values in _RUN_META_BAD.items() for value in values]
+    + [
+        ("meta_stray_frame_power_2", _add_meta(frame_power_2="1.0"), True),
+        # an older run.meta's copies of checkpoint facts are ignored, whatever they say
+        ("meta_retired_snr_low_frame_seed", _add_meta(snr_low="10.0", frame="1", seed="99"), False),
+        ("meta_retired_n_fft_snr_high", _add_meta(n_fft="512", snr_high="12.0"), False),
+        ("rail_files_swapped", _swap_rail_files, True),
+        ("rail_q_component_i", _edit_rails(lambda m: replace(m, component="I")), True),
+        ("rail_i_component_q", _edit_rails(lambda m: replace(m, component="Q"), rails=("i",)), True),
+        ("rail_q_frame_1", _edit_rails(lambda m: replace(m, frame=1)), True),
+        ("rails_frame_2", _edit_rails(lambda m: replace(m, frame=2), rails=("i", "q")), True),
+        ("rail_q_config_seed", _edit_rails(lambda m: replace(m, config=replace(m.config, seed=99))), True),
+        ("rail_q_config_snr", _edit_rails(lambda m: replace(m, config=replace(m.config, snr_range_db=(10.0, 12.0)))),
+         True),
+        ("rail_q_n_fft", _edit_rails(_other_n_fft), True),
+        ("log_row_short", _edit_log(lambda cells: cells[:-1]), True),
+        ("log_row_long", _edit_log(lambda cells: cells + ["1"]), True),
+    ]
+    + [(f"log_{name}={value}", _set_cell(column, value), True)
+       for column, name, values in (
+           (0, "epoch", ("1", "x")),
+           (1, "d_loss", ("nan", "inf", "x")),
+           (2, "g_loss", ("-inf", "nan", "x")),
+           (3, "d_accuracy", ("1.5", "-0.1", "nan", "x")),
+           (4, "snr_db", ("nan", "inf", "x")),
+           (5, "wall_ms", ("-1", "1.5", "x")),
+       )
+       for value in values]
+)
+
+
+def _generate_and_validate(run_dir, proto, out_dir):
+    """generate's and validate's exit codes on a run directory, outputs under ``out_dir``."""
+    rc_gen = main(["generate", "--run-dir", str(run_dir), "--out", str(out_dir / "gen.iq"),
+                   "--seed", "3", "--quiet"])
+    rc_val = main(["validate", "--proto", str(proto), "--run-dir", str(run_dir),
+                   "--out-dir", str(out_dir / "val"), "--seed", "2", "--quiet"])
+    return rc_gen, rc_val
+
+
+@pytest.fixture(scope="module")
+def clean_outputs(trained_run):
+    tmp_path, proto, run_dir = trained_run
+    out_dir = tmp_path / "clean_outputs"
+    out_dir.mkdir()
+    rc_gen, rc_val = _generate_and_validate(run_dir, proto, out_dir)
+    assert rc_gen == 0 and rc_val in (0, 1)
+    return out_dir
+
+
+def test_the_corruption_cases_cover_every_run_meta_key(trained_run):
+    assert set(read_kv(trained_run[2] / "run.meta")) == set(_RUN_META_BAD)
+
+
+@pytest.mark.parametrize("corrupt,refused", [case[1:] for case in _CORRUPTIONS],
+                         ids=[case[0] for case in _CORRUPTIONS])
+def test_a_corrupt_run_dir_is_refused_or_changes_nothing(trained_run, clean_outputs, tmp_path, capsys,
+                                                         corrupt, refused):
+    _, proto, clean_run = trained_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(clean_run, run_dir)
+    corrupt(run_dir)
+    capsys.readouterr()
+    codes = _generate_and_validate(run_dir, proto, tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    if refused:
+        assert codes == (2, 2)
+        assert len(err) == 2 and all(line.startswith("error:") for line in err), err
+        assert not any((tmp_path / name).exists() for name in _OUTPUTS)
+    else:
+        assert codes[0] == 0 and codes[1] in (0, 1) and not err, err
+        for name in _OUTPUTS:
+            assert (tmp_path / name).read_bytes() == (clean_outputs / name).read_bytes(), name
+
+
+def test_validate_refuses_a_prototype_framed_unlike_the_run(trained_run, tmp_path, capsys):
+    _, _, run_dir = trained_run
+    short = _protogen(tmp_path, "short.iq", extra=("--samples", "4096"))  # 8 packets per frame, not 16
+    out_dir = tmp_path / "val"
+    rc = main(["validate", "--proto", str(short), "--run-dir", str(run_dir), "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 2
+    assert "8 packets per frame" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_validate_scores_the_frame_a_generated_file_records(trained_run):
+    tmp_path, proto, run_dir = trained_run
+    gen = tmp_path / "gen_frame_1.iq"
+    assert main(["generate", "--run-dir", str(run_dir), "--ngen", "16", "--frame", "1", "--rc-length", "1",
+                 "--out", str(gen), "--quiet"]) == 0
+    base = ["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen), "--quiet"]
+    recorded, explicit = tmp_path / "val_recorded_frame", tmp_path / "val_explicit_frame"
+    assert main(base + ["--out-dir", str(recorded)]) in (0, 1)
+    assert main(base + ["--frame", "1", "--out-dir", str(explicit)]) in (0, 1)
+    expected = {
+        "run_dir": str(run_dir),
+        "frame": 1,
+        "generated": str(gen),
+        "n_gen": "",
+        "snr_db": "-27.0",
+        "coverage": "0.9",
+        "band_ratio_min": "2.0",
+        "accuracy_band": "0.3:0.8",
+    }
+    assert read_manifest(recorded / "validate.manifest").config_digest == config_digest(expected)
+    assert (recorded / "report.txt").read_bytes() == (explicit / "report.txt").read_bytes()
+
+    # without the sidecar's frame key, the training frame (0) is scored
+    write_kv(sidecar_path(gen), {k: v for k, v in read_kv(sidecar_path(gen)).items() if k != "frame"})
+    unrecorded, frame_0 = tmp_path / "val_unrecorded_frame", tmp_path / "val_frame_0"
+    assert main(base + ["--out-dir", str(unrecorded)]) in (0, 1)
+    assert main(base + ["--frame", "0", "--out-dir", str(frame_0)]) in (0, 1)
+    assert (unrecorded / "report.txt").read_bytes() == (frame_0 / "report.txt").read_bytes()
+    assert (unrecorded / "report.txt").read_bytes() != (recorded / "report.txt").read_bytes()
 
 
 def test_inspect_prints_summary(trained_run, capsys):

@@ -14,6 +14,7 @@ from radiogan import gan
 from radiogan.gan import (
     GanModel,
     TrainConfig,
+    TrainingLog,
     build_discriminator,
     build_generator,
     load_gan,
@@ -252,6 +253,35 @@ def test_pretrain_rejects_insufficient_packets():
         pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(n_examples=64), "I")
     with pytest.raises(ValueError):
         pretrain_discriminator(d, np.empty((0, N_FFT)), _cfg(), "I")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (NAN, 0.5, 0.5, -27.0, 1),
+        (INF, 0.5, 0.5, -27.0, 1),
+        (0.5, -INF, 0.5, -27.0, 1),
+        (0.5, NAN, 0.5, -27.0, 1),
+        (0.5, 0.5, NAN, -27.0, 1),
+        (0.5, 0.5, 0.5, NAN, 1),
+        (0.5, 0.5, 0.5, INF, 1),
+        (0.5, 0.5, 0.5, -27.0, -1),
+    ],
+    ids=["nan_d_loss", "inf_d_loss", "inf_g_loss", "nan_g_loss", "nan_accuracy", "nan_snr", "inf_snr",
+         "negative_wall_ms"],
+)
+def test_training_log_refuses_non_finite_values_and_negative_wall_time(row):
+    log = TrainingLog()
+    with pytest.raises(ValueError):
+        log.append(*row)
+    assert len(log) == 0
+    d_loss, g_loss, accuracy, snr_db, wall_ms = row
+    text = f"{TrainingLog.CSV_HEADER}\n0,{d_loss!r},{g_loss!r},{accuracy!r},{snr_db!r},{wall_ms}\n"
+    with pytest.raises(ValueError):
+        TrainingLog.from_csv_text(text)
 
 
 def test_trained_model_round_trips_through_checkpoint(tmp_path):
