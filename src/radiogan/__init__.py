@@ -40,10 +40,9 @@ from .gan import (
     train,
 )
 from .protogen import SyntheticScenario, synth_prototype
-from .synthesis import SynthesisConfig, assemble_iq, generate_packets, synthesize
+from .synthesis import assemble_iq, generate_packets, synthesize
 from .validation import (
     SpectralMatrix,
-    ValidationConfig,
     ValidationReport,
     empirical_pdf,
     ks_distance,

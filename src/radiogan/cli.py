@@ -32,8 +32,8 @@ from .gan import (
     save_gan,
     train,
 )
-from .iqcore import (COMPONENTS, FrameStats, capture_meta, frame_tensor, load_iq, normalize_frames, save_iq,
-                     sidecar_path)
+from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, IQRecording, capture_meta, frame_tensor, load_iq,
+                     normalize_frames, save_iq, sidecar_path)
 from .kvfile import parse_kv, read_kv, write_kv
 from .manifest import write_manifest
 from .protogen import MODULATIONS, SyntheticScenario, synth_prototype
@@ -42,11 +42,10 @@ from .synthesis import (
     DEFAULT_RC_LENGTH,
     DEFAULT_ROLLOFF,
     GEN_PACKETS_PER_PROTOTYPE_PACKET,
-    SynthesisConfig,
     resolve_frame,
     synthesize,
 )
-from .validation import DEFAULT_COVERAGE, ValidationConfig, validate
+from .validation import DEFAULT_COVERAGE, validate
 
 PRESETS = {
     # Band center deliberately off fs/4: a quarter-rate carrier hits only
@@ -107,6 +106,19 @@ CONFIG_FLAGS = (
     ("--seed", "seed", "run seed (default 0)"),
 )
 
+# (flag, SyntheticScenario field, argparse keywords) of each protogen flag
+# that overrides a preset's field.
+SCENARIO_FLAGS = (
+    ("--samples", "n_samples", dict(type=int)),
+    ("--band", "occupied_band", dict(type=parse_range, metavar="LO:HI",
+                                     help="occupied band as fractions of fs (use --band=LO:HI)")),
+    ("--duty", "burst_duty_cycle", dict(type=float, help="burst duty cycle in (0,1]")),
+    ("--symbol-rate", "symbol_rate_frac", dict(type=float, help="symbols per sample")),
+    ("--modulation", "modulation", dict(choices=MODULATIONS)),
+    ("--snr", "snr_db", dict(type=float, help="capture SNR in dB (inf = noiseless)")),
+    ("--cfo", "cfo_frac", dict(type=float, help="carrier offset as fraction of fs")),
+)
+
 
 def _say(args, message: str) -> None:
     if not getattr(args, "quiet", False):
@@ -117,22 +129,15 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_suffix(".manifest")
 
 
+def _flag_overrides(args, table) -> dict:
+    """By field name, the values given to the flags of ``table``, rows of (flag, field name, ...)."""
+    # flag[2:] with "_" for "-" is argparse's dest for the flag; None is a flag not given
+    values = ((field_name, getattr(args, flag[2:].replace("-", "_"))) for flag, field_name, _ in table)
+    return {field_name: value for field_name, value in values if value is not None}
+
+
 def cmd_protogen(args) -> int:
-    params = dict(PRESETS[args.preset])
-    if args.samples is not None:
-        params["n_samples"] = args.samples
-    if args.band is not None:
-        params["occupied_band"] = args.band
-    if args.duty is not None:
-        params["burst_duty_cycle"] = args.duty
-    if args.symbol_rate is not None:
-        params["symbol_rate_frac"] = args.symbol_rate
-    if args.modulation is not None:
-        params["modulation"] = args.modulation
-    if args.snr is not None:
-        params["snr_db"] = args.snr
-    if args.cfo is not None:
-        params["cfo_frac"] = args.cfo
+    params = {**PRESETS[args.preset], **_flag_overrides(args, SCENARIO_FLAGS)}
     scenario = SyntheticScenario(seed=args.seed, **params)
     rec = synth_prototype(scenario)
     out = Path(args.out)
@@ -146,11 +151,7 @@ def cmd_protogen(args) -> int:
 def _resolve_train_config(args, n_fft: int) -> TrainConfig:
     file_pairs = parse_kv(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     cfg = config_from_pairs(file_pairs, base=TrainConfig())
-    overrides = {}
-    for flag, field_name, _ in CONFIG_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest for the flag
-        if value is not None:
-            overrides[field_name] = value
+    overrides = _flag_overrides(args, CONFIG_FLAGS)
     if args.batch is None and "s_batch" not in file_pairs:
         # Desk-scale default keeping the batch-size invariant at small n_fft.
         overrides["s_batch"] = min(300, max(33, n_fft // 2))
@@ -190,9 +191,7 @@ def _write_run_files(out_dir: Path, command: str, rec, tensor, stats, frame: int
     meta = {
         "n_frames": tensor.n_frames,
         "n_packets": tensor.n_packets,
-        "sample_rate_hz": repr(rec.sample_rate_hz),
-        "center_freq_hz": repr(rec.center_freq_hz),
-        "rx_gain_db": repr(rec.rx_gain_db),
+        **{key: repr(getattr(rec, key)) for key in REQUIRED_META},
         **{f"frame_power_{i}": repr(float(power)) for i, power in enumerate(stats.per_frame_power)},
     }
     write_kv(out_dir / "run.meta", meta)
@@ -320,37 +319,16 @@ def cmd_generate(args) -> int:
     n_gen = args.ngen if args.ngen is not None else run.n_packets * GEN_PACKETS_PER_PROTOTYPE_PACKET
     snr_db = args.snr if args.snr is not None else run.snr_mid_db
     frame = resolve_frame(args.frame, args.seed, run.stats.n_frames)  # the meta and manifest record the index
-    cfg = SynthesisConfig(
-        n_gen=n_gen,
-        snr_db=snr_db,
-        rc_length=args.rc_length,
-        rolloff=args.rolloff,
-        seed=args.seed,
-        **run.capture,
-    )
-    rec = synthesize(run.model_i.generator, run.model_q.generator, cfg, run.stats, frame)
+    samples = synthesize(run.model_i.generator, run.model_q.generator, n_gen, snr_db, args.seed,
+                         run.stats.per_frame_power[frame], args.rc_length, args.rolloff)
+    rec = IQRecording(samples, **run.capture)
     out = Path(args.out)
-    save_iq(
-        rec,
-        out,
-        extra_meta={
-            "n_fft": run.n_fft,
-            "n_gen": n_gen,
-            "gen_snr_db": repr(snr_db),
-            "rc_length": args.rc_length,
-            "rolloff": repr(args.rolloff),
-            "frame": frame,
-        },
-    )
-    resolved = {
-        "run_dir": str(run_dir),
-        "n_gen": n_gen,
-        "snr_db": repr(snr_db),
-        "rc_length": args.rc_length,
-        "rolloff": repr(args.rolloff),
-        "frame": frame,
-    }
-    write_manifest(_manifest_path(out), "generate", resolved, args.seed)
+    params = {"n_gen": n_gen, "snr_db": repr(snr_db), "rc_length": args.rc_length, "rolloff": repr(args.rolloff),
+              "frame": frame}
+    # the sidecar records the latent SNR as gen_snr_db
+    save_iq(rec, out, extra_meta={"n_fft": run.n_fft,
+                                  **{("gen_snr_db" if k == "snr_db" else k): v for k, v in params.items()}})
+    write_manifest(_manifest_path(out), "generate", {"run_dir": str(run_dir), **params}, args.seed)
     _say(args, f"wrote {rec.n_samples} samples ({rec.duration_s:.6f}s) to {out}")
     return 0
 
@@ -373,6 +351,18 @@ def _write_spectrum_csv(path: Path, spectral, max_cols: int = 64) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _check_generated_fits(path, generated, recorded: dict, n_fft: int) -> None:
+    """Refuse a generated file whose sidecar records packets unlike the run's:
+    another ``n_fft``, or an ``n_gen`` that does not make up its payload."""
+    if "n_fft" in recorded and int(recorded["n_fft"]) != n_fft:
+        raise ValueError(f"{path} was generated at n_fft={recorded['n_fft']}; the run trained at n_fft={n_fft}")
+    if "n_gen" in recorded and int(recorded["n_gen"]) * n_fft != generated.n_samples:
+        raise ValueError(
+            f"{path} holds {generated.n_samples} samples, not the n_gen={recorded['n_gen']} packets "
+            f"of {n_fft} its sidecar records"
+        )
+
+
 def cmd_validate(args) -> int:
     if args.generated and args.ngen is not None:
         raise ValueError("--ngen sets the in-process packet count; it does not apply with --generated")
@@ -385,14 +375,16 @@ def cmd_validate(args) -> int:
             f"{args.proto} frames into {tensor.n_packets} packets per frame; the run trained on {run.n_packets}"
         )
     tensor, fresh_stats = normalize_frames(tensor)
-    generated = load_iq(args.generated) if args.generated else None
+    generated, recorded = None, {}
+    if args.generated:
+        generated, recorded = load_iq(args.generated), read_kv(sidecar_path(args.generated))
+        _check_generated_fits(args.generated, generated, recorded, run.n_fft)
     frame = args.frame
     if frame is None:  # the frame a generated file's power came from, else the training frame
-        recorded = read_kv(sidecar_path(args.generated)).get("frame") if args.generated else None
-        frame = run.frame if recorded is None else int(recorded)
+        frame = int(recorded.get("frame", run.frame))
     n_gen = tensor.n_packets if args.ngen is None else args.ngen
-    cfg = ValidationConfig(frame=frame, n_gen=n_gen, snr_db=run.snr_mid_db, seed=args.seed)
-    report = validate((run.model_i.generator, run.model_q.generator), tensor, fresh_stats, run.logs, cfg, generated)
+    report = validate((run.model_i.generator, run.model_q.generator), tensor, fresh_stats, run.logs,
+                      frame=frame, n_gen=n_gen, snr_db=run.snr_mid_db, seed=args.seed, generated=generated)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -454,14 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protogen", help="synthesize a ground-truth prototype recording")
     p.add_argument("--preset", choices=sorted(PRESETS), default="qpsk-burst")
     p.add_argument("--out", required=True, help="output I/Q payload path")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--band", type=parse_range, default=None, metavar="LO:HI",
-                   help="occupied band as fractions of fs (use --band=LO:HI)")
-    p.add_argument("--duty", type=float, default=None, help="burst duty cycle in (0,1]")
-    p.add_argument("--symbol-rate", type=float, default=None, help="symbols per sample")
-    p.add_argument("--modulation", choices=MODULATIONS, default=None)
-    p.add_argument("--snr", type=float, default=None, help="capture SNR in dB (inf = noiseless)")
-    p.add_argument("--cfo", type=float, default=None, help="carrier offset as fraction of fs")
+    for flag, _, keywords in SCENARIO_FLAGS:
+        p.add_argument(flag, default=None, **keywords)
     _add_common(p)
     p.set_defaults(func=cmd_protogen)
 

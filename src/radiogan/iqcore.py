@@ -119,11 +119,7 @@ def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) 
     if not np.isfinite(interleaved).all():
         raise ValueError("samples must be finite and within float32 range")
     path.write_bytes(interleaved)
-    meta = {
-        "sample_rate_hz": repr(rec.sample_rate_hz),
-        "center_freq_hz": repr(rec.center_freq_hz),
-        "rx_gain_db": repr(rec.rx_gain_db),
-    }
+    meta = {key: repr(getattr(rec, key)) for key in REQUIRED_META}
     if extra_meta:
         for key, value in extra_meta.items():
             meta.setdefault(str(key), str(value))

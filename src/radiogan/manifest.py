@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,25 +36,11 @@ def write_manifest(path: str | Path, command: str, resolved_config: dict, seed: 
         tool_version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(),
     )
-    write_kv(
-        path,
-        {
-            "command": manifest.command,
-            "config_digest": manifest.config_digest,
-            "seed": manifest.seed,
-            "tool_version": manifest.tool_version,
-            "created_utc": manifest.created_utc,
-        },
-    )
+    write_kv(path, asdict(manifest))
     return manifest
 
 
 def read_manifest(path: str | Path) -> RunManifest:
     pairs = read_kv(path)
-    return RunManifest(
-        command=pairs["command"],
-        config_digest=pairs["config_digest"],
-        seed=int(pairs["seed"]),
-        tool_version=pairs["tool_version"],
-        created_utc=pairs["created_utc"],
-    )
+    return RunManifest(**{f.name: int(pairs[f.name]) if f.type == "int" else pairs[f.name]
+                          for f in fields(RunManifest)})

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gan import latent_noise_variance
-from .iqcore import IQRecording
+from .iqcore import REQUIRED_META, IQRecording
 from .seeding import substream
 
 MODULATIONS = ("qpsk", "tone", "multitone")
@@ -68,7 +68,7 @@ class SyntheticScenario:
         return {
             f"scenario_{key}": (f"{value[0]}:{value[1]}" if key == "occupied_band" else value)
             for key, value in pairs.items()
-            if key not in ("sample_rate_hz", "center_freq_hz", "rx_gain_db")
+            if key not in REQUIRED_META
         }
 
 
@@ -116,9 +116,4 @@ def synth_prototype(sc: SyntheticScenario) -> IQRecording:
             rng.standard_normal(sc.n_samples) + 1j * rng.standard_normal(sc.n_samples)
         )
         signal = signal + noise
-    return IQRecording(
-        samples=signal,
-        sample_rate_hz=sc.sample_rate_hz,
-        center_freq_hz=sc.center_freq_hz,
-        rx_gain_db=sc.rx_gain_db,
-    )
+    return IQRecording(samples=signal, **{key: getattr(sc, key) for key in REQUIRED_META})

@@ -1,45 +1,23 @@
-"""Generation mode: sample the trained pair, assemble I/Q, smooth, package.
+"""Generation mode: sample the trained pair, assemble I/Q, smooth.
 
 The trained generators emit normalized packets; these are rescaled by a
-chosen frame's recorded power, combined into complex rows, stitched with the
-raised-cosine overlap-save reconstruction, and wrapped as an ``IQRecording``
-that is a drop-in replacement for a prototype file.
+chosen frame's recorded power, combined into complex rows and stitched with
+the raised-cosine overlap-save reconstruction into one stream, which with the
+prototype's capture metadata is a drop-in replacement for a prototype file.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import RaisedCosineSpec, overlap_save_reconstruct, raised_cosine_taps
 from .gan import Net, latent_noise_variance, sample_latent
-from .iqcore import FrameStats, IQRecording, denormalize
+from .iqcore import denormalize
 from .seeding import as_generator, substream
 
 DEFAULT_RC_LENGTH = 129
 DEFAULT_ROLLOFF = 0.25
 GEN_PACKETS_PER_PROTOTYPE_PACKET = 20  # published n_gen default is 20 x N_p
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """Knobs for one generation call; metadata fields annotate the output."""
-
-    n_gen: int
-    snr_db: float
-    rc_length: int = DEFAULT_RC_LENGTH
-    rolloff: float = DEFAULT_ROLLOFF
-    seed: int = 0
-    sample_rate_hz: float = 1.0
-    center_freq_hz: float = 0.0
-    rx_gain_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_gen < 1:
-            raise ValueError(f"n_gen must be >= 1, got {self.n_gen}")
-        if self.rc_length < 1 or self.rc_length % 2 == 0:
-            raise ValueError(f"rc_length must be odd and >= 1, got {self.rc_length}")
 
 
 def generate_packets(g: Net, n_gen: int, snr_db: float, seed) -> np.ndarray:
@@ -66,11 +44,13 @@ def assemble_iq(i_mat: np.ndarray, q_mat: np.ndarray, frame_power: float) -> np.
     return denormalize(i_mat, frame_power) + 1j * denormalize(q_mat, frame_power)
 
 
-def _taps_for(cfg: SynthesisConfig) -> RaisedCosineSpec:
-    if cfg.rc_length == 1:
+def _taps(rc_length: int, rolloff: float) -> RaisedCosineSpec:
+    if rc_length < 1 or rc_length % 2 == 0:
+        raise ValueError(f"rc_length must be odd and >= 1, got {rc_length}")
+    if rc_length == 1:
         # No pulse shaping: a unit single-tap kernel passes packets through exactly.
-        return RaisedCosineSpec(length=1, rolloff=cfg.rolloff, taps=np.ones(1))
-    return raised_cosine_taps(cfg.rc_length, cfg.rolloff)
+        return RaisedCosineSpec(length=1, rolloff=rolloff, taps=np.ones(1))
+    return raised_cosine_taps(rc_length, rolloff)
 
 
 def resolve_frame(frame: int | str, seed: int, n_frames: int) -> int:
@@ -84,27 +64,18 @@ def resolve_frame(frame: int | str, seed: int, n_frames: int) -> int:
     return frame_idx
 
 
-def synthesize(i_model: Net, q_model: Net, cfg: SynthesisConfig,
-               stats: FrameStats, frame: int | str = "random") -> IQRecording:
-    """Produce a pseudo-radio-signal recording of ``n_gen * n_fft`` samples.
+def synthesize(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed: int, frame_power: float,
+               rc_length: int = DEFAULT_RC_LENGTH, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
+    """The ``n_gen * n_fft`` complex samples of a pseudo-radio-signal stream.
 
-    ``i_model`` and ``q_model`` are the rails' generators. ``frame`` selects
-    which prototype frame's power denormalizes the packets: an index, or
-    ``"random"`` to draw one uniformly (seeded) per call.
+    ``i_model`` and ``q_model`` are the rails' generators; ``frame_power``,
+    the power of a prototype frame, denormalizes their packets.
     """
     if i_model.n_fft != q_model.n_fft:
         raise ValueError(
             f"component models disagree on packet length: {i_model.n_fft} vs {q_model.n_fft}"
         )
-    frame_idx = resolve_frame(frame, cfg.seed, stats.n_frames)
-    i_mat = generate_packets(i_model, cfg.n_gen, cfg.snr_db, substream(cfg.seed, "synthesis", "latent", "I"))
-    q_mat = generate_packets(q_model, cfg.n_gen, cfg.snr_db, substream(cfg.seed, "synthesis", "latent", "Q"))
-    frame_power = float(stats.per_frame_power[frame_idx])
-    assembled = assemble_iq(i_mat, q_mat, frame_power)
-    stream = overlap_save_reconstruct(assembled, _taps_for(cfg))
-    return IQRecording(
-        samples=stream,
-        sample_rate_hz=cfg.sample_rate_hz,
-        center_freq_hz=cfg.center_freq_hz,
-        rx_gain_db=cfg.rx_gain_db,
-    )
+    taps = _taps(rc_length, rolloff)
+    i_mat = generate_packets(i_model, n_gen, snr_db, substream(seed, "synthesis", "latent", "I"))
+    q_mat = generate_packets(q_model, n_gen, snr_db, substream(seed, "synthesis", "latent", "Q"))
+    return overlap_save_reconstruct(assemble_iq(i_mat, q_mat, frame_power), taps)

@@ -11,7 +11,7 @@ from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -163,19 +163,6 @@ def occupied_band_bins(spectral: SpectralMatrix, coverage: float = DEFAULT_COVER
 
 
 @dataclass
-class ValidationConfig:
-    """What to score: the frame, the in-process packet count and SNR, the seed.
-
-    The thresholds are the ``DEFAULT_*`` constants, which the report stores.
-    """
-
-    frame: int = 0
-    n_gen: int | None = None
-    snr_db: float = 0.0
-    seed: int = 0
-
-
-@dataclass
 class ValidationReport:
     """Validation numbers plus the thresholds that turn them into a verdict."""
 
@@ -216,17 +203,9 @@ class ValidationReport:
         }
 
     def to_text(self) -> str:
-        pairs = {
-            "ks_proto_vs_gen": repr(self.ks_proto_vs_gen),
-            "ks_proto_vs_noise": repr(self.ks_proto_vs_noise),
-            "band_energy_fraction_gen": repr(self.band_energy_fraction_gen),
-            "band_energy_fraction_noise": repr(self.band_energy_fraction_noise),
-            "mean_d_accuracy": repr(self.mean_d_accuracy),
-            "packet_correlation_gen": repr(self.packet_correlation_gen),
-            "band_ratio_min": repr(self.band_ratio_min),
-            "accuracy_band_low": repr(self.accuracy_band[0]),
-            "accuracy_band_high": repr(self.accuracy_band[1]),
-        }
+        """The float fields in declaration order, the accuracy band, the criteria, the verdict."""
+        pairs = {f.name: repr(getattr(self, f.name)) for f in fields(self) if f.type == "float"}
+        pairs["accuracy_band_low"], pairs["accuracy_band_high"] = map(repr, self.accuracy_band)
         for name in _CRITERIA:
             pairs[f"criterion_{name}"] = "true" if self.criteria[name] else "false"
         pairs["verdict"] = self.verdict
@@ -235,17 +214,10 @@ class ValidationReport:
     @classmethod
     def from_text(cls, text: str) -> "ValidationReport":
         pairs = parse_kv(text)
-        criteria = {name: pairs[f"criterion_{name}"] == "true" for name in _CRITERIA}
         return cls(
-            ks_proto_vs_gen=float(pairs["ks_proto_vs_gen"]),
-            ks_proto_vs_noise=float(pairs["ks_proto_vs_noise"]),
-            band_energy_fraction_gen=float(pairs["band_energy_fraction_gen"]),
-            band_energy_fraction_noise=float(pairs["band_energy_fraction_noise"]),
-            mean_d_accuracy=float(pairs["mean_d_accuracy"]),
-            packet_correlation_gen=float(pairs["packet_correlation_gen"]),
-            band_ratio_min=float(pairs["band_ratio_min"]),
+            **{f.name: float(pairs[f.name]) for f in fields(cls) if f.type == "float"},
             accuracy_band=(float(pairs["accuracy_band_low"]), float(pairs["accuracy_band_high"])),
-            criteria=criteria,
+            criteria={name: pairs[f"criterion_{name}"] == "true" for name in _CRITERIA},
             verdict=pairs["verdict"],
         )
 
@@ -299,22 +271,24 @@ def _sample_stats(values, proto_values, pdf_range) -> tuple:
     return ks_distance(proto_values, values), empirical_pdf(values, DEFAULT_N_BINS, pdf_range)[1]
 
 
-def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs,
-             cfg: ValidationConfig | None = None, generated=None) -> ValidationReport:
+def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: int = 0,
+             n_gen: int | None = None, snr_db: float = 0.0, seed: int = 0, generated=None) -> ValidationReport:
     """Score a trained model pair against its prototype; the report carries its tables.
 
     ``model`` is the ``(i_model, q_model)`` pair of the rails' generators.
     ``logs`` is a sequence of TrainingLogs; the mean discriminator accuracy
     over the final quartile of each non-empty log is averaged, and is 0.0
     when every log is empty. ``generated`` optionally supplies an
-    already-synthesized IQRecording; otherwise ``cfg.n_gen`` packets
-    (default: the prototype's packet count) are generated in-process.
+    already-synthesized IQRecording; otherwise ``n_gen`` packets (default:
+    the prototype's packet count) are generated in-process at ``snr_db`` from
+    ``seed``, which also seeds the noise baseline. ``frame`` is the prototype
+    frame scored, whose power denormalizes the in-process packets. The
+    thresholds are the ``DEFAULT_*`` constants, which the report stores.
     """
-    cfg = cfg or ValidationConfig()
     if not tensor.normalized:
         raise ValueError("tensor must be normalized (validate uses stats to denormalize)")
-    if not 0 <= cfg.frame < tensor.n_frames:
-        raise ValueError(f"frame {cfg.frame} out of range [0, {tensor.n_frames})")
+    if not 0 <= frame < tensor.n_frames:
+        raise ValueError(f"frame {frame} out of range [0, {tensor.n_frames})")
     try:
         i_model, q_model = model
     except (TypeError, ValueError) as exc:
@@ -331,13 +305,13 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs,
         quartiles = [l.mean_accuracy(last_n=-(-len(l) // 4)) for l in populated]
         mean_accuracy = float(np.mean(quartiles))
 
-    frame_power = float(stats.per_frame_power[cfg.frame])
-    proto_packets = denormalize(tensor.complex_packets(cfg.frame), frame_power)
+    frame_power = float(stats.per_frame_power[frame])
+    proto_packets = denormalize(tensor.complex_packets(frame), frame_power)
 
     if generated is None:
-        n_gen = tensor.n_packets if cfg.n_gen is None else cfg.n_gen
+        n_gen = tensor.n_packets if n_gen is None else n_gen
         i_mat, q_mat = (
-            generate_packets(m, n_gen, cfg.snr_db, substream(cfg.seed, "validate", "latent", rail))
+            generate_packets(m, n_gen, snr_db, substream(seed, "validate", "latent", rail))
             for m, rail in zip((i_model, q_model), COMPONENTS)
         )
         gen_packets = assemble_iq(i_mat, q_mat, frame_power)
@@ -358,7 +332,7 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs,
     ks_gen, gen_mass = _sample_stats(_pooled_values(gen_packets), proto_values, pdf_range)
     gen_spectral = spectral_matrix(gen_packets)
 
-    noise_values, noise_packets = _noise_baseline(proto_packets, gen_packets.shape, cfg.seed)
+    noise_values, noise_packets = _noise_baseline(proto_packets, gen_packets.shape, seed)
     ks_noise, noise_mass = _sample_stats(noise_values, proto_values, pdf_range)
     del noise_values  # spent: freed before the transform's buffers are made
     noise_spectral = spectral_matrix(noise_packets)

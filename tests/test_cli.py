@@ -296,6 +296,9 @@ def test_generate_defaults(trained_run):
     meta = read_kv(sidecar_path(out))
     assert meta["n_gen"] == str(20 * 16)
     assert meta["n_fft"] == str(NFFT)
+    proto = load_iq(tmp_path / "proto.iq")  # the prototype's capture metadata carries over
+    assert (rec.sample_rate_hz, rec.center_freq_hz, rec.rx_gain_db) == (
+        proto.sample_rate_hz, proto.center_freq_hz, proto.rx_gain_db)
     assert read_manifest(tmp_path / "gen_default.manifest").command == "generate"
 
 
@@ -355,6 +358,19 @@ def test_generate_refuses_a_non_finite_snr_before_any_generator_pass(trained_run
     assert rc == 2
     assert not out.exists()
     assert "finite positive noise variance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rc_length", ["2", "0", "-1"])
+def test_generate_refuses_an_even_or_non_positive_rc_length(trained_run, capsys, rc_length):
+    tmp_path, _, run_dir = trained_run
+    out = tmp_path / "rc.iq"
+    rc = main(["generate", "--run-dir", str(run_dir), "--out", str(out), "--ngen", "4",
+               f"--rc-length={rc_length}", "--quiet"])
+    assert rc == 2
+    assert "rc_length must be odd and >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not sidecar_path(out).exists()
+    assert not out.with_suffix(".manifest").exists()
 
 
 def test_generate_missing_run_dir_exits_2(tmp_path, capsys):
@@ -550,6 +566,40 @@ def test_validate_scores_a_generated_file(trained_run):
          "--generated", str(gen), "--out-dir", str(out_dir), "--quiet"]
     )
     assert rc in (0, 1)
+    assert (out_dir / "report.txt").exists()
+
+
+def test_validate_refuses_a_file_generated_at_another_n_fft(trained_run, tmp_path, capsys):
+    _, proto, run_dir = trained_run
+    rc, run_128 = _train(tmp_path, proto, name="run_128", extra=("--nfft", "128"))
+    assert rc == 0
+    gen = tmp_path / "gen_128.iq"
+    assert main(["generate", "--run-dir", str(run_128), "--ngen", "6", "--rc-length", "1",
+                 "--out", str(gen), "--quiet"]) == 0
+    assert read_kv(sidecar_path(gen))["n_fft"] == "128"
+    out_dir = tmp_path / "val_128"
+    rc = main(["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen),
+               "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 2
+    assert "n_fft=128" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_validate_refuses_a_file_shorter_than_its_recorded_packets(trained_run, tmp_path, capsys):
+    _, proto, run_dir = trained_run
+    gen = tmp_path / "gen_cut.iq"
+    assert main(["generate", "--run-dir", str(run_dir), "--ngen", "4", "--out", str(gen), "--quiet"]) == 0
+    gen.write_bytes(gen.read_bytes()[: 8 * (2 * NFFT + 88)])  # two whole packets and a part of a third
+    base = ["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen), "--quiet"]
+    out_dir = tmp_path / "val_cut"
+    assert main(base + ["--out-dir", str(out_dir)]) == 2
+    assert "n_gen=4" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+    # a sidecar that records neither n_fft nor n_gen is scored as it stands
+    meta = read_kv(sidecar_path(gen))
+    write_kv(sidecar_path(gen), {k: v for k, v in meta.items() if k not in ("n_fft", "n_gen")})
+    assert main(base + ["--out-dir", str(out_dir)]) in (0, 1)
     assert (out_dir / "report.txt").exists()
 
 

@@ -132,3 +132,12 @@ def test_manifest_round_trip(tmp_path):
     assert back.seed == 9
     assert back.config_digest == config_digest({"n_epoch": 3, "eta_g": "0.011"})
     assert "T" in back.created_utc  # ISO timestamp
+
+
+def test_manifest_text_keys_and_order_are_pinned(tmp_path):
+    path = tmp_path / "run.manifest"
+    written = write_manifest(path, "generate", {"n_gen": 4}, seed=5)
+    pairs = read_kv(path)
+    assert list(pairs) == ["command", "config_digest", "seed", "tool_version", "created_utc"]
+    assert pairs["seed"] == "5"
+    assert pairs["tool_version"] == written.tool_version

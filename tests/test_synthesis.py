@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from radiogan.gan import build_generator
-from radiogan.iqcore import FrameStats
+from radiogan.gan import Net, build_generator
 from radiogan.seeding import substream
-from radiogan.synthesis import (
-    SynthesisConfig,
-    assemble_iq,
-    generate_packets,
-    resolve_frame,
-    synthesize,
-)
+from radiogan.synthesis import assemble_iq, generate_packets, resolve_frame, synthesize
 
 N_FFT = 256  # wide enough for the default 129-tap smoothing kernel
 
@@ -73,82 +66,59 @@ def test_assemble_iq_shape_mismatch():
         assemble_iq(i_mat, q_mat, 1.0)
 
 
-def _synth(cfg, frame="random", stats=None, gi=None, gq=None):
-    stats = stats if stats is not None else FrameStats(per_frame_power=np.array([1.0, 4.0]))
-    return synthesize(gi or _gen(0, "I"), gq or _gen(0, "Q"), cfg, stats, frame=frame)
+def _synth(n_gen, seed=0, frame_power=1.0, gi=None, gq=None, **kwargs):
+    return synthesize(gi or _gen(0, "I"), gq or _gen(0, "Q"), n_gen, -27.0, seed, frame_power, **kwargs)
 
 
 def test_synthesize_length_and_determinism():
-    cfg = SynthesisConfig(n_gen=12, snr_db=-27.0, seed=5)
-    rec_a = _synth(cfg)
-    rec_b = _synth(cfg)
-    assert rec_a.n_samples == 12 * N_FFT
-    assert np.array_equal(rec_a.samples, rec_b.samples)
-    rec_c = _synth(SynthesisConfig(n_gen=12, snr_db=-27.0, seed=6))
-    assert not np.array_equal(rec_a.samples, rec_c.samples)
+    a = _synth(12, seed=5)
+    b = _synth(12, seed=5)
+    assert a.shape == (12 * N_FFT,)
+    assert a.dtype == np.complex128
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, _synth(12, seed=6))
 
 
 def test_synthesize_longer_than_any_prototype():
     # arbitrary-length synthesis: ask for 100x more packets than the
     # prototype frame held and get exactly that many samples out
-    cfg = SynthesisConfig(n_gen=800, snr_db=-27.0, seed=0)
-    rec = _synth(cfg)
-    assert rec.n_samples == 800 * N_FFT
+    assert _synth(800).size == 800 * N_FFT
 
 
 def test_synthesize_smoothing_is_a_unit_gain_lowpass():
     # the kernel's taps are non-negative and sum to one, so it can never
     # amplify, and it concentrates what it keeps at low frequencies
-    cfg_raw = SynthesisConfig(n_gen=16, snr_db=-27.0, seed=3, rc_length=1)
-    cfg_rc = SynthesisConfig(n_gen=16, snr_db=-27.0, seed=3, rc_length=129)
-    raw = _synth(cfg_raw, frame=0)
-    smooth = _synth(cfg_rc, frame=0)
-    assert np.sum(np.abs(smooth.samples) ** 2) < np.sum(np.abs(raw.samples) ** 2)
+    raw = _synth(16, seed=3, rc_length=1)
+    smooth = _synth(16, seed=3, rc_length=129)
+    assert np.sum(np.abs(smooth) ** 2) < np.sum(np.abs(raw) ** 2)
 
     def low_frac(x, cut=0.02):
         spec = np.abs(np.fft.fft(x)) ** 2
         freqs = np.fft.fftfreq(x.size)
         return float(spec[np.abs(freqs) <= cut].sum() / spec.sum())
 
-    assert low_frac(smooth.samples) > low_frac(raw.samples)
-    assert low_frac(smooth.samples) > 0.8
+    assert low_frac(smooth) > low_frac(raw)
+    assert low_frac(smooth) > 0.8
 
 
 def test_synthesize_single_tap_is_plain_concatenation():
-    cfg = SynthesisConfig(n_gen=4, snr_db=-27.0, seed=2, rc_length=1)
-    rec = _synth(cfg, frame=0)
+    samples = _synth(4, seed=2, rc_length=1)
     i_mat = generate_packets(_gen(0, "I"), 4, -27.0, substream(2, "synthesis", "latent", "I"))
     q_mat = generate_packets(_gen(0, "Q"), 4, -27.0, substream(2, "synthesis", "latent", "Q"))
     expect = (i_mat + 1j * q_mat).reshape(-1)
-    assert np.allclose(rec.samples, expect, atol=1e-12)
+    assert np.allclose(samples, expect, atol=1e-12)
 
 
 def test_synthesize_frame_power_denormalizes():
-    stats = FrameStats(per_frame_power=np.array([1.0, 4.0]))
-    cfg = SynthesisConfig(n_gen=8, snr_db=-27.0, seed=1, rc_length=1)
-    rec0 = _synth(cfg, frame=0, stats=stats)
-    rec1 = _synth(cfg, frame=1, stats=stats)
-    assert np.allclose(rec1.samples, 2.0 * rec0.samples, atol=1e-12)
-
-
-def test_synthesize_random_frame_is_seeded():
-    stats = FrameStats(per_frame_power=np.array([1.0, 1e6]))
-    cfg = SynthesisConfig(n_gen=4, snr_db=-27.0, seed=9, rc_length=1)
-    a = _synth(cfg, frame="random", stats=stats)
-    b = _synth(cfg, frame="random", stats=stats)
-    assert np.array_equal(a.samples, b.samples)
-    # the draw must match one of the explicit frame choices
-    explicit = [_synth(cfg, frame=f, stats=stats).samples for f in (0, 1)]
-    assert any(np.array_equal(a.samples, e) for e in explicit)
+    unit = _synth(8, seed=1, rc_length=1, frame_power=1.0)
+    assert np.allclose(_synth(8, seed=1, rc_length=1, frame_power=4.0), 2.0 * unit, atol=1e-12)
 
 
 def test_resolve_frame_draws_from_the_synthesis_frame_substream():
     for seed in range(6):
         drawn = resolve_frame("random", seed, 3)
         assert drawn == int(substream(seed, "synthesis", "frame").integers(0, 3))
-        stats = FrameStats(per_frame_power=np.array([1.0, 4.0, 9.0]))
-        cfg = SynthesisConfig(n_gen=2, snr_db=-27.0, seed=seed, rc_length=1)
-        assert np.array_equal(_synth(cfg, "random", stats).samples, _synth(cfg, drawn, stats).samples)
+        assert resolve_frame("random", seed, 3) == drawn
     assert resolve_frame(2, 0, 3) == 2
     assert resolve_frame("1", 0, 3) == 1
     for bad in (3, -1, "x"):
@@ -157,23 +127,18 @@ def test_resolve_frame_draws_from_the_synthesis_frame_substream():
 
 
 def test_synthesize_validation():
-    stats = FrameStats(per_frame_power=np.array([1.0]))
-    cfg = SynthesisConfig(n_gen=4, snr_db=-27.0)
     with pytest.raises(ValueError):
-        synthesize(_gen(0, "I"), build_generator(128, 0, width=16), cfg, stats)
-    with pytest.raises(ValueError):
-        _synth(cfg, frame=5, stats=stats)
-    with pytest.raises(ValueError):
-        SynthesisConfig(n_gen=0, snr_db=-27.0)
-    with pytest.raises(ValueError):
-        SynthesisConfig(n_gen=4, snr_db=-27.0, rc_length=128)
+        synthesize(_gen(0, "I"), build_generator(128, 0, width=16), 4, -27.0, 0, 1.0)
+    with pytest.raises(ValueError, match="n_gen"):
+        _synth(0)
 
 
-def test_synthesize_metadata_passthrough():
-    cfg = SynthesisConfig(
-        n_gen=4, snr_db=-27.0, sample_rate_hz=2e6, center_freq_hz=1e9, rx_gain_db=7.5
-    )
-    rec = _synth(cfg, frame=0)
-    assert rec.sample_rate_hz == 2e6
-    assert rec.center_freq_hz == 1e9
-    assert rec.rx_gain_db == 7.5
+@pytest.mark.parametrize("rc_length", [128, 2, 0, -1])
+def test_synthesize_refuses_an_even_or_non_positive_rc_length(monkeypatch, rc_length):
+    monkeypatch.setattr(Net, "predict", _no_generator_pass)
+    with pytest.raises(ValueError, match="rc_length must be odd and >= 1"):
+        _synth(4, rc_length=rc_length)
+
+
+def _no_generator_pass(*args, **kwargs):
+    raise AssertionError("a generator pass ran")

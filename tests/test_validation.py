@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from radiogan import validation
 from radiogan.gan import TrainingLog, build_generator
 from radiogan.iqcore import IQRecording, denormalize, frame_tensor, normalize_frames
+from radiogan.kvfile import parse_kv
 from radiogan.seeding import substream
 from radiogan.validation import (
     SpectralMatrix,
-    ValidationConfig,
     ValidationReport,
     _mean_pairwise_correlation,
     empirical_pdf,
@@ -376,6 +376,30 @@ def test_report_text_round_trip():
     assert ValidationReport.from_text(failing.to_text()) == failing
 
 
+def test_report_text_keys_and_order_are_pinned():
+    assert list(parse_kv(_report().to_text())) == [
+        "ks_proto_vs_gen",
+        "ks_proto_vs_noise",
+        "band_energy_fraction_gen",
+        "band_energy_fraction_noise",
+        "mean_d_accuracy",
+        "packet_correlation_gen",
+        "band_ratio_min",
+        "accuracy_band_low",
+        "accuracy_band_high",
+        "criterion_ks_gen_below_noise",
+        "criterion_band_fraction_ratio",
+        "criterion_accuracy_in_band",
+        "verdict",
+    ]
+
+
+def test_report_text_writes_each_float_as_its_repr():
+    rep = _report(packet_correlation_gen=0.1 + 0.2)
+    assert parse_kv(rep.to_text())["packet_correlation_gen"] == "0.30000000000000004"
+    assert ValidationReport.from_text(rep.to_text()).packet_correlation_gen == 0.1 + 0.2
+
+
 def test_report_tamper_detection():
     text = _report().to_text()
     with pytest.raises(ValueError):
@@ -420,7 +444,7 @@ def test_validate_passes_when_fed_the_prototype_itself():
     tensor, stats = _tensor()
     log = _log([0.5] * 8)
     proto = tensor.complex_packets(0) * np.sqrt(stats.per_frame_power[0])
-    rep = validate(_gens(), tensor, stats, [log], ValidationConfig(), generated=_recording(proto))
+    rep = validate(_gens(), tensor, stats, [log], generated=_recording(proto))
     assert rep.ks_proto_vs_gen == 0.0
     assert rep.band_energy_fraction_gen == 1.0
     assert rep.verdict == "pass"
@@ -431,7 +455,7 @@ def test_validate_flags_a_white_noise_generator():
     log = _log([0.5] * 8)
     rng = np.random.default_rng(0)
     white = rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT))
-    rep = validate(_gens(), tensor, stats, [log], ValidationConfig(), generated=_recording(white))
+    rep = validate(_gens(), tensor, stats, [log], generated=_recording(white))
     # white noise cannot beat the matched-power noise reference on band energy
     assert rep.criteria["band_fraction_ratio"] is False
     assert rep.verdict == "fail"
@@ -440,10 +464,10 @@ def test_validate_flags_a_white_noise_generator():
 def test_validate_in_process_generation_is_seeded():
     tensor, stats = _tensor()
     log = _log([0.5] * 8)
-    rep_a = validate(_gens(), tensor, stats, [log], ValidationConfig(seed=3, snr_db=-27.0))
-    rep_b = validate(_gens(), tensor, stats, [log], ValidationConfig(seed=3, snr_db=-27.0))
+    rep_a = validate(_gens(), tensor, stats, [log], seed=3, snr_db=-27.0)
+    rep_b = validate(_gens(), tensor, stats, [log], seed=3, snr_db=-27.0)
     assert rep_a == rep_b
-    rep_c = validate(_gens(), tensor, stats, [log], ValidationConfig(seed=4, snr_db=-27.0))
+    rep_c = validate(_gens(), tensor, stats, [log], seed=4, snr_db=-27.0)
     assert rep_a.ks_proto_vs_gen != rep_c.ks_proto_vs_gen
 
 
@@ -457,7 +481,7 @@ def test_validate_accepts_recording_input():
         center_freq_hz=1e9,
         rx_gain_db=0.0,
     )
-    rep = validate(_gens(), tensor, stats, [log], ValidationConfig(), generated=rec)
+    rep = validate(_gens(), tensor, stats, [log], generated=rec)
     assert 0.0 <= rep.ks_proto_vs_gen <= 1.0
 
 
@@ -465,11 +489,11 @@ def test_validate_final_quartile_accuracy():
     tensor, stats = _tensor()
     # 8 epochs: final quartile = last 2 rows
     log = _log([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6, 0.4])
-    rep = validate(_gens(), tensor, stats, [log], ValidationConfig(snr_db=-27.0))
+    rep = validate(_gens(), tensor, stats, [log], snr_db=-27.0)
     assert rep.mean_d_accuracy == pytest.approx(0.5)
     # two logs: mean of the per-log quartile means
     rep2 = validate(
-        _gens(), tensor, stats, [log, _log([0.1, 0.1, 0.1, 0.3])], ValidationConfig(snr_db=-27.0)
+        _gens(), tensor, stats, [log, _log([0.1, 0.1, 0.1, 0.3])], snr_db=-27.0
     )
     assert rep2.mean_d_accuracy == pytest.approx(0.5 * (0.5 + 0.3))
 
@@ -477,17 +501,17 @@ def test_validate_final_quartile_accuracy():
 def test_validate_empty_log_handling():
     tensor, stats = _tensor()
     for logs in ([TrainingLog()], [TrainingLog(), TrainingLog()], []):
-        rep = validate(_gens(), tensor, stats, logs, ValidationConfig(snr_db=-27.0))
+        rep = validate(_gens(), tensor, stats, logs, snr_db=-27.0)
         assert rep.mean_d_accuracy == 0.0
         assert rep.criteria["accuracy_in_band"] is False
     # an empty log beside a populated one does not count
-    rep = validate(_gens(), tensor, stats, [TrainingLog(), _log([0.5] * 4)], ValidationConfig(snr_db=-27.0))
+    rep = validate(_gens(), tensor, stats, [TrainingLog(), _log([0.5] * 4)], snr_db=-27.0)
     assert rep.mean_d_accuracy == 0.5
 
 
 def test_validate_with_tables():
     tensor, stats = _tensor()
-    rep = validate(_gens(), tensor, stats, [_log([0.5] * 4)], ValidationConfig(snr_db=-27.0))
+    rep = validate(_gens(), tensor, stats, [_log([0.5] * 4)], snr_db=-27.0)
     centers, p_mass, g_mass, n_mass = rep.tables["histogram"]
     assert centers.shape == (101,)
     for mass in (p_mass, g_mass, n_mass):
@@ -496,14 +520,14 @@ def test_validate_with_tables():
     assert rep.tables["spectrum_generated"].n_packets == tensor.n_packets
 
 
-def _validate_recomputing_everything(tensor, stats, log, cfg, gen_packets):
+def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
     """validate's report and tables the long way: every spectrum and every
     pooled sample set is recomputed where it is used, and the KS distances
     and histograms come from the reference formulations above. The
     thresholds are written as numbers, so a changed constant shows here."""
-    frame_power = float(stats.per_frame_power[cfg.frame])
-    proto = denormalize(tensor.complex_packets(cfg.frame), frame_power)
-    noise_rng = substream(cfg.seed, "validate", "noise")
+    frame_power = float(stats.per_frame_power[0])
+    proto = denormalize(tensor.complex_packets(0), frame_power)
+    noise_rng = substream(seed, "validate", "noise")
     power = float(np.mean(np.abs(proto) ** 2))  # I + jQ drawn first, then scaled
     noise = np.sqrt(power / 2.0) * (
         noise_rng.standard_normal(gen_packets.shape)
@@ -545,7 +569,7 @@ def _validate_recomputing_everything(tensor, stats, log, cfg, gen_packets):
 def test_validate_transforms_each_matrix_once(monkeypatch):
     tensor, stats = _tensor()
     log = _log([0.4, 0.5, 0.6, 0.55])
-    cfg = ValidationConfig(seed=5)
+    seed = 5
     rng = np.random.default_rng(3)
     gen = 0.5 * (rng.standard_normal((30, N_FFT)) + 1j * rng.standard_normal((30, N_FFT)))
     transformed = []
@@ -556,7 +580,7 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
         return original(packets)
 
     monkeypatch.setattr(validation, "spectral_matrix", counting)
-    rep = validate(_gens(), tensor, stats, [log], cfg, generated=_recording(gen))
+    rep = validate(_gens(), tensor, stats, [log], seed=seed, generated=_recording(gen))
     monkeypatch.undo()
 
     # one transform each of the prototype, the generated and the noise matrix
@@ -565,7 +589,7 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
     assert np.array_equal(transformed[1], gen)
     assert not np.array_equal(transformed[2], gen)
 
-    expect, tables = _validate_recomputing_everything(tensor, stats, log, cfg, gen)
+    expect, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
     assert rep.to_text() == expect.to_text()
     assert rep == expect
     for got, want in zip(rep.tables["histogram"], tables["histogram"]):
@@ -581,7 +605,7 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
     sorted and sort no copy of them (np.sort serves only the band bins)."""
     tensor, stats = _tensor()
     log = _log([0.5] * 4)
-    expect = validate(_gens(), tensor, stats, [log], ValidationConfig(seed=2, snr_db=-27.0))
+    expect = validate(_gens(), tensor, stats, [log], seed=2, snr_db=-27.0)
     sizes = []
     original = np.sort
 
@@ -590,7 +614,7 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "sort", recording_sort)
-    rep = validate(_gens(), tensor, stats, [log], ValidationConfig(seed=2, snr_db=-27.0))
+    rep = validate(_gens(), tensor, stats, [log], seed=2, snr_db=-27.0)
     monkeypatch.undo()
     assert sizes and max(sizes) <= N_FFT
     assert rep.to_text() == expect.to_text()
@@ -628,10 +652,10 @@ def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
     proto = denormalize(tensor.complex_packets(0), float(stats.per_frame_power[0]))
     values = np.concatenate([proto.real.ravel(), proto.imag.ravel()])
     assert np.std(values) != np.std(np.sort(values))  # heavy tails: the sum's order shows
-    log, cfg = _log([0.5] * 4), ValidationConfig(seed=1)
+    log, seed = _log([0.5] * 4), 1
     gen = 300.0 * (rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT)))
-    rep = validate(_gens(), tensor, stats, [log], cfg, generated=_recording(gen))
-    _, tables = _validate_recomputing_everything(tensor, stats, log, cfg, gen)
+    rep = validate(_gens(), tensor, stats, [log], seed=seed, generated=_recording(gen))
+    _, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
     for got, want in zip(rep.tables["histogram"], tables["histogram"]):
         assert got.tobytes() == want.tobytes()
 
@@ -647,8 +671,8 @@ def test_validate_input_checks():
     with pytest.raises(ValueError):
         validate((gi, build_generator(128, 0, width=16)), tensor, stats, [log])
     with pytest.raises(ValueError):
-        validate(_gens(), tensor, stats, [log], ValidationConfig(frame=1))
+        validate(_gens(), tensor, stats, [log], frame=1)
     with pytest.raises(ValueError, match="too short"):
         validate(_gens(), tensor, stats, [log], generated=_recording(np.ones(N_FFT - 1)))
     with pytest.raises(ValueError, match="n_gen"):
-        validate(_gens(), tensor, stats, [log], ValidationConfig(n_gen=0))
+        validate(_gens(), tensor, stats, [log], n_gen=0)
