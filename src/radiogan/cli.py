@@ -150,7 +150,7 @@ def cmd_protogen(args) -> int:
 
 def _resolve_train_config(args, n_fft: int) -> TrainConfig:
     file_pairs = parse_kv(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    cfg = config_from_pairs(file_pairs, base=TrainConfig())
+    cfg = config_from_pairs(file_pairs)
     overrides = _flag_overrides(args, CONFIG_FLAGS)
     if args.batch is None and "s_batch" not in file_pairs:
         # Desk-scale default keeping the batch-size invariant at small n_fft.
@@ -158,7 +158,10 @@ def _resolve_train_config(args, n_fft: int) -> TrainConfig:
     return replace(cfg, **overrides)
 
 
-def _train_one_component(tensor, stats, component, frame, cfg):
+def _train_rail(out_dir: Path, tensor, component: str, frame: int, cfg: TrainConfig) -> TrainingLog:
+    """Build, train and write one rail: ``model_<rail>.psg`` and ``train_log_<rail>.csv`` in
+    ``out_dir``; returns its log. ``n_epoch`` 0 writes the nets untrained, without optimizer
+    state. On ``TrainingDiverged`` it writes the log so far and re-raises."""
     generator = build_generator(
         tensor.packet_len,
         substream(cfg.seed, "init", component, "generator"),
@@ -170,18 +173,20 @@ def _train_one_component(tensor, stats, component, frame, cfg):
         dropout_rate=cfg.dropout_rate,
         weight_decay=cfg.lambda_d,
     )
-    if cfg.n_epoch == 0:
-        return GanModel(generator, discriminator, None, None, cfg, component, frame), TrainingLog()
-    if cfg.n_epoch_pretrain > 0:
-        pretrain_discriminator(discriminator, tensor.component_packets(frame, component), cfg, component)
-    return train(generator, discriminator, tensor, stats, component, frame, cfg)
-
-
-def _write_rail(out_dir: Path, model: GanModel, log: TrainingLog) -> None:
-    """Write one rail's checkpoint and training log into a run directory."""
-    rail = model.component.lower()
-    save_gan(out_dir / f"model_{rail}.psg", model)
+    rail = component.lower()
+    g_opt = d_opt = None
+    log = TrainingLog()
+    if cfg.n_epoch > 0:
+        packets = tensor.component_packets(frame, component)
+        try:
+            pretrain_discriminator(discriminator, packets, cfg, component)
+            g_opt, d_opt, log = train(generator, discriminator, packets, component, cfg)
+        except TrainingDiverged as exc:
+            exc.log.to_csv(out_dir / f"train_log_{rail}.csv")
+            raise
+    save_gan(out_dir / f"model_{rail}.psg", GanModel(generator, discriminator, g_opt, d_opt, cfg, component, frame))
     log.to_csv(out_dir / f"train_log_{rail}.csv")
+    return log
 
 
 def _write_run_files(out_dir: Path, command: str, rec, tensor, stats, frame: int,
@@ -208,9 +213,8 @@ def _run_sweep(args, rec, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -
         sub_dir = out_dir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
         tic = time.perf_counter()
-        model, log = _train_one_component(tensor, stats, "I", frame, cfg)
+        log = _train_rail(sub_dir, tensor, "I", frame, cfg)
         runtime_s = time.perf_counter() - tic
-        _write_rail(sub_dir, model, log)
         accuracy = log.mean_accuracy() if len(log) else float("nan")
         rows.append(f"{name},{accuracy!r},{runtime_s:.3f}")
         _say(args, f"sweep {name}: mean accuracy {accuracy:.4f} in {runtime_s:.1f}s")
@@ -240,18 +244,12 @@ def cmd_train(args) -> int:
 
     for component in COMPONENTS:
         tic = time.perf_counter()
-        try:
-            model, log = _train_one_component(tensor, stats, component, args.frame, cfg)
-        except TrainingDiverged as exc:
-            exc.log.to_csv(out_dir / f"train_log_{component.lower()}.csv")
-            print(f"error: {component}-component training diverged: {exc}", file=sys.stderr)
-            return 1
-        _write_rail(out_dir, model, log)
+        log = _train_rail(out_dir, tensor, component, args.frame, cfg)
         if len(log):
             _say(
                 args,
                 f"{component}: {len(log)} epochs in {time.perf_counter() - tic:.1f}s, "
-                f"final-quartile accuracy {log.mean_accuracy(last_n=-(-len(log) // 4)):.4f}",
+                f"final-quartile accuracy {log.final_quartile_accuracy():.4f}",
             )
         else:
             _say(args, f"{component}: wrote initialized (untrained) checkpoint")
@@ -507,7 +505,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TrainingDiverged as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

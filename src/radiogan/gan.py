@@ -13,7 +13,8 @@ the losses on their ``[B, 2]`` outputs are computed in float64.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -49,11 +50,10 @@ DROPOUT_RATE = 0.5
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient goes non-finite; carries the partial log."""
+    """A rail's refused step or non-finite loss in one training phase; carries the log so far."""
 
-    def __init__(self, message: str, epoch: int, log: "TrainingLog"):
-        super().__init__(message)
-        self.epoch = epoch
+    def __init__(self, component: str, phase: str, detail: str, log: "TrainingLog"):
+        super().__init__(f"{component}-component {phase} diverged: {detail}")
         self.log = log
 
 
@@ -243,28 +243,24 @@ def config_to_text(cfg: TrainConfig) -> str:
     return format_kv({f.name: _CODECS[f.type][1](getattr(cfg, f.name)) for f in fields(cfg)})
 
 
-def config_from_pairs(pairs: dict, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a config from parsed key=value pairs over optional base defaults."""
+def config_from_pairs(pairs: dict) -> TrainConfig:
+    """Build a config from parsed key=value pairs; an absent key keeps its default."""
     unknown = sorted(set(pairs) - set(CONFIG_PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    kwargs = {name: CONFIG_PARSERS[name](raw) for name, raw in pairs.items()}
-    if base is None:
-        return TrainConfig(**kwargs)
-    return replace(base, **kwargs)
+    return TrainConfig(**{name: CONFIG_PARSERS[name](raw) for name, raw in pairs.items()})
 
 
 @dataclass
 class TrainingLog:
-    """Per-epoch training metrics, appended once per completed epoch."""
+    """Per-epoch training metrics, appended once per completed epoch. The CSV holds
+    ``epoch``, then each field's value as its ``repr`` (``wall_ms``, the last, an int)."""
 
     d_loss: list = field(default_factory=list)
     g_loss: list = field(default_factory=list)
     d_accuracy: list = field(default_factory=list)
     snr_db: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
-
-    CSV_HEADER = "epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms"
 
     def __len__(self) -> int:
         return len(self.d_loss)
@@ -288,41 +284,34 @@ class TrainingLog:
         acc = self.d_accuracy if last_n is None else self.d_accuracy[-last_n:]
         return float(np.mean(acc))
 
-    def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for epoch in range(len(self)):
-            lines.append(
-                f"{epoch},{self.d_loss[epoch]!r},{self.g_loss[epoch]!r},"
-                f"{self.d_accuracy[epoch]!r},{self.snr_db[epoch]!r},{self.wall_ms[epoch]}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(self.to_csv_text(), encoding="utf-8")
+    def final_quartile_accuracy(self) -> float:
+        """The mean accuracy of the last quarter of the epochs, rounded up."""
+        return self.mean_accuracy(last_n=-(-len(self) // 4))
 
     @classmethod
-    def from_csv_text(cls, text: str) -> "TrainingLog":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError("not a training log CSV")
-        log = cls()
-        for expected, line in enumerate(lines[1:]):
-            cells = line.split(",")
-            if len(cells) != 6:
-                raise ValueError(f"bad row: {line!r}")
-            if int(cells[0]) != expected:
-                raise ValueError(f"non-contiguous epoch column at {line!r}")
-            log.append(float(cells[1]), float(cells[2]), float(cells[3]), float(cells[4]), int(cells[5]))
-        return log
+    def _header(cls) -> str:
+        return ",".join(["epoch", *(f.name for f in fields(cls))])
+
+    def to_csv(self, path) -> None:
+        columns = [getattr(self, f.name) for f in fields(self)]
+        rows = [",".join([str(epoch), *map(repr, row)]) for epoch, row in enumerate(zip(*columns))]
+        Path(path).write_text("\n".join([self._header(), *rows]) + "\n", encoding="utf-8")
 
     @classmethod
     def from_csv(cls, path) -> "TrainingLog":
-        from pathlib import Path
-
         try:
-            return cls.from_csv_text(Path(path).read_text(encoding="utf-8"))
+            lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+            if not lines or lines[0] != cls._header():
+                raise ValueError("not a training log CSV")
+            log = cls()
+            for expected, line in enumerate(lines[1:]):
+                cells = line.split(",")
+                if len(cells) != len(fields(cls)) + 1:
+                    raise ValueError(f"bad row: {line!r}")
+                if int(cells[0]) != expected:
+                    raise ValueError(f"non-contiguous epoch column at {line!r}")
+                log.append(*map(float, cells[1:-1]), int(cells[-1]))
+            return log
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -502,56 +491,56 @@ def _discriminator_epoch(discriminator, opt, real, fake, cfg: TrainConfig, batch
         _supervised_minibatch(discriminator, opt, pool[sel], targets[sel], streams["dropout"])
 
 
-def pretrain_discriminator(discriminator, frame_packets, cfg: TrainConfig, component: str):
-    """Supervised warm-up of one rail's discriminator: its frame's packets vs raw latent noise.
+def _rail_packets(packets, component: str, cfg: TrainConfig) -> np.ndarray:
+    """One rail's ``[n_packets, n_fft]`` packets as float64, checked for both training loops."""
+    if component not in COMPONENTS:
+        raise ValueError(f"component must be 'I' or 'Q', got {component!r}")
+    packets = np.asarray(packets, dtype=np.float64)
+    if packets.ndim != 2 or packets.size == 0:
+        raise ValueError("packets must be a non-empty 2-D packet array")
+    if cfg.n_examples > packets.shape[0]:
+        raise ValueError(f"n_examples={cfg.n_examples} exceeds available packets ({packets.shape[0]})")
+    return packets
+
+
+def pretrain_discriminator(discriminator, packets, cfg: TrainConfig, component: str):
+    """Supervised warm-up of one rail's discriminator: its packets vs raw latent noise.
 
     Runs ``cfg.n_epoch_pretrain`` epochs of minibatch cross-entropy updates
     (minibatch ``cfg.s_minibatch_pretrain``) with real targets ``1 - alpha``
     and noise targets 0; the generator is untouched. Returns the (mutated)
-    discriminator.
+    discriminator; a refused step raises ``TrainingDiverged`` with an empty log.
     """
-    packets = np.asarray(frame_packets, dtype=np.float64)
-    if packets.ndim != 2 or packets.size == 0:
-        raise ValueError("frame_packets must be a non-empty 2-D packet array")
-    if cfg.n_examples > packets.shape[0]:
-        raise ValueError(
-            f"n_examples={cfg.n_examples} exceeds available packets ({packets.shape[0]})"
-        )
+    packets = _rail_packets(packets, component, cfg)
     keep_heap_mapped()
     streams = _epoch_streams(cfg.seed, "pretrain", component)
     opt = AdamState.for_params(discriminator.params(), cfg.eta_d)
-    for _ in range(cfg.n_epoch_pretrain):
+    for epoch in range(cfg.n_epoch_pretrain):
         _, noise, real = _draw_epoch(streams, packets, cfg)
-        _discriminator_epoch(discriminator, opt, real, noise, cfg, cfg.s_minibatch_pretrain, streams)
+        try:
+            _discriminator_epoch(discriminator, opt, real, noise, cfg, cfg.s_minibatch_pretrain, streams)
+        except ValueError as exc:
+            raise TrainingDiverged(component, "pretraining", f"epoch {epoch}: {exc}", TrainingLog()) from exc
     return discriminator
 
 
-def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainConfig):
-    """Adversarial training on one component of one frame.
+def train(generator, discriminator, packets, component: str, cfg: TrainConfig):
+    """Adversarial training on one rail's ``[n_packets, n_fft]`` packets of a normalized frame.
 
     Per epoch: draw the SNR, latent and prototype packets (``_draw_epoch``),
     update the discriminator on the shuffled labeled pool in ceil-division
     minibatches of ``s_batch``, then update the generator through the frozen
     discriminator (dropout active) on the non-saturating objective. Metrics
     are evaluated after both updates in inference mode and appended to the
-    log. Returns ``(GanModel, TrainingLog)``.
+    log. Returns ``(generator_opt, discriminator_opt, log)``: the nets' Adam
+    states and the log. Raises ``TrainingDiverged``, carrying the log so
+    far, when a step is refused or a loss goes non-finite.
     """
-    if not tensor.normalized:
-        raise ValueError("tensor must be normalized before training")
-    if not 0 <= frame < tensor.n_frames:
-        raise ValueError(f"frame {frame} out of range [0, {tensor.n_frames})")
-    if stats.n_frames != tensor.n_frames:
-        raise ValueError("stats do not match tensor")
-    n_fft = tensor.packet_len
+    packets = _rail_packets(packets, component, cfg)
+    n_fft = packets.shape[1]
     cfg.validate_for(n_fft)
     if generator.n_fft != n_fft or discriminator.n_fft != n_fft:
-        raise ValueError("model widths do not match tensor packet length")
-    if cfg.n_examples > tensor.n_packets:
-        raise ValueError(
-            f"n_examples={cfg.n_examples} exceeds packets per frame ({tensor.n_packets})"
-        )
-
-    packets = tensor.component_packets(frame, component)  # raises for a component not I or Q
+        raise ValueError("model widths do not match the packet length")
     keep_heap_mapped()
     streams = _epoch_streams(cfg.seed, "train", component)
 
@@ -574,7 +563,7 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
                 zb = z[start : start + cfg.s_batch]
                 _generator_minibatch(generator, discriminator, g_opt, zb, streams["dropout"])
         except ValueError as exc:
-            raise TrainingDiverged(f"epoch {epoch}: {exc}", epoch, log) from exc
+            raise TrainingDiverged(component, "training", f"epoch {epoch}: {exc}", log) from exc
 
         d_real_p = net_forward(discriminator.layers, real)[0][:, REAL]
         regen = net_forward(generator.layers, z)[0]
@@ -583,7 +572,7 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
         g_loss = generator_loss(d_fake_p)
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}: d_loss={d_loss}, g_loss={g_loss}", epoch, log
+                component, "training", f"non-finite loss at epoch {epoch}: d_loss={d_loss}, g_loss={g_loss}", log
             )
         accuracy = discriminator_accuracy(d_real_p, d_fake_p)
         wall_ms = int(round((time.perf_counter() - tic) * 1000.0))
@@ -594,13 +583,4 @@ def train(generator, discriminator, tensor, stats, component, frame, cfg: TrainC
             if cfg.early_stop_band[0] <= window_mean <= cfg.early_stop_band[1]:
                 break
 
-    model = GanModel(
-        generator=generator,
-        discriminator=discriminator,
-        generator_opt=g_opt,
-        discriminator_opt=d_opt,
-        config=cfg,
-        component=component,
-        frame=frame,
-    )
-    return model, log
+    return g_opt, d_opt, log

@@ -3,8 +3,8 @@
 This one format backs the recording sidecars, run metadata, config files,
 manifests, and validation reports: UTF-8 text, one ``key=value`` pair per
 line, ``#`` comment lines and blank lines ignored, keys and values stripped
-of surrounding whitespace. The writer refuses any pair the reader would not
-return unchanged.
+of surrounding whitespace. The reader refuses a repeated key; the writer
+refuses any pair the reader would not return unchanged.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ def format_kv(mapping: dict) -> str:
 
     Raises ``ValueError`` for a pair that ``parse_kv`` would not read back
     unchanged: a line break anywhere, whitespace around the key or the value,
-    an ``=`` in the key, or a key that starts with ``#``.
+    an ``=`` in the key, a key that starts with ``#``, or a key whose ``str``
+    repeats an earlier one's.
     """
-    lines = []
+    lines = {}
     for key, value in mapping.items():
         key, value = str(key), str(value)
         line = f"{key}={value}\n"
@@ -27,10 +28,10 @@ def format_kv(mapping: dict) -> str:
             back = parse_kv(line)
         except ValueError:
             back = None
-        if back != {key: value}:
+        if back != {key: value} or key in lines:
             raise ValueError(f"{key!r}={value!r} would not read back unchanged as a key=value line")
-        lines.append(line)
-    return "".join(lines)
+        lines[key] = line
+    return "".join(lines.values())
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -41,8 +42,10 @@ def parse_kv(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        pairs[key] = value
     return pairs
 
 

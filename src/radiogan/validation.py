@@ -302,7 +302,7 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     populated = [l for l in logs if len(l) > 0]
     mean_accuracy = 0.0  # every log empty, as after train --epochs 0
     if populated:
-        quartiles = [l.mean_accuracy(last_n=-(-len(l) // 4)) for l in populated]
+        quartiles = [l.final_quartile_accuracy() for l in populated]
         mean_accuracy = float(np.mean(quartiles))
 
     frame_power = float(stats.per_frame_power[frame])

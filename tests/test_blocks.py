@@ -199,6 +199,14 @@ def test_cpu_count_reads_the_affinity_mask():
         assert blocks.cpu_count() == len(blocks.os.sched_getaffinity(0))
 
 
+@pytest.mark.parametrize("os_count,expected", [(5, 5), (None, 1)])
+def test_cpu_count_falls_back_to_os_cpu_count_without_an_affinity_mask(monkeypatch, os_count, expected):
+    # as on a platform without sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(blocks.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(blocks.os, "cpu_count", lambda: os_count)
+    assert blocks.cpu_count() == expected
+
+
 @pytest.mark.parametrize("failing_block", [0, 5, 9])
 def test_a_worker_exception_reaches_the_caller_after_every_run_ends(monkeypatch, failing_block):
     # 10 blocks on 3 workers run as [0, 3), [3, 6) and [6, 10)

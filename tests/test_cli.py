@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
-from radiogan.gan import CONFIG_PARSERS, Net, TrainConfig, build_discriminator, build_generator, load_gan, save_gan
+from radiogan.gan import (CONFIG_PARSERS, Net, TrainConfig, TrainingLog, build_discriminator, build_generator, load_gan,
+                          save_gan)
 from radiogan.iqcore import load_iq, sidecar_path
 from radiogan.kvfile import read_kv, write_kv
 from radiogan.manifest import config_digest, read_manifest
@@ -199,6 +200,50 @@ def _train_with_config(tmp_path, proto, cfg_file):
         ]
     )
     return rc, run_dir
+
+
+def test_train_config_with_a_repeated_key_exits_2_without_writing(tmp_path, capsys):
+    proto = _protogen(tmp_path)
+    cfg_file = tmp_path / "train.cfg"
+    cfg_file.write_text("n_epoch=5\nn_epoch=2\n")
+    rc, run_dir = _train_with_config(tmp_path, proto, cfg_file)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 2: duplicate key 'n_epoch'\n"
+    assert not run_dir.exists()
+
+
+LOG_HEADER = "epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n"
+
+
+def test_train_pretraining_divergence_exits_1_with_a_header_only_log(tmp_path, capsys):
+    # two pretraining epochs: the first step at eta_d 1e38 leaves the weights finite, the next is refused
+    proto = _protogen(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings on the way there
+        rc, run_dir = _train(tmp_path, proto, extra=("--eta-d", "1e38", "--pretrain-epochs", "2"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: I-component pretraining diverged: epoch 1: non-finite gradient\n"), err
+    assert [p.name for p in run_dir.iterdir()] == ["train_log_i.csv"]  # no model_i.psg, no run.meta
+    assert (run_dir / "train_log_i.csv").read_text() == LOG_HEADER
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["plain", "sweep"])
+def test_train_adversarial_divergence_exits_1_with_the_log_so_far(tmp_path, capsys, sweep):
+    proto = _protogen(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        extra = ("--eta-g", "1e38", "--sweep", "regularization") if sweep else ("--eta-g", "1e38")
+        rc, run_dir = _train(tmp_path, proto, extra=extra)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: I-component training diverged: non-finite loss at epoch 1: d_loss=nan, g_loss=nan\n")
+    rail_dir = run_dir / "none" if sweep else run_dir
+    if sweep:
+        assert [p.name for p in run_dir.iterdir()] == ["none"]  # the sweep stops at its first row
+    assert [p.name for p in rail_dir.iterdir()] == ["train_log_i.csv"]  # no model_i.psg, no run.meta
+    log = TrainingLog.from_csv(rail_dir / "train_log_i.csv")
+    assert len(log) == 1  # epoch 0, the last epoch with finite losses
 
 
 def test_train_rejects_oversized_examples(tmp_path, capsys):
@@ -695,6 +740,8 @@ _CORRUPTIONS = (
         # an older run.meta's copies of checkpoint facts are ignored, whatever they say
         ("meta_retired_snr_low_frame_seed", _add_meta(snr_low="10.0", frame="1", seed="99"), False),
         ("meta_retired_n_fft_snr_high", _add_meta(n_fft="512", snr_high="12.0"), False),
+        # the last of a repeated key used to win: generate wrote 20 x 3 packets
+        ("meta_n_packets_repeated", _add_meta(n_packets="3"), True),
         ("rail_files_swapped", _swap_rail_files, True),
         ("rail_q_component_i", _edit_rails(lambda m: replace(m, component="I")), True),
         ("rail_i_component_q", _edit_rails(lambda m: replace(m, component="Q"), rails=("i",)), True),

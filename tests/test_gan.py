@@ -344,25 +344,33 @@ def test_config_from_text_unknown_key():
 
 
 def test_config_from_text_partial_override():
-    base = TrainConfig()
-    cfg = config_from_pairs(parse_kv("n_epoch=7\nsnr_range_db=-5.0:5.0\n"), base=base)
-    assert cfg.n_epoch == 7
-    assert cfg.snr_range_db == (-5.0, 5.0)
-    assert cfg.eta_g == base.eta_g
+    cfg = config_from_pairs(parse_kv("n_epoch=7\nsnr_range_db=-5.0:5.0\n"))
+    assert cfg == TrainConfig(n_epoch=7, snr_range_db=(-5.0, 5.0))  # every other field at its default
 
 
-def test_training_log_round_trip():
+def test_training_log_round_trip(tmp_path):
     log = TrainingLog()
     log.append(0.7, 0.3, 0.5, -27.25, 12)
     log.append(0.65, 0.31, 0.53125, -24.0, 11)
-    text = log.to_csv_text()
-    lines = text.strip().split("\n")
+    path = tmp_path / "train_log_i.csv"
+    log.to_csv(path)
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == "epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms"
     assert lines[1].startswith("0,")
-    back = TrainingLog.from_csv_text(text)
-    assert back.d_loss == log.d_loss
-    assert back.d_accuracy == log.d_accuracy
-    assert back.wall_ms == log.wall_ms
+    back = TrainingLog.from_csv(path)
+    assert back == log
+    assert all(type(w) is int for w in back.wall_ms)
+
+
+def test_training_log_row_text_is_stable(tmp_path):
+    # the epoch, then repr of each field's value; wall_ms is written as an int
+    log = TrainingLog()
+    log.append(0.7, 0.3, 0.5, -27.25, 12)
+    log.to_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text() == "epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n0,0.7,0.3,0.5,-27.25,12\n"
+    TrainingLog().to_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n"
+    assert len(TrainingLog.from_csv(tmp_path / "empty.csv")) == 0
 
 
 def test_training_log_mean_accuracy_window():
@@ -372,15 +380,28 @@ def test_training_log_mean_accuracy_window():
     assert log.mean_accuracy() == pytest.approx(0.5)
     assert log.mean_accuracy(last_n=2) == pytest.approx(1.0)
     assert log.mean_accuracy(last_n=100) == pytest.approx(0.5)
+    assert log.final_quartile_accuracy() == 1.0  # the last ceil(4 / 4) = 1 epoch
+    log.append(0.5, 0.5, 0.0, -27.0, 1)
+    assert log.final_quartile_accuracy() == 0.5  # the last ceil(5 / 4) = 2 epochs
+    with pytest.raises(ValueError, match="empty log"):
+        TrainingLog().final_quartile_accuracy()
 
 
-def test_training_log_rejects_bad_rows():
-    log = TrainingLog()
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("nope\n0,1,2,3,4,5\n", "not a training log CSV"),
+        ("epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n3,0.1,0.1,0.5,-25.0,1\n", "non-contiguous"),
+        ("epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n0,0.1,0.1,0.5,-25.0\n", "bad row"),
+        ("epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n0,0.1,0.1,0.5,-25.0,1.5\n", "invalid literal"),
+    ],
+    ids=["header", "epoch_gap", "short_row", "float_wall_ms"],
+)
+def test_training_log_rejects_bad_rows(tmp_path, text, reason):
     with pytest.raises(ValueError):
-        log.append(0.5, 0.5, 1.5, -27.0, 1)
-    with pytest.raises(ValueError):
-        TrainingLog.from_csv_text("nope\n0,1,2,3,4,5\n")
-    with pytest.raises(ValueError):
-        TrainingLog.from_csv_text(
-            "epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n3,0.1,0.1,0.5,-25.0,1\n"
-        )
+        TrainingLog().append(0.5, 0.5, 1.5, -27.0, 1)
+    path = tmp_path / "train_log_q.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason) as caught:
+        TrainingLog.from_csv(path)
+    assert str(caught.value).startswith(f"{path}: ")

@@ -71,6 +71,13 @@ def test_kv_strips_whitespace():
     assert parse_kv("  key =  value  \n") == {"key": "value"}
 
 
+@pytest.mark.parametrize("text,line", [("a=1\na=2\n", 2), ("a=1\n# c\n\nb=2\n a =1\n", 5)])
+def test_kv_refuses_a_repeated_key(text, line):
+    # keys compare after stripping, as they are stored
+    with pytest.raises(ValueError, match=f"^line {line}: duplicate key 'a'$"):
+        parse_kv(text)
+
+
 @pytest.mark.parametrize(
     "mapping",
     [
@@ -80,6 +87,7 @@ def test_kv_strips_whitespace():
         {"#a": "b"},  # the line would read as a comment
         {" a": "b"},
         {"a\rb": "c"},
+        {1: "a", "1": "b"},  # both keys are written as 1, which the reader refuses to repeat
     ],
 )
 def test_kv_writer_refuses_what_the_reader_would_change(mapping, tmp_path):

@@ -14,6 +14,7 @@ from radiogan import gan
 from radiogan.gan import (
     GanModel,
     TrainConfig,
+    TrainingDiverged,
     TrainingLog,
     build_discriminator,
     build_generator,
@@ -57,10 +58,17 @@ def _cfg(**overrides):
     return TrainConfig(**base)
 
 
+def _packets():
+    tensor, _ = _tensor()
+    return tensor.component_packets(0, "I")
+
+
 def _run(seed=0, **cfg_overrides):
-    tensor, stats = _tensor()
+    """Train fresh I-rail nets; returns the trained ``GanModel`` and the log."""
     g, d = _models(seed)
-    return train(g, d, tensor, stats, "I", 0, _cfg(seed=seed, **cfg_overrides))
+    cfg = _cfg(seed=seed, **cfg_overrides)
+    g_opt, d_opt, log = train(g, d, _packets(), "I", cfg)
+    return GanModel(g, d, g_opt, d_opt, cfg, "I", 0), log
 
 
 def test_two_runs_same_seed_identical():
@@ -83,12 +91,12 @@ def test_different_seeds_diverge():
     assert log_a.snr_db != log_b.snr_db
 
 
-def test_training_leaves_tensor_untouched():
-    tensor, stats = _tensor()
-    before = tensor.data.copy()
+def test_training_leaves_packets_untouched():
+    packets = _packets()
+    before = packets.copy()
     g, d = _models()
-    train(g, d, tensor, stats, "I", 0, _cfg())
-    assert np.array_equal(tensor.data, before)
+    train(g, d, packets, "I", _cfg())
+    assert np.array_equal(packets, before)
 
 
 def test_log_rows_are_sane():
@@ -140,36 +148,25 @@ def test_lr_decay_changes_trajectory():
 
 
 def test_train_input_validation():
-    tensor, stats = _tensor()
+    packets = _packets()
     g, d = _models()
-    with pytest.raises(ValueError):
-        train(g, d, tensor, stats, "X", 0, _cfg())
-    with pytest.raises(ValueError):
-        train(g, d, tensor, stats, "I", 1, _cfg())
-    with pytest.raises(ValueError):
-        train(g, d, tensor, stats, "I", 0, _cfg(n_examples=21))
-    with pytest.raises(ValueError):
-        train(g, d, tensor, stats, "I", 0, _cfg(s_batch=64))
-    unnorm = frame_tensor(
-        IQRecording(
-            samples=np.ones(N_FFT * 20, dtype=complex),
-            sample_rate_hz=1e6,
-            center_freq_hz=1e9,
-            rx_gain_db=0.0,
-        ),
-        N_FFT,
-        1,
-    )
-    with pytest.raises(ValueError):
-        train(g, d, unnorm, stats, "I", 0, _cfg())
+    with pytest.raises(ValueError, match="component"):
+        train(g, d, packets, "X", _cfg())
+    with pytest.raises(ValueError, match="non-empty 2-D"):
+        train(g, d, packets[0], "I", _cfg())
+    with pytest.raises(ValueError, match="non-empty 2-D"):
+        train(g, d, packets[:0], "I", _cfg())
+    with pytest.raises(ValueError, match="exceeds available packets"):
+        train(g, d, packets, "I", _cfg(n_examples=21))
+    with pytest.raises(ValueError, match="s_batch"):
+        train(g, d, packets, "I", _cfg(s_batch=64))
 
 
 def test_train_rejects_mismatched_widths():
-    tensor, stats = _tensor()
     g = build_generator(128, 0, width=16)
     d = build_discriminator(128, 0, n_kernels=4, kernel_len=16, width=8)
-    with pytest.raises(ValueError):
-        train(g, d, tensor, stats, "I", 0, _cfg())
+    with pytest.raises(ValueError, match="widths"):
+        train(g, d, _packets(), "I", _cfg())
 
 
 def test_pretrain_zero_epochs_is_identity():
@@ -202,20 +199,62 @@ def test_pretrain_moves_weights_and_separates():
 
 def test_both_training_loops_keep_the_heap_mapped_and_no_bit_depends_on_it(monkeypatch):
     def run():
-        tensor, stats = _tensor()
         g, d = _models(seed=3)
-        pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(seed=3), "I")
-        return train(g, d, tensor, stats, "I", 0, _cfg(seed=3))
+        pretrain_discriminator(d, _packets(), _cfg(seed=3), "I")
+        return g, d, train(g, d, _packets(), "I", _cfg(seed=3))[2]
 
-    model_a, log_a = run()
+    g_a, d_a, log_a = run()
     calls = []
     monkeypatch.setattr(gan, "keep_heap_mapped", lambda: calls.append(None))
-    model_b, log_b = run()
+    g_b, d_b, log_b = run()
     assert len(calls) == 2  # once as each loop starts, not per step
     assert (log_a.d_loss, log_a.g_loss, log_a.d_accuracy) == (log_b.d_loss, log_b.g_loss, log_b.d_accuracy)
-    for pa, pb in zip(model_a.generator.params() + model_a.discriminator.params(),
-                      model_b.generator.params() + model_b.discriminator.params()):
+    for pa, pb in zip(g_a.params() + d_a.params(), g_b.params() + d_b.params()):
         assert np.array_equal(pa, pb)
+
+
+def _refuse_after(monkeypatch, n_steps):
+    """Let ``n_steps`` Adam steps through, then refuse every later one as a non-finite gradient."""
+    calls = []
+
+    def step(params, grads, state):
+        calls.append(None)
+        if len(calls) > n_steps:
+            raise ValueError("non-finite gradient")
+        real_adam_step(params, grads, state)
+
+    real_adam_step = gan.adam_step
+    monkeypatch.setattr(gan, "adam_step", step)
+
+
+def test_train_diverges_with_the_log_so_far_when_a_step_is_refused(monkeypatch):
+    _, unrefused = _run()
+    # one discriminator and one generator step an epoch: the fifth step is epoch 2's first
+    _refuse_after(monkeypatch, 4)
+    g, d = _models()
+    with pytest.raises(TrainingDiverged) as caught:
+        train(g, d, _packets(), "I", _cfg())
+    assert str(caught.value) == "I-component training diverged: epoch 2: non-finite gradient"
+    assert caught.value.log.d_loss == unrefused.d_loss[:2]
+
+
+def test_pretraining_diverges_with_an_empty_log_when_a_step_is_refused(monkeypatch):
+    _refuse_after(monkeypatch, 0)
+    _, d = _models()
+    with pytest.raises(TrainingDiverged) as caught:
+        pretrain_discriminator(d, _packets(), _cfg(), "Q")
+    assert str(caught.value) == "Q-component pretraining diverged: epoch 0: non-finite gradient"
+    assert len(caught.value.log) == 0
+
+
+def test_train_diverges_with_the_log_so_far_on_a_non_finite_loss(monkeypatch):
+    losses = iter([0.25, float("nan")])
+    monkeypatch.setattr(gan, "generator_loss", lambda d_fake: next(losses))
+    g, d = _models()
+    with pytest.raises(TrainingDiverged, match=r"^I-component training diverged: non-finite loss at epoch 1: "
+                                               r"d_loss=[0-9.]+, g_loss=nan$") as caught:
+        train(g, d, _packets(), "I", _cfg())
+    assert caught.value.log.g_loss == [0.25]
 
 
 # A desk-shape train after a warm-up one, in a fresh interpreter; prints the
@@ -273,15 +312,17 @@ NAN, INF = float("nan"), float("inf")
     ids=["nan_d_loss", "inf_d_loss", "inf_g_loss", "nan_g_loss", "nan_accuracy", "nan_snr", "inf_snr",
          "negative_wall_ms"],
 )
-def test_training_log_refuses_non_finite_values_and_negative_wall_time(row):
+def test_training_log_refuses_non_finite_values_and_negative_wall_time(tmp_path, row):
     log = TrainingLog()
     with pytest.raises(ValueError):
         log.append(*row)
     assert len(log) == 0
     d_loss, g_loss, accuracy, snr_db, wall_ms = row
-    text = f"{TrainingLog.CSV_HEADER}\n0,{d_loss!r},{g_loss!r},{accuracy!r},{snr_db!r},{wall_ms}\n"
-    with pytest.raises(ValueError):
-        TrainingLog.from_csv_text(text)
+    path = tmp_path / "train_log_i.csv"
+    path.write_text(f"epoch,d_loss,g_loss,d_accuracy,snr_db,wall_ms\n0,{d_loss!r},{g_loss!r},{accuracy!r},"
+                    f"{snr_db!r},{wall_ms}\n")
+    with pytest.raises(ValueError, match="train_log_i.csv"):
+        TrainingLog.from_csv(path)
 
 
 def test_trained_model_round_trips_through_checkpoint(tmp_path):
