@@ -94,7 +94,8 @@ def run_blocks(work, blocks, scratch=lambda: None) -> list:
     run of blocks it belongs to. Each worker gets one contiguous run of whole
     blocks; the calling thread takes the first run and makes every run's
     buffers, since a worker thread's own large allocations would stay
-    resident in its malloc arena. A worker's exception reaches the caller
+    resident in its malloc arena. The workers run under the caller's numpy
+    error handling (``np.errstate``). A worker's exception reaches the caller
     once every run has finished.
     """
     blocks = list(blocks)
@@ -106,7 +107,8 @@ def run_blocks(work, blocks, scratch=lambda: None) -> list:
     def run(part, buffers):
         return [work(rows, buffers) for rows in part]
 
-    futures = [_executor(cpus).submit(run, *r) for r in runs[1:]]
+    errors = np.geterr()  # a worker thread would start from numpy's default error handling
+    futures = [_executor(cpus).submit(np.errstate(**errors)(run), *r) for r in runs[1:]]
     try:
         results = run(*runs[0]) if runs else []
     finally:

@@ -32,7 +32,7 @@ from .gan import (
     save_gan,
     train,
 )
-from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, IQRecording, capture_meta, frame_tensor, load_iq,
+from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, capture_meta, frame_tensor, iq_writer, load_iq,
                      normalize_frames, save_iq, sidecar_path)
 from .kvfile import parse_kv, read_kv, write_kv
 from .manifest import write_manifest
@@ -317,17 +317,17 @@ def cmd_generate(args) -> int:
     n_gen = args.ngen if args.ngen is not None else run.n_packets * GEN_PACKETS_PER_PROTOTYPE_PACKET
     snr_db = args.snr if args.snr is not None else run.snr_mid_db
     frame = resolve_frame(args.frame, args.seed, run.stats.n_frames)  # the meta and manifest record the index
-    samples = synthesize(run.model_i.generator, run.model_q.generator, n_gen, snr_db, args.seed,
-                         run.stats.per_frame_power[frame], args.rc_length, args.rolloff)
-    rec = IQRecording(samples, **run.capture)
     out = Path(args.out)
     params = {"n_gen": n_gen, "snr_db": repr(snr_db), "rc_length": args.rc_length, "rolloff": repr(args.rolloff),
               "frame": frame}
     # the sidecar records the latent SNR as gen_snr_db
-    save_iq(rec, out, extra_meta={"n_fft": run.n_fft,
-                                  **{("gen_snr_db" if k == "snr_db" else k): v for k, v in params.items()}})
+    extra_meta = {"n_fft": run.n_fft, **{("gen_snr_db" if k == "snr_db" else k): v for k, v in params.items()}}
+    with iq_writer(out, run.capture, extra_meta) as write:
+        synthesize(run.model_i.generator, run.model_q.generator, n_gen, snr_db, args.seed,
+                   run.stats.per_frame_power[frame], write, args.rc_length, args.rolloff)
     write_manifest(_manifest_path(out), "generate", {"run_dir": str(run_dir), **params}, args.seed)
-    _say(args, f"wrote {rec.n_samples} samples ({rec.duration_s:.6f}s) to {out}")
+    n_samples = n_gen * run.n_fft
+    _say(args, f"wrote {n_samples} samples ({n_samples / run.capture['sample_rate_hz']:.6f}s) to {out}")
     return 0
 
 

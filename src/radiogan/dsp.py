@@ -188,11 +188,22 @@ def raised_cosine_taps(length: int, rolloff: float) -> RaisedCosineSpec:
     return RaisedCosineSpec(length=length, rolloff=float(rolloff), taps=taps)
 
 
+@functools.lru_cache(maxsize=8)
+def _taps_spectrum(taps: tuple, n: int) -> np.ndarray:
+    """Read-only DFT of ``taps`` zero-extended to length ``n``."""
+    h = np.zeros(n, dtype=np.complex128)
+    h[: len(taps)] = taps
+    spectrum = dft(h)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def circular_convolve(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Circular convolution over the last axis, taps zero-extended to match.
 
     Uses the DFT product for power-of-two lengths and the direct modular sum
-    otherwise. Output is complex128 and has the signal's shape.
+    otherwise. Output is complex128 and has the signal's shape. The taps'
+    transform is computed once per taps and length, as the DFT matrices are.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     taps = np.asarray(taps)
@@ -202,16 +213,25 @@ def circular_convolve(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     if taps.size > n:
         raise ValueError(f"taps ({taps.size}) longer than signal ({n})")
     if _is_pow2(n):
-        h = np.zeros(n, dtype=np.complex128)
-        h[: taps.size] = taps
-        return idft(dft(signal) * dft(h))
+        return idft(dft(signal) * _taps_spectrum(tuple(taps.tolist()), n))
     out = np.zeros_like(signal)
     for m in range(taps.size):
         out += taps[m] * np.roll(signal, m, axis=-1)
     return out
 
 
-def overlap_save_reconstruct(packets: np.ndarray, spec: RaisedCosineSpec) -> np.ndarray:
+@dataclass
+class OverlapSaveCarry:
+    """What one block of a stream leaves the next in ``overlap_save_reconstruct``."""
+
+    n_samples: int  # the whole stream's length
+    taken: int = 0  # stream samples passed in so far
+    made: int = 0  # filtered samples the windows have yielded so far, the group delay's included
+    tail: np.ndarray | None = field(default=None, repr=False)  # the prefixed stream from the next window on
+
+
+def overlap_save_reconstruct(packets: np.ndarray, spec: RaisedCosineSpec,
+                             carry: OverlapSaveCarry | None = None) -> np.ndarray:
     """Stitch generated packets into one pulse-shaped stream.
 
     The packets are concatenated in row order and filtered with ``spec.taps``
@@ -223,6 +243,15 @@ def overlap_save_reconstruct(packets: np.ndarray, spec: RaisedCosineSpec) -> np.
     the filter group delay ``(length - 1) / 2`` and truncated to the
     concatenated length, so it matches direct linear convolution of the
     stream with the same truncation.
+
+    A stream may come in blocks of whole packets: ``carry``, made as
+    ``OverlapSaveCarry(n_samples)`` for the whole stream and passed with each
+    block in order, keeps the unconsumed end of the prefixed stream between
+    calls, fewer than ``packet_len`` samples. Each call returns the filtered
+    samples its block completes; the last block's call pads the zeros the
+    final windows need. The windows keep the grid of the whole stream and
+    each is transformed once, so the concatenated results are the bits of one
+    call on every packet, which is the call without ``carry``.
     """
     packets = np.asarray(packets, dtype=np.complex128)
     if packets.ndim != 2 or packets.size == 0:
@@ -232,19 +261,33 @@ def overlap_save_reconstruct(packets: np.ndarray, spec: RaisedCosineSpec) -> np.
     if length > n_fft:
         raise ValueError(f"filter length {length} exceeds packet length {n_fft}")
     stream = packets.reshape(-1)
+    if carry is None:
+        carry = OverlapSaveCarry(stream.size)
+    if carry.taken + stream.size > carry.n_samples:
+        raise ValueError(f"block runs past the stream's {carry.n_samples} samples")
+    carry.taken += stream.size
     if length == 1:
         # No overlap to save: a one-tap filter is an exact scaling.
         return stream * spec.taps[0]
 
-    n_out = stream.size
     delay = (length - 1) // 2
     hop = n_fft - (length - 1)
-    n_blocks = -(-(n_out + delay) // hop)  # ceil
-    pad_tail = (n_blocks - 1) * hop + n_fft - (length - 1) - stream.size
-    padded = np.concatenate(
-        [np.zeros(length - 1, dtype=np.complex128), stream, np.zeros(pad_tail, dtype=np.complex128)]
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_blocks]
+    if carry.tail is None:
+        carry.tail = np.zeros(length - 1, dtype=np.complex128)
+    held = carry.tail.size + stream.size
+    if carry.taken < carry.n_samples:
+        n_windows = (held - n_fft) // hop + 1  # the whole windows held; a block holds at least one
+        pad = 0
+    else:
+        # enough windows to cover the delayed end, their last one zero-padded
+        n_windows = -(-(carry.n_samples + delay - carry.made) // hop)  # ceil
+        pad = (n_windows - 1) * hop + n_fft - held
+    padded = np.concatenate([carry.tail, stream, np.zeros(pad, dtype=np.complex128)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_windows]
     filtered = circular_convolve(windows, spec.taps)
     linear = filtered[:, length - 1 :].reshape(-1)
-    return linear[delay : delay + n_out]
+    carry.tail = padded[n_windows * hop :].copy()
+    first = max(0, delay - carry.made)  # the group delay's samples not yet dropped
+    emitted = max(0, carry.made - delay)
+    carry.made += linear.size
+    return linear[first : first + carry.n_samples - emitted]

@@ -503,6 +503,7 @@ def _rail_packets(packets, component: str, cfg: TrainConfig) -> np.ndarray:
     return packets
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # TrainingDiverged reports divergence
 def pretrain_discriminator(discriminator, packets, cfg: TrainConfig, component: str):
     """Supervised warm-up of one rail's discriminator: its packets vs raw latent noise.
 
@@ -524,6 +525,7 @@ def pretrain_discriminator(discriminator, packets, cfg: TrainConfig, component: 
     return discriminator
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # TrainingDiverged reports divergence
 def train(generator, discriminator, packets, component: str, cfg: TrainConfig):
     """Adversarial training on one rail's ``[n_packets, n_fft]`` packets of a normalized frame.
 

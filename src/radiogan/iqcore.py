@@ -9,6 +9,8 @@ preserved for audit but ignored here.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,23 +109,49 @@ def load_iq(path: str | Path) -> IQRecording:
         raise IQFormatError(f"{meta_path}: malformed metadata ({exc})") from exc
 
 
-def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) -> None:
-    """Write the payload as interleaved little-endian float32 plus a sidecar.
+@contextmanager
+def iq_writer(path: str | Path, capture: dict, extra_meta: dict | None = None):
+    """Write a payload block by block, and its sidecar, each in one move.
 
-    Raises ``ValueError``, before writing anything, for a sample that is not
-    finite or lies beyond float32 range, which ``load_iq`` would refuse.
+    Yields ``write(samples)``, which appends the 1-D complex ``samples`` as
+    interleaved little-endian float32, and raises ``ValueError`` for a sample
+    that is not finite or lies beyond float32 range, which ``load_iq`` would
+    refuse. The sidecar holds the ``REQUIRED_META`` values of ``capture``,
+    then the other keys of ``extra_meta``. Both go to temporary files beside
+    ``path``, which ``os.replace`` moves onto ``path`` and its sidecar when
+    the block ends without an error; otherwise they are removed, and what
+    stood at ``path`` stays as it was.
     """
     path = Path(path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        interleaved = np.ascontiguousarray(rec.samples).view(np.float64).astype(PAYLOAD_DTYPE)
-    if not np.isfinite(interleaved).all():
-        raise ValueError("samples must be finite and within float32 range")
-    path.write_bytes(interleaved)
-    meta = {key: repr(getattr(rec, key)) for key in REQUIRED_META}
-    if extra_meta:
-        for key, value in extra_meta.items():
-            meta.setdefault(str(key), str(value))
-    write_kv(sidecar_path(path), meta)
+    meta = {key: repr(capture[key]) for key in REQUIRED_META}
+    for key, value in (extra_meta or {}).items():
+        meta.setdefault(str(key), str(value))
+    finals = (path, sidecar_path(path))
+    temps = [final.with_name(f".{final.name}.{os.getpid()}.tmp") for final in finals]
+    try:
+        write_kv(temps[1], meta)
+        with open(temps[0], "wb") as payload:
+
+            def write(samples) -> None:
+                parts = np.ascontiguousarray(samples, dtype=np.complex128).view(np.float64)  # I, Q, I, Q, ...
+                with np.errstate(over="ignore", invalid="ignore"):
+                    interleaved = parts.astype(PAYLOAD_DTYPE)
+                if not np.isfinite(interleaved).all():
+                    raise ValueError("samples must be finite and within float32 range")
+                payload.write(interleaved)
+
+            yield write
+        for tmp, final in zip(temps, finals):
+            os.replace(tmp, final)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
+def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) -> None:
+    """Write the recording's payload and sidecar through ``iq_writer``, in one block."""
+    with iq_writer(path, {key: getattr(rec, key) for key in REQUIRED_META}, extra_meta) as write:
+        write(rec.samples)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .blocks import row_blocks
 from .dsp import dft
 from .gan import Net
 from .iqcore import COMPONENTS, FrameStats, IQRecording, PrototypeTensor, denormalize
@@ -27,6 +28,8 @@ DEFAULT_N_BINS = 101
 DEFAULT_SIGMA_SPAN = 4.0
 DEFAULT_BAND_RATIO_MIN = 2.0
 DEFAULT_ACCURACY_BAND = (0.3, 0.8)
+
+SPECTRUM_BLOCK_ROWS = 128  # packets transformed at a time by spectral_matrix
 
 _CRITERIA = ("ks_gen_below_noise", "band_fraction_ratio", "accuracy_in_band")
 
@@ -77,13 +80,18 @@ class SpectralMatrix:
 def spectral_matrix(packets: np.ndarray) -> SpectralMatrix:
     """Magnitude spectra of a packet matrix [P, n_fft], as [n_fft, P].
 
-    The magnitudes are the transposed view of the C-contiguous
-    ``|dft(packets)|``: no transposed copy is made.
+    ``SPECTRUM_BLOCK_ROWS`` packets at a time are transformed and their
+    ``|dft|`` written into one C-contiguous [P, n_fft] array, whose
+    transposed view is the magnitudes: no full-size transform or transposed
+    copy is made.
     """
     packets = np.asarray(packets, dtype=np.complex128)
     if packets.ndim != 2 or packets.shape[0] < 1:
         raise ValueError("packets must be a non-empty 2-D array")
-    return SpectralMatrix(magnitudes=np.abs(dft(packets)).T)
+    magnitudes = np.empty(packets.shape)
+    for rows in row_blocks(packets.shape[0], SPECTRUM_BLOCK_ROWS):
+        np.abs(dft(packets[rows]), out=magnitudes[rows])
+    return SpectralMatrix(magnitudes=magnitudes.T)
 
 
 def _ascending(x) -> np.ndarray:
@@ -228,18 +236,19 @@ def _pooled_values(packets: np.ndarray) -> np.ndarray:
     return values.reshape(-1)
 
 
-def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> tuple:
-    """``(pooled values, packets)`` of white noise with the prototype's power.
+def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> np.ndarray:
+    """White complex noise packets of ``shape`` with the prototype's power.
 
-    One draw of the real parts, then the imaginary parts, scaled in place,
-    is both the pooled values and the source of the complex packets.
+    One draw of the real parts, then one of the imaginary parts, each scaled
+    in place.
     """
     scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
-    draws = substream(seed, "validate", "noise").standard_normal((2,) + tuple(shape))
-    draws *= scale
+    rng = substream(seed, "validate", "noise")
     packets = np.empty(shape, dtype=np.complex128)
-    packets.real, packets.imag = draws
-    return draws.reshape(-1), packets
+    for part in (packets.real, packets.imag):
+        part[...] = rng.standard_normal(shape)
+        part *= scale
+    return packets
 
 
 def _mean_pairwise_correlation(packets: np.ndarray, max_packets: int = 256) -> float:
@@ -327,15 +336,17 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
     pdf_range = (-span, span)
     centers, proto_mass = empirical_pdf(proto_values, DEFAULT_N_BINS, pdf_range)
-    # Each matrix's spectra and pooled values are computed once, and
-    # serve both the numbers and the tables.
+    # Each matrix's spectra and pooled values are computed once, and serve
+    # both the numbers and the tables. The noise is scored first: its pooled
+    # values are its packets' own float64 view, sorted in place once their
+    # spectra are taken (a sorted pool is the same in whatever order it was
+    # pooled), so no full-size copy of it is made.
+    noise_packets = _noise_baseline(proto_packets, gen_packets.shape, seed)
+    noise_spectral = spectral_matrix(noise_packets)
+    ks_noise, noise_mass = _sample_stats(noise_packets.view(np.float64).reshape(-1), proto_values, pdf_range)
+    del noise_packets  # sorted: spent
     ks_gen, gen_mass = _sample_stats(_pooled_values(gen_packets), proto_values, pdf_range)
     gen_spectral = spectral_matrix(gen_packets)
-
-    noise_values, noise_packets = _noise_baseline(proto_packets, gen_packets.shape, seed)
-    ks_noise, noise_mass = _sample_stats(noise_values, proto_values, pdf_range)
-    del noise_values  # spent: freed before the transform's buffers are made
-    noise_spectral = spectral_matrix(noise_packets)
 
     return ValidationReport(
         ks_proto_vs_gen=ks_gen,

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour on small desk-scale runs."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from radiogan import synthesis
 from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
 from radiogan.gan import (CONFIG_PARSERS, Net, TrainConfig, TrainingLog, build_discriminator, build_generator, load_gan,
                           save_gan)
@@ -246,6 +248,45 @@ def test_train_adversarial_divergence_exits_1_with_the_log_so_far(tmp_path, caps
     assert len(log) == 1  # epoch 0, the last epoch with finite losses
 
 
+def _subprocess_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(synthesis.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
+
+
+# The CLI in a fresh interpreter with its row blocks on argv[1] CPUs (worker
+# threads for 2, none for 1) whatever the host has.
+_MAIN_ON_CPUS = """
+import sys
+from radiogan import blocks
+blocks.cpu_count = lambda: int(sys.argv[1])
+from radiogan.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("flag, error", [
+    pytest.param("--eta-g", "error: I-component training diverged: non-finite loss at epoch 1: "
+                 "d_loss=nan, g_loss=nan\n", id="eta_g"),
+    pytest.param("--eta-d", "error: I-component pretraining diverged: epoch 0: non-finite gradient\n", id="eta_d"),
+])
+def test_a_diverged_train_writes_only_its_error_line(tmp_path, flag, error, cpus):
+    # the README prototype and desk flags; the overflows on the way to the
+    # divergence, in the calling thread and in the workers, print nothing
+    proto = tmp_path / "proto.iq"
+    assert main(["protogen", "--preset", "qpsk-burst", "--seed", "7", "--out", str(proto), "--quiet"]) == 0
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_ON_CPUS, str(cpus), "train", "--proto", str(proto), "--out-dir",
+         str(tmp_path / "run"), "--nfft", "256", "--frames", "2", "--epochs", "3", "--examples", "64",
+         "--seed", "7", flag, "1e38", "--quiet"],
+        env=_subprocess_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr == error
+
+
 def test_train_rejects_oversized_examples(tmp_path, capsys):
     proto = _protogen(tmp_path)
     rc, _ = _train(tmp_path, proto, extra=("--examples", "64"))
@@ -416,6 +457,51 @@ def test_generate_refuses_an_even_or_non_positive_rc_length(trained_run, capsys,
     assert not out.exists()
     assert not sidecar_path(out).exists()
     assert not out.with_suffix(".manifest").exists()
+
+
+def test_generate_failing_mid_stream_leaves_the_previous_files(trained_run, monkeypatch, capsys):
+    tmp_path, _, run_dir = trained_run
+    out = tmp_path / "mid_stream.iq"
+    argv = ["generate", "--run-dir", str(run_dir), "--out", str(out), "--ngen", "12", "--quiet"]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = out.read_bytes(), sidecar_path(out).read_bytes(), out.with_suffix(".manifest").read_bytes()
+    blocks = []
+    assemble_iq = synthesis.assemble_iq
+
+    def overflowing_second_block(i_mat, q_mat, frame_power):
+        blocks.append(len(i_mat))
+        return assemble_iq(i_mat, q_mat, frame_power) * (1e300 if len(blocks) == 2 else 1.0)
+
+    monkeypatch.setattr(synthesis, "GEN_BLOCK_PACKETS", 4)
+    monkeypatch.setattr(synthesis, "assemble_iq", overflowing_second_block)
+    assert main(argv + ["--seed", "2"]) == 2
+    assert blocks == [4, 4]  # the first block was written, the second refused
+    assert "float32 range" in capsys.readouterr().err
+    assert (out.read_bytes(), sidecar_path(out).read_bytes(), out.with_suffix(".manifest").read_bytes()) == before
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+# A generate in a fresh interpreter; prints its peak resident set size.
+_GENERATE_PEAK = """
+import resource, sys
+from radiogan.cli import main
+assert main(["generate", "--run-dir", sys.argv[1], "--out", sys.argv[2], "--ngen", sys.argv[3], "--quiet"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_generate_memory_does_not_grow_with_the_stream(trained_run):
+    tmp_path, _, run_dir = trained_run
+    peaks = {}
+    for n_gen in (1280, 25600):  # 2.6 MB and 52 MB payloads
+        out = tmp_path / f"long_{n_gen}.iq"
+        done = subprocess.run([sys.executable, "-c", _GENERATE_PEAK, str(run_dir), str(out), str(n_gen)],
+                              env=_subprocess_env(), capture_output=True, text=True, check=True)
+        peaks[n_gen] = int(done.stdout.split()[-1]) * (1 if sys.platform == "darwin" else 1024)  # bytes
+        assert out.stat().st_size == n_gen * NFFT * 8
+        out.unlink()
+    # 0 measured; holding the whole stream, the second peak was 719 MB higher
+    assert peaks[25600] - peaks[1280] < 4e6, peaks
 
 
 def test_generate_missing_run_dir_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from radiogan import blocks, dsp
 from radiogan.dsp import (
+    OverlapSaveCarry,
     RaisedCosineSpec,
     circular_convolve,
     dft,
@@ -442,6 +443,47 @@ def test_overlap_save_matches_linear_convolution(n_fft, n_packets, length):
     expect = oracle_reconstruct(packets, spec.taps)
     assert out.shape == (n_packets * n_fft,)
     assert np.max(np.abs(out - expect)) < 1e-9
+
+
+def _blocked_reconstruct(packets, spec, cuts):
+    """``overlap_save_reconstruct`` fed the packets in blocks ending at ``cuts``."""
+    carry = OverlapSaveCarry(packets.size)
+    starts = [0, *cuts]
+    out = [overlap_save_reconstruct(packets[lo:hi], spec, carry) for lo, hi in zip(starts, [*cuts, len(packets)])]
+    assert carry.taken == packets.size
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize(
+    "n_fft,length,n_packets,cuts",
+    [
+        (256, 129, 9, [1, 2, 3, 8]),  # one-packet blocks, and one at the end
+        (256, 129, 9, [4]),
+        (2048, 129, 5, [2]),
+        (64, 63, 12, [1, 5, 6]),  # hop 2: the group delay spans many windows and blocks
+        (64, 5, 7, [3]),
+        (48, 17, 6, [1, 4]),  # a length without the FFT: the direct circular sum
+        (64, 1, 5, [2, 3]),
+    ],
+)
+def test_overlap_save_in_blocks_is_the_one_shot_stream_bit_for_bit(n_fft, length, n_packets, cuts):
+    rng = np.random.default_rng(n_fft * length + n_packets)
+    packets = rng.standard_normal((n_packets, n_fft)) + 1j * rng.standard_normal((n_packets, n_fft))
+    spec = raised_cosine_taps(length, 0.25) if length > 1 else RaisedCosineSpec(1, 0.25, np.array([0.5]))
+    whole = overlap_save_reconstruct(packets, spec)
+    assert _blocked_reconstruct(packets, spec, cuts).tobytes() == whole.tobytes()
+    assert np.max(np.abs(whole - oracle_reconstruct(packets, spec.taps))) < 1e-9
+
+
+def test_overlap_save_carry_holds_less_than_a_window():
+    rng = np.random.default_rng(2)
+    spec = raised_cosine_taps(129, 0.25)
+    carry = OverlapSaveCarry(6 * 256)
+    for _ in range(5):
+        overlap_save_reconstruct(rng.standard_normal((1, 256)) + 0j, spec, carry)
+        assert carry.tail.size < 256
+    with pytest.raises(ValueError, match="runs past the stream's 1536 samples"):
+        overlap_save_reconstruct(np.ones((2, 256), dtype=complex), spec, carry)
 
 
 def test_overlap_save_rejects_bad_shapes():

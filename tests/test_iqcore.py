@@ -10,6 +10,7 @@ from radiogan.iqcore import (
     IQRecording,
     denormalize,
     frame_tensor,
+    iq_writer,
     load_iq,
     normalize_frames,
     save_iq,
@@ -148,6 +149,38 @@ def test_save_refuses_samples_load_would_refuse_and_writes_nothing(tmp_path, bad
         save_iq(rec, path)
     assert not path.exists()
     assert not sidecar_path(path).exists()
+
+
+def test_writer_streams_blocks_into_one_payload(tmp_path):
+    rec = _rec(n=40)
+    path = tmp_path / "cap.iq"
+    with iq_writer(path, {"sample_rate_hz": 1e6, "center_freq_hz": 2.4e9, "rx_gain_db": 20.0}, {"n": 3}) as write:
+        for lo in range(0, 40, 16):
+            write(rec.samples[lo : lo + 16])
+        assert not path.exists()  # nothing in place before the block ends
+    back = load_iq(path)
+    assert back.samples.tobytes() == rec.samples.tobytes()
+    save_iq(rec, tmp_path / "whole.iq", extra_meta={"n": 3})
+    assert path.read_bytes() == (tmp_path / "whole.iq").read_bytes()
+    assert sidecar_path(path).read_bytes() == sidecar_path(tmp_path / "whole.iq").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.iq", "cap.iq.meta", "whole.iq", "whole.iq.meta"]
+
+
+@pytest.mark.parametrize("failure", ["refused_block", "error_between_blocks"])
+def test_writer_failing_mid_stream_leaves_the_previous_files_and_no_temporary_file(tmp_path, failure):
+    path = tmp_path / "cap.iq"
+    save_iq(_rec(n=16, seed=1), path)
+    before = path.read_bytes(), sidecar_path(path).read_bytes()
+    bad = _rec(n=16, seed=2).samples
+    bad[3] = complex(1e39, 0.0)
+    with pytest.raises(ValueError):
+        with iq_writer(path, {"sample_rate_hz": 5e5, "center_freq_hz": 0.0, "rx_gain_db": 0.0}) as write:
+            write(_rec(n=16, seed=3).samples)
+            if failure == "refused_block":
+                write(bad)
+            raise ValueError("the stream's producer failed")
+    assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.iq", "cap.iq.meta"]
 
 
 def test_save_keeps_the_largest_float32(tmp_path):

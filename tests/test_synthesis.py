@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from radiogan.gan import Net, build_generator
+from radiogan import synthesis
+from radiogan.dsp import overlap_save_reconstruct
+from radiogan.gan import Net, build_generator, latent_noise_variance, sample_latent
 from radiogan.seeding import substream
-from radiogan.synthesis import assemble_iq, generate_packets, resolve_frame, synthesize
+from radiogan.synthesis import _taps, assemble_iq, generate_packets, resolve_frame, synthesize
 
 N_FFT = 256  # wide enough for the default 129-tap smoothing kernel
 
@@ -67,7 +69,9 @@ def test_assemble_iq_shape_mismatch():
 
 
 def _synth(n_gen, seed=0, frame_power=1.0, gi=None, gq=None, **kwargs):
-    return synthesize(gi or _gen(0, "I"), gq or _gen(0, "Q"), n_gen, -27.0, seed, frame_power, **kwargs)
+    blocks = []
+    synthesize(gi or _gen(0, "I"), gq or _gen(0, "Q"), n_gen, -27.0, seed, frame_power, blocks.append, **kwargs)
+    return np.concatenate(blocks)
 
 
 def test_synthesize_length_and_determinism():
@@ -109,6 +113,41 @@ def test_synthesize_single_tap_is_plain_concatenation():
     assert np.allclose(samples, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("rc_length", [129, 1])
+@pytest.mark.parametrize("block", [3, 8, 128])
+def test_synthesize_in_blocks_is_the_one_shot_stream_bit_for_bit(monkeypatch, block, rc_length):
+    # The generator pass of a block is taken as it ran (BLAS may round a
+    # product of a few rows differently from the same rows in a larger one);
+    # everything else is checked against the stream made at once: one latent
+    # draw per rail and one overlap-save call on every packet.
+    monkeypatch.setattr(synthesis, "GEN_BLOCK_PACKETS", block)
+    for n_gen in sorted({1, block - 1, block + 1, 20 * 16}):
+        latents, packets, blocks = [], [], []
+        monkeypatch.setattr(synthesis, "sample_latent", _spy(sample_latent, latents))
+        monkeypatch.setattr(synthesis, "generate_packets", _spy(generate_packets, packets))
+        synthesize(_gen(0, "I"), _gen(0, "Q"), n_gen, -27.0, 4, 2.5, blocks.append, rc_length=rc_length)
+
+        sizes = [len(p) for p in packets[::2]]
+        assert sizes == [len(p) for p in packets[1::2]]
+        assert sizes[:-1] == [block] * (len(sizes) - 1) and sum(sizes) == n_gen
+        assert sizes[-1] < 2 * block and (sizes[-1] >= block or len(sizes) == 1)  # a short last block joins
+        sigma2 = latent_noise_variance(1.0, -27.0)
+        for rail, drawn in zip(("I", "Q"), (latents[::2], latents[1::2])):
+            whole = sample_latent(n_gen, N_FFT, sigma2, substream(4, "synthesis", "latent", rail))
+            assert np.concatenate(drawn).tobytes() == whole.tobytes()
+        i_mat, q_mat = np.concatenate(packets[::2]), np.concatenate(packets[1::2])
+        one_shot = overlap_save_reconstruct(assemble_iq(i_mat, q_mat, 2.5), _taps(rc_length, 0.25))
+        assert np.concatenate(blocks).tobytes() == one_shot.tobytes()
+
+
+def _spy(fn, outputs):
+    def spied(*args):
+        outputs.append(fn(*args))
+        return outputs[-1]
+
+    return spied
+
+
 def test_synthesize_frame_power_denormalizes():
     unit = _synth(8, seed=1, rc_length=1, frame_power=1.0)
     assert np.allclose(_synth(8, seed=1, rc_length=1, frame_power=4.0), 2.0 * unit, atol=1e-12)
@@ -128,7 +167,7 @@ def test_resolve_frame_draws_from_the_synthesis_frame_substream():
 
 def test_synthesize_validation():
     with pytest.raises(ValueError):
-        synthesize(_gen(0, "I"), build_generator(128, 0, width=16), 4, -27.0, 0, 1.0)
+        synthesize(_gen(0, "I"), build_generator(128, 0, width=16), 4, -27.0, 0, 1.0, _no_write)
     with pytest.raises(ValueError, match="n_gen"):
         _synth(0)
 
@@ -142,3 +181,7 @@ def test_synthesize_refuses_an_even_or_non_positive_rc_length(monkeypatch, rc_le
 
 def _no_generator_pass(*args, **kwargs):
     raise AssertionError("a generator pass ran")
+
+
+def _no_write(samples):
+    raise AssertionError("samples were written")

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiogan import validation
+from radiogan.dsp import dft
 from radiogan.gan import TrainingLog, build_generator
 from radiogan.iqcore import IQRecording, denormalize, frame_tensor, normalize_frames
 from radiogan.kvfile import parse_kv
@@ -50,6 +51,19 @@ def test_spectral_matrix_constant_packet_hits_dc_only():
     sm = spectral_matrix(np.ones((1, 8), dtype=complex))
     assert sm.magnitudes[0, 0] == pytest.approx(8.0, abs=1e-12)
     assert np.all(sm.magnitudes[1:, 0] < 1e-12)
+
+
+@pytest.mark.parametrize("block_rows", [7, 128])
+def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatch, block_rows):
+    monkeypatch.setattr(validation, "SPECTRUM_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    packets = rng.standard_normal((300, 64)) + 1j * rng.standard_normal((300, 64))  # a ragged last block
+    calls = []
+    monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
+    sm = spectral_matrix(packets)
+    assert calls == [block_rows] * (300 // block_rows) + [300 % block_rows]
+    want = np.abs(dft(packets)).T
+    assert sm.magnitudes.tobytes() == want.tobytes() and sm.magnitudes.strides == want.strides
 
 
 def test_spectral_matrix_validation():
@@ -583,11 +597,11 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
     rep = validate(_gens(), tensor, stats, [log], seed=seed, generated=_recording(gen))
     monkeypatch.undo()
 
-    # one transform each of the prototype, the generated and the noise matrix
+    # one transform each of the prototype, the noise and the generated matrix
     assert len(transformed) == 3
     assert [m.shape for m in transformed] == [(tensor.n_packets, N_FFT), gen.shape, gen.shape]
-    assert np.array_equal(transformed[1], gen)
-    assert not np.array_equal(transformed[2], gen)
+    assert not np.array_equal(transformed[1], gen)
+    assert np.array_equal(transformed[2], gen)
 
     expect, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
     assert rep.to_text() == expect.to_text()
@@ -625,14 +639,31 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
 def test_noise_baseline_is_the_two_draw_formulation_byte_for_byte():
     rng = np.random.default_rng(9)
     proto = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-    values, packets = validation._noise_baseline(proto, (7, 16), 11)
+    packets = validation._noise_baseline(proto, (7, 16), 11)
     noise_rng = substream(11, "validate", "noise")
     scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
     want = np.empty((7, 16), dtype=np.complex128)
     for part in (want.real, want.imag):  # a draw of the real parts, then one of the imaginary parts
         np.multiply(scale, noise_rng.standard_normal((7, 16)), out=part)
     assert packets.tobytes() == want.tobytes()
-    assert values.tobytes() == validation._pooled_values(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 16), (300, 64)])
+def test_noise_ks_and_masses_are_those_of_the_two_draw_pool(shape):
+    # The pool validate sorts is the noise packets' own float64 view; the
+    # oracle pools one (2, P, N) draw, real parts then imaginary parts.
+    rng = np.random.default_rng(5)
+    proto = rng.standard_normal((4, shape[1])) + 1j * rng.standard_normal((4, shape[1]))
+    proto_values = np.sort(validation._pooled_values(proto))
+    pdf_range = (-3.0, 3.0)
+    scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
+    draws = substream(13, "validate", "noise").standard_normal((2,) + shape)
+    draws *= scale
+    want_ks, want_mass = ks_distance(proto_values, draws.reshape(-1)), empirical_pdf(draws, 101, pdf_range)[1]
+    packets = validation._noise_baseline(proto, shape, 13)
+    ks, mass = validation._sample_stats(packets.view(np.float64).reshape(-1), proto_values, pdf_range)
+    assert ks == want_ks
+    assert mass.tobytes() == want_mass.tobytes()
 
 
 def test_pooled_values_are_the_real_parts_then_the_imaginary_parts():
