@@ -42,7 +42,6 @@ from .gan import (
 from .protogen import SyntheticScenario, synth_prototype
 from .synthesis import assemble_iq, generate_packets, synthesize
 from .validation import (
-    SpectralMatrix,
     ValidationReport,
     empirical_pdf,
     ks_distance,

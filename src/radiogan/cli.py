@@ -279,7 +279,8 @@ def _load_run(run_dir: Path) -> Run:
     the keys an older ``run.meta`` repeated them under are ignored. Raises
     ``ValueError`` for swapped or disagreeing rails, a corrupt log, a training
     frame outside the run's frames, a missing or unparsable key in
-    ``run.meta``, or a stray frame power.
+    ``run.meta``, an ``n_packets`` below the rails' ``n_examples``, or a stray
+    frame power.
     """
     model_i, model_q = (load_gan(run_dir / f"model_{rail.lower()}.psg") for rail in COMPONENTS)
     logs = tuple(TrainingLog.from_csv(run_dir / f"train_log_{rail.lower()}.csv") for rail in COMPONENTS)
@@ -296,6 +297,9 @@ def _load_run(run_dir: Path) -> Run:
             raise ValueError(f"n_frames={n_frames} and n_packets={n_packets} must be >= 1")
         if not 0 <= model_i.frame < n_frames:
             raise ValueError(f"training frame {model_i.frame} out of range [0, {n_frames})")
+        if n_packets < model_i.config.n_examples:  # train refuses more examples than packets
+            raise ValueError(f"n_packets={n_packets} is below the n_examples={model_i.config.n_examples} "
+                             "the rails trained on")
         power_keys = [f"frame_power_{k}" for k in range(n_frames)]
         stray = sorted(key for key in meta if key.startswith("frame_power_") and key not in power_keys)
         if stray:
@@ -339,12 +343,11 @@ def _write_histogram_csv(path: Path, tables: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_spectrum_csv(path: Path, spectral, max_cols: int = 64) -> None:
-    mags = spectral.magnitudes[:, :max_cols]
-    header = "bin," + ",".join(f"packet_{i}" for i in range(mags.shape[1]))
-    row = ",".join(["%.8g"] * mags.shape[1])  # "%.8g" % v is the text of f"{v:.8g}"
+def _write_spectrum_csv(path: Path, table) -> None:
+    header = "bin," + ",".join(f"packet_{i}" for i in range(table.shape[1]))
+    row = ",".join(["%.8g"] * table.shape[1])  # "%.8g" % v is the text of f"{v:.8g}"
     lines = [header]
-    for k, values in enumerate(mags.tolist()):
+    for k, values in enumerate(table.tolist()):
         lines.append(f"{k}," + row % tuple(values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

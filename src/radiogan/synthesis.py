@@ -55,6 +55,8 @@ def assemble_iq(i_mat: np.ndarray, q_mat: np.ndarray, frame_power: float) -> np.
 def _taps(rc_length: int, rolloff: float) -> RaisedCosineSpec:
     if rc_length < 1 or rc_length % 2 == 0:
         raise ValueError(f"rc_length must be odd and >= 1, got {rc_length}")
+    if not 0.0 < rolloff <= 1.0:  # NaN fails it too
+        raise ValueError(f"rolloff must be in (0, 1], got {rolloff}")
     if rc_length == 1:
         # No pulse shaping: a unit single-tap kernel passes packets through exactly.
         return RaisedCosineSpec(length=1, rolloff=rolloff, taps=np.ones(1))

@@ -30,68 +30,40 @@ DEFAULT_BAND_RATIO_MIN = 2.0
 DEFAULT_ACCURACY_BAND = (0.3, 0.8)
 
 SPECTRUM_BLOCK_ROWS = 128  # packets transformed at a time by spectral_matrix
+SPECTRUM_TABLE_PACKETS = 64  # packet columns of each spectrum table
 
 _CRITERIA = ("ks_gen_below_noise", "band_fraction_ratio", "accuracy_in_band")
 
 
-@dataclass
-class SpectralMatrix:
-    """Per-packet magnitude spectra, one column per packet: [n_fft, n_packets]."""
+def spectral_matrix(packets: np.ndarray) -> tuple:
+    """``(energies, table)`` of a packet matrix [P, n_fft]: the energy of each
+    frequency bin, summed over the packets, and the magnitude spectra of the
+    first ``min(P, SPECTRUM_TABLE_PACKETS)`` packets, one column each.
 
-    magnitudes: np.ndarray
-    _energies: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.magnitudes.ndim != 2 or self.magnitudes.size == 0:
-            raise ValueError("magnitudes must be a non-empty 2-D array")
-        # NaN fails both comparisons
-        if not (self.magnitudes.min() >= 0.0 and self.magnitudes.max() < np.inf):
-            raise ValueError("magnitudes must be finite and non-negative")
-
-    @property
-    def n_fft(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def n_packets(self) -> int:
-        return self.magnitudes.shape[1]
-
-    def bin_energies(self) -> np.ndarray:
-        """Total energy per frequency bin, summed over packets (computed once, read-only).
-
-        The sum runs down the packet axis of ``magnitudes.T``, which is C-contiguous
-        for the matrices ``spectral_matrix`` makes.
-        """
-        if self._energies is None:
-            self._energies = np.sum(np.square(self.magnitudes.T), axis=0)
-            self._energies.setflags(write=False)
-        return self._energies
-
-    def band_fraction(self, bins: np.ndarray) -> float:
-        """Fraction of the total spectral energy inside the given bins."""
-        energies = self.bin_energies()
-        total = energies.sum()
-        if total <= 0.0:
-            raise ValueError("all-zero packets carry no energy")
-        return float(energies[bins].sum() / total)
-
-
-def spectral_matrix(packets: np.ndarray) -> SpectralMatrix:
-    """Magnitude spectra of a packet matrix [P, n_fft], as [n_fft, P].
-
-    ``SPECTRUM_BLOCK_ROWS`` packets at a time are transformed and their
-    ``|dft|`` written into one C-contiguous [P, n_fft] array, whose
-    transposed view is the magnitudes: no full-size transform or transposed
-    copy is made.
+    ``SPECTRUM_BLOCK_ROWS`` packets at a time are transformed. Each packet's
+    squared magnitudes are added into the energies in packet order, the float
+    sum down the packet axis of the whole [P, n_fft] matrix bit for bit (adding
+    per-block sums would round differently); no [P, n_fft] array is made.
     """
     packets = np.asarray(packets, dtype=np.complex128)
     if packets.ndim != 2 or packets.shape[0] < 1:
         raise ValueError("packets must be a non-empty 2-D array")
-    magnitudes = np.empty(packets.shape)
+    energies = np.zeros(packets.shape[1])
+    table = np.empty((min(packets.shape[0], SPECTRUM_TABLE_PACKETS), packets.shape[1]))
     for rows in row_blocks(packets.shape[0], SPECTRUM_BLOCK_ROWS):
-        np.abs(dft(packets[rows]), out=magnitudes[rows])
-    return SpectralMatrix(magnitudes=magnitudes.T)
+        magnitudes = np.abs(dft(packets[rows]))
+        table[rows] = magnitudes[: len(table[rows])]
+        for row in np.square(magnitudes, out=magnitudes):
+            energies += row
+    return energies, table.T
+
+
+def band_fraction(energies: np.ndarray, bins: np.ndarray) -> float:
+    """Fraction of the total of the bin ``energies`` inside the given bins."""
+    total = energies.sum()
+    if total <= 0.0:
+        raise ValueError("all-zero packets carry no energy")
+    return float(energies[bins].sum() / total)
 
 
 def _ascending(x) -> np.ndarray:
@@ -152,15 +124,14 @@ def ks_distance(a, b) -> float:
     return float(max(np.max(np.abs(at_v)), np.max(np.abs(below_v))))
 
 
-def occupied_band_bins(spectral: SpectralMatrix, coverage: float = DEFAULT_COVERAGE) -> np.ndarray:
-    """Smallest set of bins holding ``coverage`` of total spectral energy.
+def occupied_band_bins(energies: np.ndarray, coverage: float = DEFAULT_COVERAGE) -> np.ndarray:
+    """Smallest set of bins holding ``coverage`` of the total of the bin ``energies``.
 
     Bins are taken greedily by descending energy (ties broken by bin index);
     the returned indices are sorted ascending.
     """
     if not 0.0 < coverage <= 1.0:
         raise ValueError(f"coverage must lie in (0, 1], got {coverage}")
-    energies = spectral.bin_energies()
     total = energies.sum()
     if total <= 0.0:
         raise ValueError("all-zero spectrum has no occupied band")
@@ -293,6 +264,8 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     ``seed``, which also seeds the noise baseline. ``frame`` is the prototype
     frame scored, whose power denormalizes the in-process packets. The
     thresholds are the ``DEFAULT_*`` constants, which the report stores.
+    ``report.tables`` holds the histogram and each matrix's spectrum table
+    from ``spectral_matrix``.
     """
     if not tensor.normalized:
         raise ValueError("tensor must be normalized (validate uses stats to denormalize)")
@@ -330,9 +303,9 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     proto_values = _pooled_values(proto_packets)
     sigma = float(np.std(proto_values))  # before the sort, which would reorder its sum
     proto_values.sort()
-    proto_spectral = spectral_matrix(proto_packets)
-    band = occupied_band_bins(proto_spectral, DEFAULT_COVERAGE)
-    raw_proto = proto_spectral.band_fraction(band)
+    proto_energies, proto_table = spectral_matrix(proto_packets)
+    band = occupied_band_bins(proto_energies, DEFAULT_COVERAGE)
+    raw_proto = band_fraction(proto_energies, band)
     span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
     pdf_range = (-span, span)
     centers, proto_mass = empirical_pdf(proto_values, DEFAULT_N_BINS, pdf_range)
@@ -342,23 +315,23 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     # spectra are taken (a sorted pool is the same in whatever order it was
     # pooled), so no full-size copy of it is made.
     noise_packets = _noise_baseline(proto_packets, gen_packets.shape, seed)
-    noise_spectral = spectral_matrix(noise_packets)
+    noise_energies, noise_table = spectral_matrix(noise_packets)
     ks_noise, noise_mass = _sample_stats(noise_packets.view(np.float64).reshape(-1), proto_values, pdf_range)
     del noise_packets  # sorted: spent
     ks_gen, gen_mass = _sample_stats(_pooled_values(gen_packets), proto_values, pdf_range)
-    gen_spectral = spectral_matrix(gen_packets)
+    gen_energies, gen_table = spectral_matrix(gen_packets)
 
     return ValidationReport(
         ks_proto_vs_gen=ks_gen,
         ks_proto_vs_noise=ks_noise,
-        band_energy_fraction_gen=min(1.0, gen_spectral.band_fraction(band) / raw_proto),
-        band_energy_fraction_noise=min(1.0, noise_spectral.band_fraction(band) / raw_proto),
+        band_energy_fraction_gen=min(1.0, band_fraction(gen_energies, band) / raw_proto),
+        band_energy_fraction_noise=min(1.0, band_fraction(noise_energies, band) / raw_proto),
         mean_d_accuracy=mean_accuracy,
         packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
         tables={
             "histogram": (centers, proto_mass, gen_mass, noise_mass),
-            "spectrum_prototype": proto_spectral,
-            "spectrum_generated": gen_spectral,
-            "spectrum_noise": noise_spectral,
+            "spectrum_prototype": proto_table,
+            "spectrum_generated": gen_table,
+            "spectrum_noise": noise_table,
         },
     )

@@ -459,6 +459,19 @@ def test_generate_refuses_an_even_or_non_positive_rc_length(trained_run, capsys,
     assert not out.with_suffix(".manifest").exists()
 
 
+@pytest.mark.parametrize("rolloff", ["5", "0", "-1", "nan"])
+def test_generate_refuses_a_rolloff_outside_0_1_with_a_one_tap_filter(trained_run, capsys, rolloff):
+    tmp_path, _, run_dir = trained_run
+    out = tmp_path / "rolloff.iq"
+    rc = main(["generate", "--run-dir", str(run_dir), "--out", str(out), "--ngen", "4", "--rc-length", "1",
+               f"--rolloff={rolloff}", "--quiet"])
+    assert rc == 2
+    assert "rolloff must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert not sidecar_path(out).exists()
+    assert not out.with_suffix(".manifest").exists()
+
+
 def test_generate_failing_mid_stream_leaves_the_previous_files(trained_run, monkeypatch, capsys):
     tmp_path, _, run_dir = trained_run
     out = tmp_path / "mid_stream.iq"
@@ -760,7 +773,7 @@ _OUTPUTS = ("gen.iq", "gen.iq.meta", "val/report.txt", "val/histogram.csv", "val
 # Bad values of each key train writes into run.meta.
 _RUN_META_BAD = {
     "n_frames": ("x", "2.0", "0", "-1", "1", "3"),
-    "n_packets": ("x", "0", "-16"),
+    "n_packets": ("x", "0", "-16", "11"),  # 11 is below the run's 12 examples
     "sample_rate_hz": ("x", "nan", "inf", "0.0", "-1.0"),
     "center_freq_hz": ("x", "nan", "-inf", "-1.0"),
     "rx_gain_db": ("x", "nan", "inf"),

@@ -179,6 +179,14 @@ def test_synthesize_refuses_an_even_or_non_positive_rc_length(monkeypatch, rc_le
         _synth(4, rc_length=rc_length)
 
 
+@pytest.mark.parametrize("rolloff", [5.0, 0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("rc_length", [1, 129])
+def test_synthesize_refuses_a_rolloff_outside_0_1_at_every_length(monkeypatch, rc_length, rolloff):
+    monkeypatch.setattr(Net, "predict", _no_generator_pass)
+    with pytest.raises(ValueError, match=r"rolloff must be in \(0, 1\]"):
+        _synth(4, rc_length=rc_length, rolloff=rolloff)
+
+
 def _no_generator_pass(*args, **kwargs):
     raise AssertionError("a generator pass ran")
 

@@ -1,5 +1,7 @@
 """Validation statistics and the pass/fail report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -13,9 +15,9 @@ from radiogan.iqcore import IQRecording, denormalize, frame_tensor, normalize_fr
 from radiogan.kvfile import parse_kv
 from radiogan.seeding import substream
 from radiogan.validation import (
-    SpectralMatrix,
     ValidationReport,
     _mean_pairwise_correlation,
+    band_fraction,
     empirical_pdf,
     ks_distance,
     occupied_band_bins,
@@ -26,64 +28,87 @@ from radiogan.validation import (
 N_FFT = 64
 
 
+def _whole_transform(packets):
+    """The per-bin energies and the spectrum table of ``packets`` from one
+    transform of them all: the sum down the packet axis of the [P, n_fft]
+    squared magnitudes, and the first 64 rows of the magnitudes, transposed."""
+    magnitudes = np.abs(dft(packets))
+    return np.sum(np.square(magnitudes), axis=0), magnitudes[:64].T
+
+
 def test_spectral_matrix_layout_and_values():
     rng = np.random.default_rng(0)
     packets = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-    sm = spectral_matrix(packets)
-    assert sm.magnitudes.shape == (16, 5)
-    assert sm.n_fft == 16
-    assert sm.n_packets == 5
+    energies, table = spectral_matrix(packets)
+    assert energies.shape == (16,)
+    assert table.shape == (16, 5)
     for p in range(5):
-        assert np.allclose(sm.magnitudes[:, p], np.abs(np.fft.fft(packets[p])), atol=1e-9)
+        assert np.allclose(table[:, p], np.abs(np.fft.fft(packets[p])), atol=1e-9)
+    assert np.allclose(energies, np.sum(np.abs(np.fft.fft(packets, axis=1)) ** 2, axis=0), rtol=1e-12)
 
 
 def test_spectral_matrix_parseval_per_column():
     rng = np.random.default_rng(1)
     packets = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-    sm = spectral_matrix(packets)
+    energies, table = spectral_matrix(packets)
     for p in range(3):
-        lhs = np.sum(sm.magnitudes[:, p] ** 2)
+        lhs = np.sum(table[:, p] ** 2)
         rhs = 32 * np.sum(np.abs(packets[p]) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert energies.sum() == pytest.approx(32 * np.sum(np.abs(packets) ** 2), rel=1e-12)
 
 
 def test_spectral_matrix_constant_packet_hits_dc_only():
-    sm = spectral_matrix(np.ones((1, 8), dtype=complex))
-    assert sm.magnitudes[0, 0] == pytest.approx(8.0, abs=1e-12)
-    assert np.all(sm.magnitudes[1:, 0] < 1e-12)
+    energies, table = spectral_matrix(np.ones((1, 8), dtype=complex))
+    assert table[0, 0] == pytest.approx(8.0, abs=1e-12)
+    assert np.all(table[1:, 0] < 1e-12)
+    assert energies[0] == pytest.approx(64.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_packets", [1, 63, 64, 65, 300])
 @pytest.mark.parametrize("block_rows", [7, 128])
-def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatch, block_rows):
+def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatch, block_rows, n_packets):
     monkeypatch.setattr(validation, "SPECTRUM_BLOCK_ROWS", block_rows)
-    rng = np.random.default_rng(block_rows)
-    packets = rng.standard_normal((300, 64)) + 1j * rng.standard_normal((300, 64))  # a ragged last block
+    rng = np.random.default_rng(block_rows + n_packets)
+    packets = rng.standard_normal((n_packets, 64)) + 1j * rng.standard_normal((n_packets, 64))
     calls = []
     monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
-    sm = spectral_matrix(packets)
-    assert calls == [block_rows] * (300 // block_rows) + [300 % block_rows]
-    want = np.abs(dft(packets)).T
-    assert sm.magnitudes.tobytes() == want.tobytes() and sm.magnitudes.strides == want.strides
+    energies, table = spectral_matrix(packets)
+    assert calls == [min(block_rows, n_packets - i) for i in range(0, n_packets, block_rows)]
+    want_energies, want_table = _whole_transform(packets)
+    assert energies.tobytes() == want_energies.tobytes()
+    assert table.shape == (64, min(n_packets, 64))
+    assert table.tobytes() == want_table.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(128, 2048), (1280, 256), (130, 256)])
+def test_spectral_matrix_energies_are_the_whole_sum_bit_for_bit_at_scale(shape):
+    rng = np.random.default_rng(shape[0])
+    packets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    energies, table = spectral_matrix(packets)
+    want_energies, want_table = _whole_transform(packets)
+    assert energies.tobytes() == want_energies.tobytes()
+    assert table.tobytes() == want_table.tobytes()
+
+
+def test_spectral_matrix_holds_no_packet_by_bin_matrix():
+    packets = np.exp(1j * np.arange(2048 * 256).reshape(2048, 256) * 1e-3)  # 2048 packets of 256
+    one_matrix = 2048 * 256 * 8  # a float64 [2048, 256] matrix, 4 MiB
+    spectral_matrix(packets)  # any cached DFT factors are made outside the trace
+    tracemalloc.start()
+    try:
+        spectral_matrix(packets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_matrix, peak
 
 
 def test_spectral_matrix_validation():
     with pytest.raises(ValueError):
-        SpectralMatrix(magnitudes=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SpectralMatrix(magnitudes=-np.ones((2, 2)))
-    with pytest.raises(ValueError):
         spectral_matrix(np.zeros((0, 4)))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
-def test_spectral_matrix_refuses_non_finite_or_negative_magnitudes(bad):
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        SpectralMatrix(magnitudes=np.array([[bad, 1.0], [2.0, 3.0]]))
-
-
-def test_bin_energies_sums_over_packets():
-    sm = SpectralMatrix(magnitudes=np.array([[1.0, 2.0], [3.0, 0.0]]))
-    assert np.allclose(sm.bin_energies(), [5.0, 9.0])
+    with pytest.raises(ValueError):
+        spectral_matrix(np.zeros(4))
 
 
 def test_empirical_pdf_fixture():
@@ -314,28 +339,26 @@ def test_ks_distance_equals_grid_formulation_property(a, b):
 
 def test_occupied_band_bins_greedy_fixture():
     energies = np.array([10.0, 1.0, 5.0, 4.0])
-    sm = SpectralMatrix(magnitudes=np.sqrt(energies)[:, None])
     # descending order 10,5,4 covers 19/20 >= 0.9*20
-    assert np.array_equal(occupied_band_bins(sm, coverage=0.9), [0, 2, 3])
-    assert np.array_equal(occupied_band_bins(sm, coverage=0.4), [0])
-    assert np.array_equal(occupied_band_bins(sm, coverage=1.0), [0, 1, 2, 3])
+    assert np.array_equal(occupied_band_bins(energies, coverage=0.9), [0, 2, 3])
+    assert np.array_equal(occupied_band_bins(energies, coverage=0.4), [0])
+    assert np.array_equal(occupied_band_bins(energies, coverage=1.0), [0, 1, 2, 3])
 
 
 def test_occupied_band_bins_validation():
-    sm = SpectralMatrix(magnitudes=np.ones((4, 1)))
     with pytest.raises(ValueError):
-        occupied_band_bins(sm, coverage=0.0)
+        occupied_band_bins(np.ones(4), coverage=0.0)
     with pytest.raises(ValueError):
-        occupied_band_bins(SpectralMatrix(magnitudes=np.zeros((4, 1))))
+        occupied_band_bins(np.zeros(4))
 
 
 def test_in_band_fraction_tone():
     t = np.arange(32)
-    packets = np.exp(2j * np.pi * (4 / 32) * t)[None, :]
-    assert spectral_matrix(packets).band_fraction(np.array([4])) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_matrix(packets).band_fraction(np.array([5])) == pytest.approx(0.0, abs=1e-12)
+    energies, _ = spectral_matrix(np.exp(2j * np.pi * (4 / 32) * t)[None, :])
+    assert band_fraction(energies, np.array([4])) == pytest.approx(1.0, abs=1e-12)
+    assert band_fraction(energies, np.array([5])) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        spectral_matrix(np.zeros((1, 32), dtype=complex)).band_fraction(np.array([0]))
+        band_fraction(spectral_matrix(np.zeros((1, 32), dtype=complex))[0], np.array([0]))
 
 
 def test_mean_pairwise_correlation_extremes():
@@ -530,8 +553,8 @@ def test_validate_with_tables():
     assert centers.shape == (101,)
     for mass in (p_mass, g_mass, n_mass):
         assert mass.sum() == pytest.approx(1.0, abs=1e-9)
-    assert rep.tables["spectrum_prototype"].n_fft == N_FFT
-    assert rep.tables["spectrum_generated"].n_packets == tensor.n_packets
+    assert rep.tables["spectrum_prototype"].shape == (N_FFT, tensor.n_packets)
+    assert rep.tables["spectrum_generated"].shape == (N_FFT, tensor.n_packets)
 
 
 def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
@@ -551,13 +574,19 @@ def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
     def pooled(packets):
         return np.concatenate([packets.real.ravel(), packets.imag.ravel()])
 
-    band = occupied_band_bins(spectral_matrix(proto), 0.9)
-    raw_proto = spectral_matrix(proto).band_fraction(band)
+    def energies(packets):
+        return _whole_transform(packets)[0]
+
+    def fraction(packets, bins):
+        return float(energies(packets)[bins].sum() / energies(packets).sum())
+
+    band = occupied_band_bins(energies(proto), 0.9)
+    raw_proto = fraction(proto, band)
     report = ValidationReport(
         ks_proto_vs_gen=reference_ks(pooled(proto), pooled(gen_packets)),
         ks_proto_vs_noise=reference_ks(pooled(proto), pooled(noise)),
-        band_energy_fraction_gen=min(1.0, spectral_matrix(gen_packets).band_fraction(band) / raw_proto),
-        band_energy_fraction_noise=min(1.0, spectral_matrix(noise).band_fraction(band) / raw_proto),
+        band_energy_fraction_gen=min(1.0, fraction(gen_packets, band) / raw_proto),
+        band_energy_fraction_noise=min(1.0, fraction(noise, band) / raw_proto),
         mean_d_accuracy=float(np.mean([log.mean_accuracy(last_n=-(-len(log) // 4))])),
         packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
         band_ratio_min=2.0,
@@ -573,9 +602,9 @@ def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
             reference_pdf(pooled(gen_packets), 101, (-span, span))[1],
             reference_pdf(pooled(noise), 101, (-span, span))[1],
         ),
-        "spectrum_prototype": spectral_matrix(proto),
-        "spectrum_generated": spectral_matrix(gen_packets),
-        "spectrum_noise": spectral_matrix(noise),
+        "spectrum_prototype": _whole_transform(proto)[1],
+        "spectrum_generated": _whole_transform(gen_packets)[1],
+        "spectrum_noise": _whole_transform(noise)[1],
     }
     return report, tables
 
@@ -609,9 +638,20 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
     for got, want in zip(rep.tables["histogram"], tables["histogram"]):
         assert got.tobytes() == want.tobytes()
     for name in ("spectrum_prototype", "spectrum_generated", "spectrum_noise"):
-        got = rep.tables[name].magnitudes
-        assert got.T.flags.c_contiguous  # a view of the transform's layout, no transposed copy
-        assert got.tobytes() == tables[name].magnitudes.tobytes()
+        assert rep.tables[name].tobytes() == tables[name].tobytes()
+
+
+@pytest.mark.parametrize("generated", [True, False])
+def test_validate_transforms_each_matrix_in_128_packet_blocks(monkeypatch, generated):
+    tensor, stats = _tensor()
+    n_gen = 300  # two whole blocks and one of 44
+    gen = np.random.default_rng(2).standard_normal((n_gen, N_FFT)) + 0j
+    calls = []
+    monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
+    validate(_gens(), tensor, stats, [_log([0.5] * 4)], n_gen=None if generated else n_gen,
+             generated=_recording(gen) if generated else None, snr_db=-27.0)
+    # ceil(P_proto / 128) for the prototype, ceil(P / 128) each for the noise and the generated packets
+    assert calls == [tensor.n_packets] + [128, 128, 44] * 2
 
 
 def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
