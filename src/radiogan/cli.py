@@ -300,11 +300,14 @@ def _load_run(run_dir: Path) -> Run:
         if n_packets < model_i.config.n_examples:  # train refuses more examples than packets
             raise ValueError(f"n_packets={n_packets} is below the n_examples={model_i.config.n_examples} "
                              "the rails trained on")
-        power_keys = [f"frame_power_{k}" for k in range(n_frames)]
-        stray = sorted(key for key in meta if key.startswith("frame_power_") and key not in power_keys)
+        powers = {key for key in meta if key.startswith("frame_power_")}
+        # Past the file's count of powers a name is surely missing, so no more
+        # are named than that plus one: a huge n_frames costs no memory.
+        power_keys = [f"frame_power_{k}" for k in range(min(n_frames, len(powers) + 1))]
+        stats = FrameStats(np.asarray([float(meta[key]) for key in power_keys]))
+        stray = sorted(powers.difference(power_keys))
         if stray:
             raise ValueError(f"{stray} name frames beyond n_frames={n_frames}")
-        stats = FrameStats(np.asarray([float(meta[key]) for key in power_keys]))
         snr_low, snr_high = model_i.config.snr_range_db
         snr_mid_db = 0.5 * (snr_low + snr_high)
         return Run(model_i, model_q, logs, model_i.n_fft, model_i.frame, snr_mid_db, n_packets, stats,

@@ -48,52 +48,35 @@ def fft_block_rows(n: int) -> int:
     return max(1, FFT_BLOCK_BYTES // (16 * n))
 
 
-def _four_step(x: np.ndarray) -> np.ndarray:
-    """DFT of each row of the complex ``(rows, n)`` array ``x``, ``n`` a power of two.
-
-    Bailey's four-step FFT: with ``n = FFT_RADIX * n2``, row element
-    ``n2 * j1 + j2`` goes to cell ``(j1, j2)`` of a matrix. Length-``FFT_RADIX``
-    DFTs down its columns, a twiddle ``exp(-2j pi k1 j2 / n)`` on cell
-    ``(k1, j2)`` and length-``n2`` DFTs down the columns of its transpose
-    leave bin ``k1 + FFT_RADIX * k2`` at ``(k2, k1)``, in natural order.
-    Every product is stacked per row, so each row gets the same BLAS calls
-    whatever the number of rows.
-    """
-    rows, n = x.shape
-    if n <= FFT_RADIX:
-        return (x[:, None, :] @ _roots(n, n, n)).reshape(rows, n)
-    n2 = n // FFT_RADIX
-    cells = _roots(FFT_RADIX, FFT_RADIX, FFT_RADIX) @ x.reshape(rows, FFT_RADIX, n2)
-    cells *= _roots(n, FFT_RADIX, n2)
-    return _dft_columns(cells.transpose(0, 2, 1)).reshape(rows, n)
-
-
 def _dft_columns(a: np.ndarray) -> np.ndarray:
-    """DFT down the columns of each matrix of the ``(stack, n, cols)`` array ``a``.
+    """DFT down the columns of each matrix of the ``(stack, n, cols)`` array ``a``, ``n`` a power of two.
 
-    A length ``n > FFT_RADIX`` goes four-step as ``n1 * FFT_RADIX``: column
-    element ``FFT_RADIX * j1 + j2`` to cell ``(j1, j2)``, length-``n1`` DFTs
-    over ``j1`` (recursing), twiddles, length-``FFT_RADIX`` DFTs over ``j2``,
-    then bin ``k1 + n1 * k2`` from cell ``(k1, k2)``. Each product covers
-    every column at once.
+    Bailey's four-step FFT: with ``n = FFT_RADIX * n2``, column element
+    ``n2 * j1 + j2`` goes to cell ``(j1, j2)``. Length-``FFT_RADIX`` DFTs over
+    ``j1``, a twiddle ``exp(-2j pi k1 j2 / n)`` on cell ``(k1, j2)`` and
+    length-``n2`` DFTs over ``j2`` (recursing, with the ``FFT_RADIX`` values
+    of ``k1`` as extra columns) leave bin ``k1 + FFT_RADIX * k2`` at
+    ``(k2, k1)``, in natural order. Every product is stacked per matrix, so
+    each matrix gets the same BLAS calls whatever the size of the stack.
     """
     stack, n, cols = a.shape
     if n <= FFT_RADIX:
         return _roots(n, n, n) @ a
-    n1 = n // FFT_RADIX
-    cells = _dft_columns(a.reshape(stack, n1, FFT_RADIX * cols)).reshape(stack, n1, FFT_RADIX, cols)
-    cells *= _roots(n, n1, FFT_RADIX)[:, :, None]
-    spectra = _roots(FFT_RADIX, FFT_RADIX, FFT_RADIX) @ cells.reshape(-1, FFT_RADIX, cols)
-    return spectra.reshape(stack, n1, FFT_RADIX, cols).transpose(0, 2, 1, 3).reshape(stack, n, cols)
+    n2 = n // FFT_RADIX
+    cells = _roots(FFT_RADIX, FFT_RADIX, FFT_RADIX) @ a.reshape(stack, FFT_RADIX, n2 * cols)
+    cells = cells.reshape(stack, FFT_RADIX, n2, cols)
+    cells *= _roots(n, FFT_RADIX, n2)[:, :, None]
+    spectra = _dft_columns(cells.transpose(0, 2, 1, 3).reshape(stack, n2, FFT_RADIX * cols))
+    return spectra.reshape(stack, n, cols)
 
 
 def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Four-step FFT over the last axis, for a power-of-two length.
 
-    Rows go ``fft_block_rows(n)`` at a time through ``_four_step``;
-    ``run_blocks`` spreads the blocks over the CPUs. Each row
-    goes through the same operations in the same order whatever the block or
-    the worker. ``inverse`` computes ``conj(fft(conj(x))) / n`` instead. The
+    Rows go ``fft_block_rows(n)`` at a time through ``_dft_columns``, each
+    as a one-column matrix; ``run_blocks`` spreads the blocks over the CPUs.
+    Each row goes through the same operations in the same order whatever the
+    block or the worker. ``inverse`` computes ``conj(fft(conj(x))) / n`` instead. The
     output is C-contiguous.
     """
     n = x.shape[-1]
@@ -103,7 +86,8 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     conjugate_in = inverse and np.iscomplexobj(x)
 
     def transform(rows, _):
-        spectra = _four_step(np.conjugate(src[rows]) if conjugate_in else src[rows])
+        block = np.conjugate(src[rows]) if conjugate_in else src[rows]
+        spectra = _dft_columns(block[:, :, None]).reshape(block.shape)
         if inverse:
             np.divide(np.conjugate(spectra, out=spectra), n, out=dst[rows])
         else:

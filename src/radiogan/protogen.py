@@ -85,7 +85,8 @@ def _baseband(sc: SyntheticScenario, rng: np.random.Generator) -> np.ndarray:
         tones = np.exp(2j * np.pi * np.outer(freqs, t) + 1j * phases[:, None])
         return tones.sum(axis=0) / np.sqrt(_MULTITONE_COUNT)
     # qpsk: random Gray symbols on a rectangular pulse, mixed up to the band center
-    sps = max(1, round(1.0 / sc.symbol_rate_frac))
+    # capped at n: any longer symbol draws the same one symbol, without round(inf) or a huge repeat
+    sps = max(1, round(min(1.0 / sc.symbol_rate_frac, n)))
     n_symbols = -(-n // sps)
     symbols = (
         (2.0 * rng.integers(0, 2, n_symbols) - 1.0) + 1j * (2.0 * rng.integers(0, 2, n_symbols) - 1.0)

@@ -210,15 +210,18 @@ def _pooled_values(packets: np.ndarray) -> np.ndarray:
 def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> np.ndarray:
     """White complex noise packets of ``shape`` with the prototype's power.
 
-    One draw of the real parts, then one of the imaginary parts, each scaled
-    in place.
+    The real parts are drawn, then the imaginary parts, each scaled. Each part
+    is drawn ``SPECTRUM_BLOCK_ROWS`` rows at a time through one buffer, which
+    gives the bits of one full-size draw without its full-size temporary.
     """
     scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
     rng = substream(seed, "validate", "noise")
     packets = np.empty(shape, dtype=np.complex128)
+    buffer = np.empty((min(shape[0], SPECTRUM_BLOCK_ROWS), shape[1]))
     for part in (packets.real, packets.imag):
-        part[...] = rng.standard_normal(shape)
-        part *= scale
+        for rows in row_blocks(shape[0], SPECTRUM_BLOCK_ROWS):
+            drawn = rng.standard_normal(out=buffer[: rows.stop - rows.start])
+            np.multiply(drawn, scale, out=part[rows])
     return packets
 
 

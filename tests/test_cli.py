@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -127,6 +128,18 @@ def test_protogen_refuses_a_non_finite_snr_other_than_inf(tmp_path, capsys, snr,
         assert list(tmp_path.iterdir()) == []  # nothing written
     else:
         assert out.exists()
+
+
+def test_protogen_at_a_symbol_longer_than_the_recording_writes_one_symbol(tmp_path, capsys):
+    # 1e-320 made round(inf) raise; 1e-6 repeated its one symbol a million times
+    payloads = []
+    for rate in ("1e-320", "1e-6"):
+        out = tmp_path / f"rate_{rate}.iq"
+        args = ["protogen", "--preset", "qpsk-burst", "--seed", "7", "--samples", "8192", "--symbol-rate", rate]
+        assert main(args + ["--out", str(out), "--quiet"]) == 0
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
+    assert capsys.readouterr().err == ""
 
 
 def test_version_flag():
@@ -908,6 +921,24 @@ def test_a_corrupt_run_dir_is_refused_or_changes_nothing(trained_run, clean_outp
         assert codes[0] == 0 and codes[1] in (0, 1) and not err, err
         for name in _OUTPUTS:
             assert (tmp_path / name).read_bytes() == (clean_outputs / name).read_bytes(), name
+
+
+def test_a_huge_n_frames_is_refused_without_naming_its_frames(trained_run, tmp_path, capsys):
+    _, _, clean_run = trained_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(clean_run, run_dir)
+    _edit_meta(n_frames="2000000")(run_dir)
+    out = tmp_path / "gen.iq"
+    tracemalloc.start()
+    try:
+        rc = main(["generate", "--run-dir", str(run_dir), "--out", str(out), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "missing key 'frame_power_2'" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 16 << 20, peak  # naming 2,000,000 frames took over 100 MB
 
 
 def test_validate_refuses_a_prototype_framed_unlike_the_run(trained_run, tmp_path, capsys):

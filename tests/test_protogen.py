@@ -1,5 +1,7 @@
 """Synthetic prototype captures: spectral placement, bursts, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from radiogan.iqcore import frame_tensor, normalize_frames
 from radiogan.protogen import (
     BURST_PERIOD,
     SyntheticScenario,
+    _baseband,
     _burst_gate,
     synth_prototype,
 )
@@ -172,3 +175,16 @@ def test_recording_metadata_passthrough():
     assert rec.center_freq_hz == 9e8
     assert rec.rx_gain_db == 3.0
     assert rec.n_samples == 512
+
+
+def test_a_symbol_longer_than_the_recording_costs_no_more_than_the_recording():
+    # the preset's 32768 samples: 1e-7 repeated one symbol 10^7 times, 153 MiB
+    sc = SyntheticScenario(n_samples=32768, symbol_rate_frac=1e-7)
+    tracemalloc.start()
+    try:
+        samples = _baseband(sc, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (32768,)
+    assert peak < 32 * sc.n_samples * 16, peak  # 16 MiB

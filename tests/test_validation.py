@@ -688,6 +688,28 @@ def test_noise_baseline_is_the_two_draw_formulation_byte_for_byte():
     assert packets.tobytes() == want.tobytes()
 
 
+def test_noise_baseline_in_row_blocks_is_one_draw_per_part_byte_for_byte():
+    # 300 rows are two blocks of SPECTRUM_BLOCK_ROWS and a ragged one of 44
+    proto = np.random.default_rng(9).standard_normal((4, 16)) * (1 + 1j)
+    scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
+    draws = substream(11, "validate", "noise").standard_normal((2, 300, 16))
+    packets = validation._noise_baseline(proto, (300, 16), 11)
+    assert packets.real.tobytes() == (draws[0] * scale).tobytes()
+    assert packets.imag.tobytes() == (draws[1] * scale).tobytes()
+
+
+def test_noise_baseline_draws_no_full_size_part():
+    proto = np.ones((4, 256), dtype=np.complex128)
+    part = 1024 * 256 * 8  # one float64 [1024, 256] part, 2 MiB
+    tracemalloc.start()
+    try:
+        packets = validation._noise_baseline(proto, (1024, 256), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - packets.nbytes < part // 2, peak
+
+
 @pytest.mark.parametrize("shape", [(7, 16), (300, 64)])
 def test_noise_ks_and_masses_are_those_of_the_two_draw_pool(shape):
     # The pool validate sorts is the noise packets' own float64 view; the
