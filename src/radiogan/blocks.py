@@ -74,6 +74,18 @@ def row_blocks(rows: int, step: int) -> list:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
+def joined_blocks(rows: int, step: int) -> list:
+    """Slices cutting ``rows`` rows into ``max(1, rows // step)`` blocks of
+    ``step``, fewer than ``step`` rows left at the end joining the last block.
+
+    BLAS may round a product of a few rows differently from the same rows in a
+    larger one, so a kernel run over these blocks gives each row the bits of
+    one run over all the rows where a ragged block of one row would not.
+    """
+    n_blocks = max(1, rows // step)
+    return [slice(k * step, rows if k == n_blocks - 1 else (k + 1) * step) for k in range(n_blocks)]
+
+
 def _executor(cpus: int):
     # Keyed on the pid as well, so a forked child starts its own threads.
     global _pool, _pool_key

@@ -32,8 +32,8 @@ from .gan import (
     save_gan,
     train,
 )
-from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, capture_meta, frame_tensor, iq_writer, load_iq,
-                     normalize_frames, save_iq, sidecar_path)
+from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, capture_meta, frame_tensor, iq_reader, iq_writer, load_iq,
+                     normalize_frames, save_iq)
 from .kvfile import parse_kv, read_kv, write_kv
 from .manifest import write_manifest
 from .protogen import MODULATIONS, SyntheticScenario, synth_prototype
@@ -355,9 +355,11 @@ def _write_spectrum_csv(path: Path, table) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_generated_fits(path, generated, recorded: dict, n_fft: int) -> None:
-    """Refuse a generated file whose sidecar records packets unlike the run's:
-    another ``n_fft``, or an ``n_gen`` that does not make up its payload."""
+def _check_generated_fits(generated, n_fft: int) -> None:
+    """Refuse a generated file (an ``IQReader``) whose sidecar records packets
+    unlike the run's: another ``n_fft``, or an ``n_gen`` that does not make up
+    its payload."""
+    path, recorded = generated.path, generated.meta
     if "n_fft" in recorded and int(recorded["n_fft"]) != n_fft:
         raise ValueError(f"{path} was generated at n_fft={recorded['n_fft']}; the run trained at n_fft={n_fft}")
     if "n_gen" in recorded and int(recorded["n_gen"]) * n_fft != generated.n_samples:
@@ -379,13 +381,13 @@ def cmd_validate(args) -> int:
             f"{args.proto} frames into {tensor.n_packets} packets per frame; the run trained on {run.n_packets}"
         )
     tensor, fresh_stats = normalize_frames(tensor)
-    generated, recorded = None, {}
-    if args.generated:
-        generated, recorded = load_iq(args.generated), read_kv(sidecar_path(args.generated))
-        _check_generated_fits(args.generated, generated, recorded, run.n_fft)
+    generated = None
+    if args.generated:  # its samples are read a block at a time by validate
+        generated = iq_reader(args.generated)
+        _check_generated_fits(generated, run.n_fft)
     frame = args.frame
     if frame is None:  # the frame a generated file's power came from, else the training frame
-        frame = int(recorded.get("frame", run.frame))
+        frame = int(generated.meta.get("frame", run.frame)) if generated else run.frame
     n_gen = tensor.n_packets if args.ngen is None else args.ngen
     report = validate((run.model_i.generator, run.model_q.generator), tensor, fresh_stats, run.logs,
                       frame=frame, n_gen=n_gen, snr_db=run.snr_mid_db, seed=args.seed, generated=generated)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blocks import joined_blocks
 from .kvfile import read_kv, write_kv
 
 PAYLOAD_DTYPE = np.dtype("<f4")
@@ -76,26 +77,56 @@ class IQRecording:
     def mean_power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
 
+    def blocks(self, packet_len: int, block_packets: int):
+        """The whole packets of ``packet_len`` samples, as ``IQReader.blocks`` cuts them."""
+        n_packets = self.n_samples // packet_len
+        packets = self.samples[: n_packets * packet_len].reshape(n_packets, packet_len)
+        return (packets[rows] for rows in joined_blocks(n_packets, block_packets))
+
 
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + META_SUFFIX)
 
 
-def load_iq(path: str | Path) -> IQRecording:
-    """Load a raw interleaved float32 I/Q payload and its ``path + ".meta"`` sidecar."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) == 0:
-        raise IQFormatError(f"{path}: empty payload")
-    if len(raw) % (2 * PAYLOAD_DTYPE.itemsize) != 0:
-        raise IQFormatError(f"{path}: truncated sample (payload is {len(raw)} bytes)")
-    # Interleaved I, Q pairs widened in place of a complex sum, which would
-    # drop signed zeros; the raw bytes are freed before the finite check.
-    samples = np.frombuffer(raw, dtype=PAYLOAD_DTYPE).astype(np.float64).view(np.complex128)
-    del raw
-    if not np.all(np.isfinite(samples)):
-        raise IQFormatError(f"{path}: payload contains non-finite values")
+@dataclass(frozen=True)
+class IQReader:
+    """A payload whose size and sidecar ``iq_reader`` has checked; ``blocks`` reads its samples."""
 
+    path: Path
+    meta: dict  # every key=value pair of the sidecar, as text
+    capture: dict  # the REQUIRED_META values, as floats
+    n_samples: int
+
+    def blocks(self, packet_len: int, block_packets: int):
+        """Yield the payload's whole packets of ``packet_len`` samples in order,
+        as complex128 [rows, packet_len] blocks cut by ``joined_blocks`` into
+        ``block_packets`` packets each; samples past the last whole packet are
+        not read. A block holding a non-finite value raises ``IQFormatError``
+        before it is yielded.
+        """
+        with open(self.path, "rb") as payload:
+            for rows in joined_blocks(self.n_samples // packet_len, block_packets):
+                count = 2 * (rows.stop - rows.start) * packet_len
+                parts = np.fromfile(payload, dtype=PAYLOAD_DTYPE, count=count)
+                if parts.size != count:
+                    raise IQFormatError(f"{self.path}: payload shrank while it was read")
+                if not np.isfinite(parts).all():
+                    raise IQFormatError(f"{self.path}: payload contains non-finite values")
+                # Interleaved I, Q pairs widened in place of a complex sum,
+                # which would drop signed zeros.
+                yield parts.astype(np.float64).view(np.complex128).reshape(-1, packet_len)
+
+
+def iq_reader(path: str | Path) -> IQReader:
+    """Check a raw interleaved float32 I/Q payload's size and its ``path + ".meta"``
+    sidecar, reading no sample; ``IQFormatError`` for an empty payload, a
+    partial sample, or a missing, unreadable or malformed sidecar."""
+    path = Path(path)
+    n_bytes = path.stat().st_size
+    if n_bytes == 0:
+        raise IQFormatError(f"{path}: empty payload")
+    if n_bytes % (2 * PAYLOAD_DTYPE.itemsize) != 0:
+        raise IQFormatError(f"{path}: truncated sample (payload is {n_bytes} bytes)")
     meta_path = sidecar_path(path)
     if not meta_path.is_file():
         raise IQFormatError(f"missing metadata sidecar {meta_path}")
@@ -104,9 +135,17 @@ def load_iq(path: str | Path) -> IQRecording:
     except ValueError as exc:  # not UTF-8, or a line that is not key=value
         raise IQFormatError(f"{meta_path}: unreadable metadata ({exc})") from exc
     try:
-        return IQRecording(samples=samples, **capture_meta(meta))
+        capture = capture_meta(meta)
     except ValueError as exc:
         raise IQFormatError(f"{meta_path}: malformed metadata ({exc})") from exc
+    return IQReader(path, meta, capture, n_bytes // (2 * PAYLOAD_DTYPE.itemsize))
+
+
+def load_iq(path: str | Path) -> IQRecording:
+    """Load a raw interleaved float32 I/Q payload and its sidecar: ``iq_reader``'s one block."""
+    reader = iq_reader(path)
+    (samples,) = reader.blocks(reader.n_samples, 1)
+    return IQRecording(samples=samples.reshape(-1), **reader.capture)
 
 
 @contextmanager

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import joined_blocks
 from .dsp import OverlapSaveCarry, RaisedCosineSpec, overlap_save_reconstruct, raised_cosine_taps
 from .gan import Net, latent_noise_variance, sample_latent
 from .iqcore import COMPONENTS, denormalize
@@ -83,9 +84,8 @@ def synthesize(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed: int,
     ``GEN_BLOCK_PACKETS`` packets draws its latent rows from each rail's
     substream in turn, and ``write`` gets the filtered samples it completes,
     a 1-D complex array, in stream order. Fewer packets than a block left at
-    the end go with the last block: BLAS may round a product of a few rows
-    differently from the same rows in a larger one, and the generator pass of
-    a few packets would then differ from that of a stream generated at once.
+    the end go with the last block (``joined_blocks``), so the generator pass
+    of a few packets gives the bits of a stream generated at once.
     """
     if i_model.n_fft != q_model.n_fft:
         raise ValueError(
@@ -94,9 +94,7 @@ def synthesize(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed: int,
     taps = _taps(rc_length, rolloff)
     latents = [substream(seed, "synthesis", "latent", rail) for rail in COMPONENTS]
     carry = OverlapSaveCarry(n_gen * i_model.n_fft)
-    n_blocks = max(1, n_gen // GEN_BLOCK_PACKETS)  # a short last block joins the one before
-    for k in range(n_blocks):
-        n_block = n_gen - k * GEN_BLOCK_PACKETS if k == n_blocks - 1 else GEN_BLOCK_PACKETS
-        i_mat, q_mat = (generate_packets(model, n_block, snr_db, latent)
+    for rows in joined_blocks(n_gen, GEN_BLOCK_PACKETS):
+        i_mat, q_mat = (generate_packets(model, rows.stop - rows.start, snr_db, latent)
                         for model, latent in zip((i_model, q_model), latents))
         write(overlap_save_reconstruct(assemble_iq(i_mat, q_mat, frame_power), taps, carry))

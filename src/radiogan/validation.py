@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .blocks import row_blocks
+from .blocks import joined_blocks
 from .dsp import dft
 from .gan import Net
-from .iqcore import COMPONENTS, FrameStats, IQRecording, PrototypeTensor, denormalize
+from .iqcore import COMPONENTS, FrameStats, PrototypeTensor, denormalize
 from .kvfile import format_kv, parse_kv
 from .seeding import substream
 from .synthesis import assemble_iq, generate_packets
@@ -35,27 +35,42 @@ SPECTRUM_TABLE_PACKETS = 64  # packet columns of each spectrum table
 _CRITERIA = ("ks_gen_below_noise", "band_fraction_ratio", "accuracy_in_band")
 
 
-def spectral_matrix(packets: np.ndarray) -> tuple:
+def spectral_matrix(packets, pool=None) -> tuple:
     """``(energies, table)`` of a packet matrix [P, n_fft]: the energy of each
     frequency bin, summed over the packets, and the magnitude spectra of the
     first ``min(P, SPECTRUM_TABLE_PACKETS)`` packets, one column each.
 
-    ``SPECTRUM_BLOCK_ROWS`` packets at a time are transformed. Each packet's
-    squared magnitudes are added into the energies in packet order, the float
-    sum down the packet axis of the whole [P, n_fft] matrix bit for bit (adding
+    ``packets`` is the matrix, which ``joined_blocks`` cuts into blocks of
+    ``SPECTRUM_BLOCK_ROWS`` packets, or an iterable of its row blocks in
+    packet order. Each block is transformed at once. Each packet's squared
+    magnitudes are added into the energies in packet order, the float sum down
+    the packet axis of the whole [P, n_fft] matrix bit for bit (adding
     per-block sums would round differently); no [P, n_fft] array is made.
+    With ``pool``, a float64 [2, P, n_fft] array, each block's real parts are
+    also copied into ``pool[0]`` and its imaginary parts into ``pool[1]``.
     """
-    packets = np.asarray(packets, dtype=np.complex128)
-    if packets.ndim != 2 or packets.shape[0] < 1:
-        raise ValueError("packets must be a non-empty 2-D array")
-    energies = np.zeros(packets.shape[1])
-    table = np.empty((min(packets.shape[0], SPECTRUM_TABLE_PACKETS), packets.shape[1]))
-    for rows in row_blocks(packets.shape[0], SPECTRUM_BLOCK_ROWS):
-        magnitudes = np.abs(dft(packets[rows]))
-        table[rows] = magnitudes[: len(table[rows])]
+    blocks = packets
+    if isinstance(packets, np.ndarray):
+        if packets.ndim != 2 or packets.shape[0] < 1:
+            raise ValueError("packets must be a non-empty 2-D array")
+        blocks = (packets[rows] for rows in joined_blocks(packets.shape[0], SPECTRUM_BLOCK_ROWS))
+    start = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.complex128)
+        stop = start + block.shape[0]
+        if start == 0:
+            energies = np.zeros(block.shape[1])
+            table = np.empty((SPECTRUM_TABLE_PACKETS, block.shape[1]))
+        if pool is not None:
+            pool[0, start:stop], pool[1, start:stop] = block.real, block.imag
+        magnitudes = np.abs(dft(block))
+        table[start:stop] = magnitudes[: max(0, SPECTRUM_TABLE_PACKETS - start)]
         for row in np.square(magnitudes, out=magnitudes):
             energies += row
-    return energies, table.T
+        start = stop
+    if start == 0:
+        raise ValueError("packets must be a non-empty 2-D array")
+    return energies, table[:start].T
 
 
 def band_fraction(energies: np.ndarray, bins: np.ndarray) -> float:
@@ -70,7 +85,10 @@ def _ascending(x) -> np.ndarray:
     """Flat float64 ``x``, non-decreasing: as is if it already is (one compare
     pass), else ``np.sort(x)``, which puts NaN last."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    return x if np.all(x[1:] >= x[:-1]) else np.sort(x)
+    step = 1 << 16  # values compared at a time, so that no full-size bool array is made
+    in_order = all(np.all(x[i + 1 : i + step + 1] >= x[i : min(i + step, x.size - 1)])
+                   for i in range(0, x.size - 1, step))
+    return x if in_order else np.sort(x)
 
 
 def empirical_pdf(samples, n_bins: int, value_range) -> tuple:
@@ -201,50 +219,42 @@ class ValidationReport:
         )
 
 
-def _pooled_values(packets: np.ndarray) -> np.ndarray:
-    values = np.empty((2,) + np.shape(packets))
-    values[0], values[1] = np.real(packets), np.imag(packets)  # real parts first, no ravel copies
-    return values.reshape(-1)
-
-
 def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> np.ndarray:
-    """White complex noise packets of ``shape`` with the prototype's power.
+    """The real and imaginary parts, a float64 [2, *shape] array, of white
+    complex noise packets of ``shape`` with the prototype's power.
 
-    The real parts are drawn, then the imaginary parts, each scaled. Each part
-    is drawn ``SPECTRUM_BLOCK_ROWS`` rows at a time through one buffer, which
-    gives the bits of one full-size draw without its full-size temporary.
+    The real parts are drawn, then the imaginary parts, straight into the
+    array, and scaled in place: the bits of one draw of each part, with no
+    temporary.
     """
     scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
-    rng = substream(seed, "validate", "noise")
-    packets = np.empty(shape, dtype=np.complex128)
-    buffer = np.empty((min(shape[0], SPECTRUM_BLOCK_ROWS), shape[1]))
-    for part in (packets.real, packets.imag):
-        for rows in row_blocks(shape[0], SPECTRUM_BLOCK_ROWS):
-            drawn = rng.standard_normal(out=buffer[: rows.stop - rows.start])
-            np.multiply(drawn, scale, out=part[rows])
-    return packets
+    parts = substream(seed, "validate", "noise").standard_normal((2,) + tuple(shape))
+    return np.multiply(parts, scale, out=parts)
 
 
-def _mean_pairwise_correlation(packets: np.ndarray, max_packets: int = 256) -> float:
-    """Mean absolute pairwise Pearson correlation between packets (diversity stat)."""
-    rows = np.asarray(packets)[:max_packets]
-    rows = np.concatenate([rows.real, rows.imag], axis=1)
+def _complex_blocks(parts: np.ndarray):
+    """Yield the complex packets whose real and imaginary parts are ``parts[0]``
+    and ``parts[1]``, in the blocks ``spectral_matrix`` cuts a matrix into."""
+    for rows in joined_blocks(parts.shape[1], SPECTRUM_BLOCK_ROWS):
+        block = np.empty((rows.stop - rows.start, parts.shape[2]), dtype=np.complex128)
+        block.real, block.imag = parts[:, rows]
+        yield block
+
+
+def _mean_pairwise_correlation(parts: np.ndarray, max_packets: int = 256) -> float:
+    """Mean absolute pairwise Pearson correlation between packets (diversity
+    stat), of the first ``max_packets`` packets of ``parts``, the real and
+    imaginary parts [2, P, n_fft] of the packets."""
+    rows = np.concatenate(np.asarray(parts)[:, :max_packets], axis=1)  # [real parts, imaginary parts]
     if rows.shape[0] < 2:
         return 0.0
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=1)
+    rows -= rows.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
-    unit = centered / norms[:, None]
-    corr = unit @ unit.T
+    rows /= norms[:, None]  # unit rows
+    corr = rows @ rows.T
     upper = np.triu_indices(corr.shape[0], k=1)
     return float(np.mean(np.abs(corr[upper])))
-
-
-def _frame_packets(rec: IQRecording, n_fft: int) -> np.ndarray:
-    n_packets = rec.n_samples // n_fft
-    if n_packets < 1:
-        raise ValueError(f"recording too short for one {n_fft}-sample packet")
-    return rec.samples[: n_packets * n_fft].reshape(n_packets, n_fft)
 
 
 def _sample_stats(values, proto_values, pdf_range) -> tuple:
@@ -262,8 +272,9 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     ``logs`` is a sequence of TrainingLogs; the mean discriminator accuracy
     over the final quartile of each non-empty log is averaged, and is 0.0
     when every log is empty. ``generated`` optionally supplies an
-    already-synthesized IQRecording; otherwise ``n_gen`` packets (default:
-    the prototype's packet count) are generated in-process at ``snr_db`` from
+    already-synthesized IQRecording, or an ``IQReader`` whose packets are
+    read a block at a time; otherwise ``n_gen`` packets (default: the
+    prototype's packet count) are generated in-process at ``snr_db`` from
     ``seed``, which also seeds the noise baseline. ``frame`` is the prototype
     frame scored, whose power denormalizes the in-process packets. The
     thresholds are the ``DEFAULT_*`` constants, which the report stores.
@@ -301,28 +312,34 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
         )
         gen_packets = assemble_iq(i_mat, q_mat, frame_power)
     else:
-        gen_packets = _frame_packets(generated, n_fft)
+        n_gen = generated.n_samples // n_fft
+        if n_gen < 1:
+            raise ValueError(f"recording too short for one {n_fft}-sample packet")
+        gen_packets = generated.blocks(n_fft, SPECTRUM_BLOCK_ROWS)
 
-    proto_values = _pooled_values(proto_packets)
+    # Each matrix's spectra and pooled values (real parts, then imaginary
+    # parts) come from one pass over its blocks, and serve both the numbers
+    # and the tables.
+    proto_pool = np.empty((2,) + proto_packets.shape)
+    proto_energies, proto_table = spectral_matrix(proto_packets, proto_pool)
+    proto_values = proto_pool.reshape(-1)
     sigma = float(np.std(proto_values))  # before the sort, which would reorder its sum
     proto_values.sort()
-    proto_energies, proto_table = spectral_matrix(proto_packets)
     band = occupied_band_bins(proto_energies, DEFAULT_COVERAGE)
     raw_proto = band_fraction(proto_energies, band)
     span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
     pdf_range = (-span, span)
     centers, proto_mass = empirical_pdf(proto_values, DEFAULT_N_BINS, pdf_range)
-    # Each matrix's spectra and pooled values are computed once, and serve
-    # both the numbers and the tables. The noise is scored first: its pooled
-    # values are its packets' own float64 view, sorted in place once their
-    # spectra are taken (a sorted pool is the same in whatever order it was
-    # pooled), so no full-size copy of it is made.
-    noise_packets = _noise_baseline(proto_packets, gen_packets.shape, seed)
-    noise_energies, noise_table = spectral_matrix(noise_packets)
-    ks_noise, noise_mass = _sample_stats(noise_packets.view(np.float64).reshape(-1), proto_values, pdf_range)
-    del noise_packets  # sorted: spent
-    ks_gen, gen_mass = _sample_stats(_pooled_values(gen_packets), proto_values, pdf_range)
-    gen_energies, gen_table = spectral_matrix(gen_packets)
+    # One full-size pool serves the noise and then the generated packets: the
+    # noise is drawn into it and scored first, then its sorted values are
+    # overwritten by the generated packets', which are read a block at a time
+    # and whose correlation is read off the pool before its sort.
+    pool = _noise_baseline(proto_packets, (n_gen, n_fft), seed)
+    noise_energies, noise_table = spectral_matrix(_complex_blocks(pool))
+    ks_noise, noise_mass = _sample_stats(pool.reshape(-1), proto_values, pdf_range)
+    gen_energies, gen_table = spectral_matrix(gen_packets, pool)
+    correlation = _mean_pairwise_correlation(pool)
+    ks_gen, gen_mass = _sample_stats(pool.reshape(-1), proto_values, pdf_range)
 
     return ValidationReport(
         ks_proto_vs_gen=ks_gen,
@@ -330,7 +347,7 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
         band_energy_fraction_gen=min(1.0, band_fraction(gen_energies, band) / raw_proto),
         band_energy_fraction_noise=min(1.0, band_fraction(noise_energies, band) / raw_proto),
         mean_d_accuracy=mean_accuracy,
-        packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
+        packet_correlation_gen=correlation,
         tables={
             "histogram": (centers, proto_mass, gen_mass, noise_mass),
             "spectrum_prototype": proto_table,

@@ -275,3 +275,15 @@ def test_forked_child_starts_its_own_pool_and_matches_the_parent(monkeypatch):
     assert child.exitcode == 0
     assert got == want.tobytes()
     assert child_key == (child.pid, 2)
+
+
+@pytest.mark.parametrize(
+    "rows, sizes",
+    [(0, [0]), (1, [1]), (127, [127]), (128, [128]), (255, [255]), (256, [128, 128]), (300, [128, 172]),
+     (12345, [128] * 95 + [185])],
+)
+def test_joined_blocks_join_a_short_remainder_to_the_last_block(rows, sizes):
+    cuts = blocks.joined_blocks(rows, 128)
+    assert [s.stop - s.start for s in cuts] == sizes
+    assert cuts[0].start == 0 and cuts[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))

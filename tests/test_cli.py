@@ -760,6 +760,96 @@ def test_validate_refuses_a_file_shorter_than_its_recorded_packets(trained_run, 
     assert (out_dir / "report.txt").exists()
 
 
+def _float_at(index, value):
+    """A payload corruption: the float32 at ``index`` set to ``value``."""
+    def corrupt(gen):
+        raw = np.fromfile(gen, dtype="<f4")
+        raw[index] = value
+        raw.tofile(gen)
+    return corrupt
+
+
+def _edit_sidecar(gen, **changes):
+    write_kv(sidecar_path(gen), {**read_kv(sidecar_path(gen)), **changes})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _float_at(-1, np.nan),  # in the last of the two 128-packet blocks
+        _float_at(0, np.inf),  # in the first block
+        lambda gen: gen.write_bytes(gen.read_bytes()[:-4]),  # one float short
+        lambda gen: gen.write_bytes(b""),
+        lambda gen: sidecar_path(gen).unlink(),
+        lambda gen: _edit_sidecar(gen, sample_rate_hz="-1.0"),
+    ],
+    ids=["nan_last_block", "inf_first_block", "one_float_short", "empty", "missing_sidecar", "malformed_sidecar"],
+)
+def test_validate_refuses_a_corrupt_generated_file_without_writing(trained_run, tmp_path, capsys, corrupt):
+    _, proto, run_dir = trained_run
+    gen = tmp_path / "gen.iq"
+    assert main(["generate", "--run-dir", str(run_dir), "--ngen", "300", "--rc-length", "1",
+                 "--out", str(gen), "--quiet"]) == 0
+    corrupt(gen)
+    out_dir = tmp_path / "val"
+    rc = main(["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen),
+               "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out_dir.exists()
+
+
+def test_validate_scores_a_partial_trailing_packet_as_the_whole_packets_before_it(trained_run, tmp_path):
+    _, proto, run_dir = trained_run
+    gen = tmp_path / "gen.iq"
+    assert main(["generate", "--run-dir", str(run_dir), "--ngen", "300", "--rc-length", "1",
+                 "--out", str(gen), "--quiet"]) == 0
+    meta = read_kv(sidecar_path(gen))
+    del meta["n_gen"]  # which a partial packet could not make up
+    write_kv(sidecar_path(gen), meta)
+    whole = gen.read_bytes()
+    outputs = []
+    for payload in (whole, whole + whole[: 8 * 88]):  # the second ends in 88 samples of a packet
+        gen.write_bytes(payload)
+        out_dir = tmp_path / f"val_{len(payload)}"
+        rc = main(["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen),
+                   "--out-dir", str(out_dir), "--quiet"])
+        assert rc in (0, 1)
+        outputs.append([(out_dir / name).read_bytes() for name in _VALIDATE_TABLES])
+    assert outputs[0] == outputs[1]
+
+
+_VALIDATE_TABLES = ("report.txt", "histogram.csv", "spectrum_prototype.csv", "spectrum_generated.csv",
+                    "spectrum_noise.csv")
+
+
+def test_validate_holds_one_pooled_sample_set_of_a_generated_file(trained_run, tmp_path):
+    """``validate --generated`` holds the file's pooled values, or the noise's,
+    one at a time: never the file beside the noise or beside its pool."""
+    _, proto, run_dir = trained_run
+    peaks = {}
+    for n_gen in (128, 2560):  # one spectrum block, then a file whose pool is 10.5 MB
+        gen = tmp_path / f"gen_{n_gen}.iq"
+        assert main(["generate", "--run-dir", str(run_dir), "--ngen", str(n_gen), "--rc-length", "1",
+                     "--out", str(gen), "--quiet"]) == 0
+        argv = ["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen),
+                "--out-dir", str(tmp_path / f"val_{n_gen}"), "--quiet"]
+        main(argv)  # any cached DFT factors are made outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) in (0, 1)
+            _, peaks[n_gen] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    pool = 2 * 2560 * NFFT * 8
+    # The one-block file's peak holds what does not grow with the file: the
+    # run's nets, the prototype's matrices and one block's transforms.
+    # Measured: 17.0 MB against a bound of 22.3 MB; 26.2 MB against 22.0 MB
+    # while the recording was held beside the noise, then beside its pool.
+    assert peaks[2560] < 1.5 * pool + peaks[128], peaks
+
+
 def test_validate_untrained_run_fails_cleanly(tmp_path, capsys):
     proto = _protogen(tmp_path)
     rc, run_dir = _train(tmp_path, proto, name="run0", extra=("--epochs", "0"))

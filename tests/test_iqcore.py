@@ -10,6 +10,7 @@ from radiogan.iqcore import (
     IQRecording,
     denormalize,
     frame_tensor,
+    iq_reader,
     iq_writer,
     load_iq,
     normalize_frames,
@@ -329,3 +330,39 @@ def test_normalize_rejects_zero_frame_and_double_call():
 def test_denormalize_rejects_bad_power():
     with pytest.raises(ValueError):
         denormalize(np.ones((2, 4), dtype=complex), 0.0)
+
+
+def test_reader_yields_whole_packets_in_joined_blocks(tmp_path):
+    rec = _rec(n=300 * 8 + 5)  # 300 packets of 8 and 5 samples of another
+    path = tmp_path / "cap.iq"
+    save_iq(rec, path)
+    reader = iq_reader(path)
+    assert reader.n_samples == rec.n_samples
+    assert reader.capture == {"sample_rate_hz": 1e6, "center_freq_hz": 2.4e9, "rx_gain_db": 20.0}
+    got = list(reader.blocks(8, 128))
+    assert [b.shape for b in got] == [(128, 8), (172, 8)]
+    assert np.concatenate(got).tobytes() == rec.samples[: 300 * 8].tobytes()
+    assert [b.tobytes() for b in rec.blocks(8, 128)] == [b.tobytes() for b in got]
+
+
+def test_reader_refuses_a_non_finite_block_after_yielding_the_ones_before(tmp_path):
+    path = tmp_path / "cap.iq"
+    save_iq(_rec(n=300 * 8), path)
+    raw = np.fromfile(path, dtype="<f4")
+    raw[-1] = np.nan
+    raw.tofile(path)
+    blocks = iq_reader(path).blocks(8, 128)
+    assert next(blocks).shape == (128, 8)
+    with pytest.raises(IQFormatError, match="non-finite"):
+        next(blocks)
+
+
+def test_reader_refuses_the_sidecar_before_reading_any_sample(tmp_path):
+    path = tmp_path / "cap.iq"
+    save_iq(_rec(n=16), path)
+    raw = np.fromfile(path, dtype="<f4")
+    raw[0] = np.nan
+    raw.tofile(path)
+    sidecar_path(path).unlink()
+    with pytest.raises(IQFormatError, match="missing metadata sidecar"):
+        iq_reader(path)

@@ -74,7 +74,9 @@ def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatc
     calls = []
     monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
     energies, table = spectral_matrix(packets)
-    assert calls == [min(block_rows, n_packets - i) for i in range(0, n_packets, block_rows)]
+    # whole blocks, fewer rows than a block left at the end joining the last one
+    n_blocks = max(1, n_packets // block_rows)
+    assert calls == [block_rows] * (n_blocks - 1) + [n_packets - (n_blocks - 1) * block_rows]
     want_energies, want_table = _whole_transform(packets)
     assert energies.tobytes() == want_energies.tobytes()
     assert table.shape == (64, min(n_packets, 64))
@@ -85,6 +87,19 @@ def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatc
 def test_spectral_matrix_energies_are_the_whole_sum_bit_for_bit_at_scale(shape):
     rng = np.random.default_rng(shape[0])
     packets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    energies, table = spectral_matrix(packets)
+    want_energies, want_table = _whole_transform(packets)
+    assert energies.tobytes() == want_energies.tobytes()
+    assert table.tobytes() == want_table.tobytes()
+
+
+@pytest.mark.parametrize("n_packets", [129, 257])
+@pytest.mark.parametrize("n_fft", [100, 257])
+def test_spectral_matrix_at_a_non_power_of_two_length_is_the_whole_transform_bit_for_bit(n_fft, n_packets):
+    # The direct DFT of one row is a one-row GEMM, which rounds unlike the
+    # same row in a larger product; no block of one row is transformed.
+    rng = np.random.default_rng(n_fft + n_packets)
+    packets = rng.standard_normal((n_packets, n_fft)) + 1j * rng.standard_normal((n_packets, n_fft))
     energies, table = spectral_matrix(packets)
     want_energies, want_table = _whole_transform(packets)
     assert energies.tobytes() == want_energies.tobytes()
@@ -109,6 +124,16 @@ def test_spectral_matrix_validation():
         spectral_matrix(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         spectral_matrix(np.zeros(4))
+
+
+@pytest.mark.parametrize("swap", [None, 0, 65535, 65536, 131071, 3 * 65536 + 3])
+def test_ascending_finds_an_inversion_at_any_place_of_its_chunked_check(swap):
+    x = np.arange(3 * 65536 + 5, dtype=np.float64)
+    if swap is not None:
+        x[[swap, swap + 1]] = x[[swap + 1, swap]]
+    got = validation._ascending(x)
+    assert np.array_equal(got, np.sort(x))
+    assert np.shares_memory(got, x) == (swap is None)  # a sorted input is not copied
 
 
 def test_empirical_pdf_fixture():
@@ -361,14 +386,19 @@ def test_in_band_fraction_tone():
         band_fraction(spectral_matrix(np.zeros((1, 32), dtype=complex))[0], np.array([0]))
 
 
+def _parts(packets):
+    """The real and imaginary parts [2, P, n] of a packet matrix."""
+    return np.stack([np.real(packets), np.imag(packets)])
+
+
 def test_mean_pairwise_correlation_extremes():
     row = np.random.default_rng(3).standard_normal(64)
     clones = np.tile(row, (5, 1)) * np.array([1.0, 2.0, -1.0, 0.5, 3.0])[:, None]
-    assert _mean_pairwise_correlation(clones) == pytest.approx(1.0, abs=1e-12)
+    assert _mean_pairwise_correlation(_parts(clones)) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(4)
     diverse = rng.standard_normal((50, 512))
-    assert _mean_pairwise_correlation(diverse) < 0.2
-    assert _mean_pairwise_correlation(row[None, :]) == 0.0
+    assert _mean_pairwise_correlation(_parts(diverse)) < 0.2
+    assert _mean_pairwise_correlation(_parts(row[None, :])) == 0.0
 
 
 def _report(**overrides):
@@ -588,7 +618,7 @@ def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
         band_energy_fraction_gen=min(1.0, fraction(gen_packets, band) / raw_proto),
         band_energy_fraction_noise=min(1.0, fraction(noise, band) / raw_proto),
         mean_d_accuracy=float(np.mean([log.mean_accuracy(last_n=-(-len(log) // 4))])),
-        packet_correlation_gen=_mean_pairwise_correlation(gen_packets),
+        packet_correlation_gen=_mean_pairwise_correlation(_parts(gen_packets)),
         band_ratio_min=2.0,
         accuracy_band=(0.3, 0.8),
     )
@@ -618,9 +648,11 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
     transformed = []
     original = validation.spectral_matrix
 
-    def counting(packets):
-        transformed.append(np.array(packets))
-        return original(packets)
+    def counting(packets, pool=None):
+        if not isinstance(packets, np.ndarray):
+            packets = list(packets)  # the row blocks, read once
+        transformed.append(np.concatenate(packets) if isinstance(packets, list) else np.array(packets))
+        return original(packets, pool)
 
     monkeypatch.setattr(validation, "spectral_matrix", counting)
     rep = validate(_gens(), tensor, stats, [log], seed=seed, generated=_recording(gen))
@@ -644,14 +676,14 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
 @pytest.mark.parametrize("generated", [True, False])
 def test_validate_transforms_each_matrix_in_128_packet_blocks(monkeypatch, generated):
     tensor, stats = _tensor()
-    n_gen = 300  # two whole blocks and one of 44
+    n_gen = 300  # a whole block, and one of 172 that the last 44 packets join
     gen = np.random.default_rng(2).standard_normal((n_gen, N_FFT)) + 0j
     calls = []
     monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
     validate(_gens(), tensor, stats, [_log([0.5] * 4)], n_gen=None if generated else n_gen,
              generated=_recording(gen) if generated else None, snr_db=-27.0)
-    # ceil(P_proto / 128) for the prototype, ceil(P / 128) each for the noise and the generated packets
-    assert calls == [tensor.n_packets] + [128, 128, 44] * 2
+    # max(1, P // 128) blocks for the prototype, the noise and the generated packets each
+    assert calls == [tensor.n_packets] + [128, 172] * 2
 
 
 def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
@@ -679,23 +711,23 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
 def test_noise_baseline_is_the_two_draw_formulation_byte_for_byte():
     rng = np.random.default_rng(9)
     proto = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-    packets = validation._noise_baseline(proto, (7, 16), 11)
+    parts = validation._noise_baseline(proto, (7, 16), 11)
     noise_rng = substream(11, "validate", "noise")
     scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
     want = np.empty((7, 16), dtype=np.complex128)
     for part in (want.real, want.imag):  # a draw of the real parts, then one of the imaginary parts
         np.multiply(scale, noise_rng.standard_normal((7, 16)), out=part)
-    assert packets.tobytes() == want.tobytes()
+    assert parts.shape == (2, 7, 16)
+    assert parts[0].tobytes() == want.real.tobytes()
+    assert parts[1].tobytes() == want.imag.tobytes()
 
 
-def test_noise_baseline_in_row_blocks_is_one_draw_per_part_byte_for_byte():
-    # 300 rows are two blocks of SPECTRUM_BLOCK_ROWS and a ragged one of 44
+def test_noise_baseline_is_one_draw_of_both_parts_byte_for_byte():
     proto = np.random.default_rng(9).standard_normal((4, 16)) * (1 + 1j)
     scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
     draws = substream(11, "validate", "noise").standard_normal((2, 300, 16))
-    packets = validation._noise_baseline(proto, (300, 16), 11)
-    assert packets.real.tobytes() == (draws[0] * scale).tobytes()
-    assert packets.imag.tobytes() == (draws[1] * scale).tobytes()
+    parts = validation._noise_baseline(proto, (300, 16), 11)
+    assert parts.tobytes() == (draws * scale).tobytes()
 
 
 def test_noise_baseline_draws_no_full_size_part():
@@ -703,27 +735,27 @@ def test_noise_baseline_draws_no_full_size_part():
     part = 1024 * 256 * 8  # one float64 [1024, 256] part, 2 MiB
     tracemalloc.start()
     try:
-        packets = validation._noise_baseline(proto, (1024, 256), 3)
+        parts = validation._noise_baseline(proto, (1024, 256), 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - packets.nbytes < part // 2, peak
+    assert peak - parts.nbytes < part // 2, peak
 
 
 @pytest.mark.parametrize("shape", [(7, 16), (300, 64)])
 def test_noise_ks_and_masses_are_those_of_the_two_draw_pool(shape):
-    # The pool validate sorts is the noise packets' own float64 view; the
+    # The pool validate sorts is the noise's drawn parts themselves; the
     # oracle pools one (2, P, N) draw, real parts then imaginary parts.
     rng = np.random.default_rng(5)
     proto = rng.standard_normal((4, shape[1])) + 1j * rng.standard_normal((4, shape[1]))
-    proto_values = np.sort(validation._pooled_values(proto))
+    proto_values = np.sort(np.concatenate([proto.real.ravel(), proto.imag.ravel()]))
     pdf_range = (-3.0, 3.0)
     scale = np.sqrt(float(np.mean(np.abs(proto) ** 2)) / 2.0)
     draws = substream(13, "validate", "noise").standard_normal((2,) + shape)
     draws *= scale
     want_ks, want_mass = ks_distance(proto_values, draws.reshape(-1)), empirical_pdf(draws, 101, pdf_range)[1]
-    packets = validation._noise_baseline(proto, shape, 13)
-    ks, mass = validation._sample_stats(packets.view(np.float64).reshape(-1), proto_values, pdf_range)
+    parts = validation._noise_baseline(proto, shape, 13)
+    ks, mass = validation._sample_stats(parts.reshape(-1), proto_values, pdf_range)
     assert ks == want_ks
     assert mass.tobytes() == want_mass.tobytes()
 
@@ -733,7 +765,9 @@ def test_pooled_values_are_the_real_parts_then_the_imaginary_parts():
     packets = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
     for p in (packets, packets.astype(np.complex64), packets[::2, ::3], packets.T):
         expect = np.concatenate([p.real.ravel(), p.imag.ravel()]).astype(np.float64)
-        assert validation._pooled_values(p).tobytes() == expect.tobytes()
+        pool = np.empty((2,) + p.shape)
+        spectral_matrix(p, pool)
+        assert pool.tobytes() == expect.tobytes()
 
 
 def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
