@@ -5,14 +5,18 @@ chosen frame's recorded power, combined into complex rows and stitched with
 the raised-cosine overlap-save reconstruction into one stream, which with the
 prototype's capture metadata is a drop-in replacement for a prototype file.
 The stream is built, filtered and handed on ``GEN_BLOCK_PACKETS`` packets at a
-time, so its length does not bound the memory it needs.
+time, so its length does not bound the memory it needs. The blocks go through
+a two-stage pipeline: while one block is assembled, filtered and written, the
+generator passes of the next one run on another CPU.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .blocks import joined_blocks
+from .blocks import joined_blocks, run_blocks
 from .dsp import OverlapSaveCarry, RaisedCosineSpec, overlap_save_reconstruct, raised_cosine_taps
 from .gan import Net, latent_noise_variance, sample_latent
 from .iqcore import COMPONENTS, denormalize
@@ -86,6 +90,14 @@ def synthesize(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed: int,
     a 1-D complex array, in stream order. Fewer packets than a block left at
     the end go with the last block (``joined_blocks``), so the generator pass
     of a few packets gives the bits of a stream generated at once.
+
+    Each step hands ``run_blocks`` two tasks: the next block's latent draws
+    and generator passes, and this block's ``assemble_iq``, overlap-save and
+    ``write``. On two or more CPUs they run at the same time, each task's own
+    row blocks serially in its thread; on one CPU they run in turn. Each rail
+    still draws from its substream in block order and the carry still takes
+    the blocks in stream order, so the bytes are the same on any CPU count.
+    An exception in either task reaches the caller once both have ended.
     """
     if i_model.n_fft != q_model.n_fft:
         raise ValueError(
@@ -94,7 +106,16 @@ def synthesize(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed: int,
     taps = _taps(rc_length, rolloff)
     latents = [substream(seed, "synthesis", "latent", rail) for rail in COMPONENTS]
     carry = OverlapSaveCarry(n_gen * i_model.n_fft)
-    for rows in joined_blocks(n_gen, GEN_BLOCK_PACKETS):
-        i_mat, q_mat = (generate_packets(model, rows.stop - rows.start, snr_db, latent)
-                        for model, latent in zip((i_model, q_model), latents))
-        write(overlap_save_reconstruct(assemble_iq(i_mat, q_mat, frame_power), taps, carry))
+
+    def passes(rows):
+        return [generate_packets(model, rows.stop - rows.start, snr_db, latent)
+                for model, latent in zip((i_model, q_model), latents)]
+
+    def emit(packets):
+        write(overlap_save_reconstruct(assemble_iq(*packets, frame_power), taps, carry))
+
+    blocks = joined_blocks(n_gen, GEN_BLOCK_PACKETS)
+    packets = passes(blocks[0])
+    for rows in blocks[1:]:
+        packets, _ = run_blocks(lambda task, _: task(), [partial(passes, rows), partial(emit, packets)])
+    emit(packets)

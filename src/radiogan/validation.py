@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .blocks import joined_blocks
+from .blocks import joined_blocks, run_blocks
 from .dsp import dft
 from .gan import Net
 from .iqcore import COMPONENTS, FrameStats, PrototypeTensor, denormalize
@@ -31,6 +31,10 @@ DEFAULT_ACCURACY_BAND = (0.3, 0.8)
 
 SPECTRUM_BLOCK_ROWS = 128  # packets transformed at a time by spectral_matrix
 SPECTRUM_TABLE_PACKETS = 64  # packet columns of each spectrum table
+
+# Values compared or counted at a time by the sample statistics, so that no
+# temporary grows with the sample size.
+_CHUNK = 1 << 16
 
 _CRITERIA = ("ks_gen_below_noise", "band_fraction_ratio", "accuracy_in_band")
 
@@ -85,10 +89,20 @@ def _ascending(x) -> np.ndarray:
     """Flat float64 ``x``, non-decreasing: as is if it already is (one compare
     pass), else ``np.sort(x)``, which puts NaN last."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    step = 1 << 16  # values compared at a time, so that no full-size bool array is made
-    in_order = all(np.all(x[i + 1 : i + step + 1] >= x[i : min(i + step, x.size - 1)])
-                   for i in range(0, x.size - 1, step))
+    in_order = all(np.all(x[i + 1 : i + _CHUNK + 1] >= x[i : min(i + _CHUNK, x.size - 1)])
+                   for i in range(0, x.size - 1, _CHUNK))
     return x if in_order else np.sort(x)
+
+
+def _sorted_parts(samples) -> list:
+    """A sample set's parts, each made ``_ascending``: the items of a tuple,
+    whose values together are the set, or else the whole array."""
+    return [_ascending(part) for part in samples] if isinstance(samples, tuple) else [_ascending(samples)]
+
+
+def _has_nan(parts) -> bool:
+    """Whether any ascending part holds NaN, which sorts last."""
+    return any(part.size and np.isnan(part[-1]) for part in parts)
 
 
 def empirical_pdf(samples, n_bins: int, value_range) -> tuple:
@@ -96,50 +110,66 @@ def empirical_pdf(samples, n_bins: int, value_range) -> tuple:
 
     ``np.histogram``'s edges and rule (bin i holds ``edges[i] <= x < edges[i+1]``,
     the last bin is closed), read off the sorted samples at the inner edges.
-    Returns ``(bin_centers, masses)``, masses summing to 1; NaN raises.
+    ``samples`` is an array, or a tuple of arrays (its parts) whose counts are
+    added. Returns ``(bin_centers, masses)``, masses summing to 1; NaN raises.
     """
-    samples = _ascending(samples)
-    if samples.size == 0:
+    parts = _sorted_parts(samples)
+    size = sum(part.size for part in parts)
+    if size == 0:
         raise ValueError("empty input")
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"range must be finite with lo < hi, got ({lo}, {hi})")
-    if np.isnan(samples[-1]):
+    if _has_nan(parts):
         raise ValueError("samples contain NaN")
     edges = np.linspace(lo, hi, n_bins + 1)
-    counts = np.diff(np.searchsorted(samples, edges[1:-1]), prepend=0, append=samples.size)
-    return 0.5 * (edges[:-1] + edges[1:]), counts / samples.size  # bin centers, masses
+    below = sum(np.searchsorted(part, edges[1:-1]) for part in parts)
+    counts = np.diff(below, prepend=0, append=size)
+    return 0.5 * (edges[:-1] + edges[1:]), counts / size  # bin centers, masses
 
 
 def ks_distance(a, b) -> float:
     """Sup-norm distance between the empirical CDFs of two sample sets.
 
-    Either may come in any order; a sorted one is not sorted again. Let ``a``
-    be the smaller. Between consecutive distinct values of ``a`` its count is
-    fixed and that of ``b`` grows, so the CDF difference is monotone there and
-    peaks at an end: at a value v of ``a`` (``A(v)``, ``#b <= v``) or just
-    below it (the previous count, or 0, and ``#b < v``). Each candidate is
-    ``|count_a/n_a - count_b/n_b|`` and rounding is monotone, so the result is
-    the same float as the maximum over every merged value. Empty or NaN input
-    raises ``ValueError``.
+    Each is an array, or a tuple of arrays (its parts), in any order; a
+    sorted array is not sorted again. Let ``a`` be the smaller; its parts, if
+    it has more than one, are merged. Between consecutive distinct values of
+    ``a`` its count is fixed and that of ``b`` grows, so the CDF difference is
+    monotone there and peaks at an end: at a value v of ``a`` (``A(v)``,
+    ``#b <= v``) or just below it (the previous count, or 0, and ``#b < v``).
+    The counts of ``b`` are added over its parts, for ``_CHUNK`` distinct
+    values of ``a`` at a time. Each candidate is ``|count_a/n_a - count_b/n_b|``
+    and rounding is monotone, so the result is the same float as the maximum
+    over every merged value. Empty or NaN input raises ``ValueError``.
     """
-    a, b = sorted((_ascending(a), _ascending(b)), key=len)  # a is the smaller sample
-    if a.size == 0:
+    a, b = _sorted_parts(a), _sorted_parts(b)
+    n_a, n_b = (sum(part.size for part in parts) for parts in (a, b))
+    if n_b < n_a:  # a is the smaller sample
+        a, b, n_a, n_b = b, a, n_b, n_a
+    if n_a == 0:
         raise ValueError("empty input")
-    if np.isnan(a[-1]) or np.isnan(b[-1]):
+    if _has_nan(a) or _has_nan(b):
         raise ValueError("samples contain NaN")
+    a = a[0] if len(a) == 1 else np.sort(np.concatenate(a))
     last = np.flatnonzero(np.append(a[1:] != a[:-1], True))  # the end of each run of equal values
-    values = a[last]
-    count_a = last + 1.0
-    upto = np.searchsorted(b, values, side="right")  # #b <= v
-    below = upto.copy()  # #b < v: the same count unless b holds v
-    held = (b[upto - 1] == values) & (upto > 0)
-    below[held] = np.searchsorted(b, values[held], side="left")
-    at_v = count_a / a.size - upto / b.size
-    below_v = np.append(0.0, count_a[:-1]) / a.size - below / b.size
-    return float(max(np.max(np.abs(at_v)), np.max(np.abs(below_v))))
+    distance = 0.0
+    for start in range(0, last.size, _CHUNK):
+        ends = last[start : start + _CHUNK]
+        values = a[ends]
+        count_a = ends + 1.0
+        upto = below = 0
+        for part in filter(len, b):
+            part_upto = np.searchsorted(part, values, side="right")  # #part <= v
+            part_below = part_upto.copy()  # #part < v: the same count unless the part holds v
+            held = (part[part_upto - 1] == values) & (part_upto > 0)
+            part_below[held] = np.searchsorted(part, values[held], side="left")
+            upto, below = upto + part_upto, below + part_below
+        at_v = count_a / n_a - upto / n_b
+        below_v = np.append(last[start - 1] + 1.0 if start else 0.0, count_a[:-1]) / n_a - below / n_b
+        distance = max(distance, np.max(np.abs(at_v)), np.max(np.abs(below_v)))
+    return float(distance)
 
 
 def occupied_band_bins(energies: np.ndarray, coverage: float = DEFAULT_COVERAGE) -> np.ndarray:
@@ -257,11 +287,18 @@ def _mean_pairwise_correlation(parts: np.ndarray, max_packets: int = 256) -> flo
     return float(np.mean(np.abs(corr[upper])))
 
 
-def _sample_stats(values, proto_values, pdf_range) -> tuple:
-    """``(ks, PDF masses)`` of one packet matrix's pooled ``values``, which are
-    sorted once, in place, for both."""
-    values.sort()
-    return ks_distance(proto_values, values), empirical_pdf(values, DEFAULT_N_BINS, pdf_range)[1]
+def _sample_stats(pool, proto_values, pdf_range) -> tuple:
+    """``(ks, PDF masses)`` of one packet matrix's pooled values, ``pool``, a
+    float64 array of its real parts and then its imaginary parts.
+
+    Each half is sorted once, in place, for both; with two CPUs the two sorts
+    run at the same time. The counts are then taken in this thread over the
+    two sorted halves.
+    """
+    halves = pool.reshape(2, -1)
+    run_blocks(lambda half, _: half.sort(), halves)
+    parts = tuple(halves)
+    return ks_distance(proto_values, parts), empirical_pdf(parts, DEFAULT_N_BINS, pdf_range)[1]
 
 
 def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: int = 0,
@@ -336,10 +373,10 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     # and whose correlation is read off the pool before its sort.
     pool = _noise_baseline(proto_packets, (n_gen, n_fft), seed)
     noise_energies, noise_table = spectral_matrix(_complex_blocks(pool))
-    ks_noise, noise_mass = _sample_stats(pool.reshape(-1), proto_values, pdf_range)
+    ks_noise, noise_mass = _sample_stats(pool, proto_values, pdf_range)
     gen_energies, gen_table = spectral_matrix(gen_packets, pool)
     correlation = _mean_pairwise_correlation(pool)
-    ks_gen, gen_mass = _sample_stats(pool.reshape(-1), proto_values, pdf_range)
+    ks_gen, gen_mass = _sample_stats(pool, proto_values, pdf_range)
 
     return ValidationReport(
         ks_proto_vs_gen=ks_gen,

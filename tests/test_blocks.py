@@ -1,4 +1,4 @@
-"""The row-block runner: order, contiguous runs, errors, one CPU, fork, the BLAS setter, the heap policy."""
+"""The row-block runner: order, contiguous runs, nesting, errors, one CPU, fork, the BLAS setter, the heap policies."""
 
 import importlib.util
 import multiprocessing
@@ -104,7 +104,11 @@ def test_no_openblas_found_keeps_running_and_says_so_once(tmp_path, capsys, miss
 
 
 @pytest.mark.parametrize("has_mallopt", [False, True], ids=["no mallopt", "mallopt refuses"])
-def test_keep_heap_mapped_is_a_silent_no_op_without_a_working_mallopt(monkeypatch, capsys, has_mallopt):
+@pytest.mark.parametrize("policy, settings", [
+    (blocks.keep_heap_mapped, [(-3, 16 << 20), (-1, 64 << 20)]),  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    (blocks.one_malloc_arena, [(-8, 1)]),  # M_ARENA_MAX
+], ids=["keep_heap_mapped", "one_malloc_arena"])
+def test_a_heap_policy_is_a_silent_no_op_without_a_working_mallopt(monkeypatch, capsys, has_mallopt, policy, settings):
     calls = []
 
     def refusing_mallopt(param, value):
@@ -113,10 +117,9 @@ def test_keep_heap_mapped_is_a_silent_no_op_without_a_working_mallopt(monkeypatc
 
     libc = types.SimpleNamespace(**({"mallopt": refusing_mallopt} if has_mallopt else {}))
     monkeypatch.setattr(blocks.ctypes, "CDLL", lambda name: libc)
-    blocks.keep_heap_mapped()
+    policy()
     assert capsys.readouterr() == ("", "")
-    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
-    assert calls == ([(-3, 16 << 20), (-1, 64 << 20)] if has_mallopt else [])
+    assert calls == (settings if has_mallopt else [])
 
 
 def test_keep_heap_mapped_twice_draws_no_random_number_and_calls_no_traced_name(monkeypatch, capsys):
@@ -287,3 +290,99 @@ def test_joined_blocks_join_a_short_remainder_to_the_last_block(rows, sizes):
     assert [s.stop - s.start for s in cuts] == sizes
     assert cuts[0].start == 0 and cuts[-1].stop == rows
     assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+
+
+def _nested_work(inner_calls):
+    """Work whose block is a task id; each task runs five inner blocks through a
+    nested ``run_blocks`` and returns their results."""
+
+    def inner(block, _):
+        inner_calls.append((block, threading.get_ident()))
+        return block
+
+    def outer(task, _):
+        return (threading.get_ident(), blocks.run_blocks(lambda b, buf: inner((task, b), buf), range(5)))
+
+    return outer
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` run in a daemon thread, failing if it has not returned after
+    ``seconds``: a nested call that waited on a busy pool would never return."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, fn(*args)))
+        except BaseException as exc:  # handed to the test's thread below
+            outcome.append((False, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "a nested run_blocks call deadlocked"
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value, runner.ident
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_nested_call_runs_its_blocks_in_order_in_the_thread_that_made_it(monkeypatch, workers):
+    # two CPUs make a pool of one worker, which runs the second task itself
+    monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
+    inner_calls = []
+    results, caller = _within(60, blocks.run_blocks, _nested_work(inner_calls), range(3))
+    for task, (thread, inner_results) in enumerate(results):
+        assert inner_results == [(task, b) for b in range(5)]
+        ran = [(block, t) for block, t in inner_calls if block[0] == task]
+        assert [block for block, _ in ran] == [(task, b) for b in range(5)]  # in block order
+        assert {t for _, t in ran} == {thread}  # where the task ran
+    assert results[0][0] == caller
+    # the caller is back to splitting its blocks into one run per worker
+    calls = []
+    blocks.run_blocks(_recording_work(calls), range(6), _scratch)
+    assert len(_runs(calls)) == min(workers, 6)
+
+
+@pytest.mark.parametrize("failing_task", [0, 1])
+def test_a_nested_exception_reaches_the_outer_caller_after_every_run_ends(monkeypatch, failing_task):
+    monkeypatch.setattr(blocks, "cpu_count", lambda: 2)
+    finished = []
+
+    def inner(block, _):
+        task, b = block
+        if task == failing_task and b == 2:
+            raise ArithmeticError(f"task {task} block {b}")
+        time.sleep(0.02)
+        finished.append(block)
+
+    def outer(task, _):
+        blocks.run_blocks(lambda b, buf: inner((task, b), buf), range(5))
+
+    def run_and_check_the_flag():
+        try:
+            blocks.run_blocks(outer, range(2))
+        finally:
+            assert not getattr(blocks._in_work, "active", False)  # the caller is no longer inside work
+
+    with pytest.raises(ArithmeticError, match=f"task {failing_task} block 2"):
+        _within(60, run_and_check_the_flag)
+    # the failing task stopped at its failing block; the other one had finished
+    other = 1 - failing_task
+    assert sorted(finished) == sorted([(failing_task, 0), (failing_task, 1)] + [(other, b) for b in range(5)])
+
+
+def _two_conv_tasks():
+    """Two conv1d forwards handed to the pool as tasks; their own row blocks nest."""
+    layer, x = _conv_case()
+    tasks = [lambda: layer.forward(x)[0], lambda: layer.forward(x[::-1].copy())[0]]
+    return [out.tobytes() for out in blocks.run_blocks(lambda task, _: task(), tasks)]
+
+
+def test_nested_results_are_the_same_on_one_cpu_and_on_two(monkeypatch):
+    layer, x = _conv_case()
+    want = [layer.forward(x)[0].tobytes(), layer.forward(x[::-1].copy())[0].tobytes()]
+    for cpus in (1, 2):
+        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
+        assert _within(60, _two_conv_tasks)[0] == want

@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from radiogan import synthesis
+from radiogan import blocks, synthesis
 from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
 from radiogan.gan import (CONFIG_PARSERS, Net, TrainConfig, TrainingLog, build_discriminator, build_generator, load_gan,
                           save_gan)
@@ -505,6 +505,20 @@ def test_generate_failing_mid_stream_leaves_the_previous_files(trained_run, monk
     assert "float32 range" in capsys.readouterr().err
     assert (out.read_bytes(), sidecar_path(out).read_bytes(), out.with_suffix(".manifest").read_bytes()) == before
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_generate_in_three_pipelined_blocks_writes_the_same_file_on_any_cpu_count(trained_run, monkeypatch):
+    # --ngen 13 in blocks of 4: three blocks, the last one of 5 packets
+    tmp_path, _, run_dir = trained_run
+    monkeypatch.setattr(synthesis, "GEN_BLOCK_PACKETS", 4)
+    files = []
+    for k, count in enumerate((lambda: 1, lambda: 2, blocks.cpu_count)):  # one CPU, two, all
+        monkeypatch.setattr(blocks, "cpu_count", count)
+        out = tmp_path / f"pipelined_{k}.iq"
+        assert main(["generate", "--run-dir", str(run_dir), "--out", str(out), "--ngen", "13", "--quiet"]) == 0
+        files.append((out.read_bytes(), sidecar_path(out).read_bytes()))
+    assert len(files[0][0]) == 13 * NFFT * 8
+    assert files[1] == files[0] and files[2] == files[0]
 
 
 # A generate in a fresh interpreter; prints its peak resident set size.

@@ -1,10 +1,12 @@
 """Generation mode: packet sampling, denormalization, stream assembly."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from radiogan import synthesis
-from radiogan.dsp import overlap_save_reconstruct
+from radiogan import blocks, synthesis
+from radiogan.dsp import OverlapSaveCarry, overlap_save_reconstruct
 from radiogan.gan import Net, build_generator, latent_noise_variance, sample_latent
 from radiogan.seeding import substream
 from radiogan.synthesis import _taps, assemble_iq, generate_packets, resolve_frame, synthesize
@@ -138,6 +140,42 @@ def test_synthesize_in_blocks_is_the_one_shot_stream_bit_for_bit(monkeypatch, bl
         i_mat, q_mat = np.concatenate(packets[::2]), np.concatenate(packets[1::2])
         one_shot = overlap_save_reconstruct(assemble_iq(i_mat, q_mat, 2.5), _taps(rc_length, 0.25))
         assert np.concatenate(blocks).tobytes() == one_shot.tobytes()
+
+
+def _serial_writes(gi, gq, n_gen, seed, frame_power):
+    """What the serial block loop hands ``write``: each block's generator
+    passes, then its assembly and overlap-save, one block after the other."""
+    taps = _taps(129, 0.25)
+    latents = [substream(seed, "synthesis", "latent", rail) for rail in ("I", "Q")]
+    carry = OverlapSaveCarry(n_gen * N_FFT)
+    writes = []
+    for rows in blocks.joined_blocks(n_gen, synthesis.GEN_BLOCK_PACKETS):
+        i_mat, q_mat = (generate_packets(g, rows.stop - rows.start, -27.0, latent) for g, latent in zip((gi, gq), latents))
+        writes.append(overlap_save_reconstruct(assemble_iq(i_mat, q_mat, frame_power), taps, carry))
+    return writes
+
+
+@pytest.mark.parametrize("cpus", [1, 2, None], ids=["one CPU", "two CPUs", "all CPUs"])
+def test_the_pipeline_hands_write_the_serial_loops_blocks_in_stream_order(monkeypatch, cpus):
+    # 13 packets in blocks of 4 are three blocks, the last one of 5
+    monkeypatch.setattr(synthesis, "GEN_BLOCK_PACKETS", 4)
+    gi, gq = _gen(0, "I"), _gen(0, "Q")
+    want = _serial_writes(gi, gq, 13, 4, 2.5)
+    if cpus is not None:
+        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
+    writes, threads = [], []
+
+    def write(samples):
+        threads.append(threading.get_ident())
+        writes.append(samples)
+
+    synthesize(gi, gq, 13, -27.0, 4, 2.5, write)
+    assert [len(w) for w in writes] == [len(w) for w in want] and len(want) == 3
+    assert [w.tobytes() for w in writes] == [w.tobytes() for w in want]
+    if cpus == 1:
+        assert set(threads) == {threading.get_ident()}  # the two tasks run in turn in the caller
+    elif cpus == 2:
+        assert set(threads) != {threading.get_ident()}  # a block is written while the next is generated
 
 
 def _spy(fn, outputs):

@@ -362,6 +362,52 @@ def test_ks_distance_equals_grid_formulation_property(a, b):
     assert ks_distance(a, b) == reference_ks(a, b)
 
 
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.data())
+def test_ks_and_masses_over_sorted_parts_are_those_of_the_whole_pool(data):
+    # Tie-heavy values, parts of unequal lengths (empty ones too), and pool
+    # values that equal prototype values: the counts added over the parts are
+    # those of the whole sorted pool, so the floats are the same bits.
+    value = st.integers(-3, 3).map(float) | st.sampled_from([-0.0, 0.5, -np.inf, np.inf]) | st.floats(allow_nan=False)
+    proto = data.draw(st.lists(value, min_size=1, max_size=40))
+    part = st.lists(value | st.sampled_from(proto), max_size=40).map(lambda p: np.array(p, dtype=np.float64))
+    parts = tuple(data.draw(st.lists(part, min_size=1, max_size=3)))
+    assume(sum(p.size for p in parts) > 0)
+    if data.draw(st.booleans()):
+        parts = tuple(np.sort(p) for p in parts)  # as validate hands them over
+    whole = np.sort(np.concatenate(parts))
+    assert ks_distance(proto, parts).hex() == ks_distance(proto, whole).hex() == reference_ks(proto, whole).hex()
+    assert ks_distance(parts, proto).hex() == ks_distance(whole, proto).hex()
+    for got, want in zip(empirical_pdf(parts, 5, (-2.0, 2.0)), empirical_pdf(whole, 5, (-2.0, 2.0))):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ks_counts_the_distinct_values_in_chunks_as_at_once(monkeypatch):
+    # many more distinct values than a chunk, and a chunk boundary inside a run of ties
+    rng = np.random.default_rng(12)
+    small = np.sort(np.round(rng.standard_normal(5000), 2))
+    big = (np.round(rng.standard_normal(3000), 1), np.round(rng.standard_normal(4000), 3))
+    want = ks_distance(small, big)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(validation, "_CHUNK", chunk)
+        assert ks_distance(small, big) == ks_distance(big, small) == want
+    assert want == reference_ks(small, np.concatenate(big))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(), (np.array([]),), (np.array([]), np.array([])), (np.array([0.0, np.nan]), np.array([1.0])),
+     (np.array([]), np.array([np.nan])), (np.array([1.0]), np.array([np.nan, 0.0]))],
+)
+def test_sorted_parts_holding_nan_or_no_value_are_refused(parts):
+    with pytest.raises(ValueError):
+        ks_distance([0.0, 1.0], parts)
+    with pytest.raises(ValueError):
+        ks_distance(parts, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        empirical_pdf(parts, 4, (0.0, 1.0))
+
+
 def test_occupied_band_bins_greedy_fixture():
     energies = np.array([10.0, 1.0, 5.0, 4.0])
     # descending order 10,5,4 covers 19/20 >= 0.9*20
