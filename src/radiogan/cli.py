@@ -45,7 +45,7 @@ from .synthesis import (
     resolve_frame,
     synthesize,
 )
-from .validation import DEFAULT_COVERAGE, validate
+from .validation import DEFAULT_COVERAGE, SPECTRUM_BLOCK_ROWS, generated_blocks, validate
 
 PRESETS = {
     # Band center deliberately off fs/4: a quarter-rate carrier hits only
@@ -381,16 +381,20 @@ def cmd_validate(args) -> int:
             f"{args.proto} frames into {tensor.n_packets} packets per frame; the run trained on {run.n_packets}"
         )
     tensor, fresh_stats = normalize_frames(tensor)
-    generated = None
     if args.generated:  # its samples are read a block at a time by validate
         generated = iq_reader(args.generated)
         _check_generated_fits(generated, run.n_fft)
-    frame = args.frame
-    if frame is None:  # the frame a generated file's power came from, else the training frame
-        frame = int(generated.meta.get("frame", run.frame)) if generated else run.frame
-    n_gen = tensor.n_packets if args.ngen is None else args.ngen
-    report = validate((run.model_i.generator, run.model_q.generator), tensor, fresh_stats, run.logs,
-                      frame=frame, n_gen=n_gen, snr_db=run.snr_mid_db, seed=args.seed, generated=generated)
+        # the frame a generated file's power came from, else the training frame
+        frame = int(generated.meta.get("frame", run.frame)) if args.frame is None else args.frame
+        n_gen = generated.n_samples // run.n_fft
+        blocks = generated.blocks(run.n_fft, SPECTRUM_BLOCK_ROWS)
+    else:
+        # range-checked before its power is read
+        frame = resolve_frame(run.frame if args.frame is None else args.frame, args.seed, tensor.n_frames)
+        n_gen = tensor.n_packets if args.ngen is None else args.ngen
+        blocks = generated_blocks(run.model_i.generator, run.model_q.generator, n_gen, run.snr_mid_db, args.seed,
+                                  fresh_stats.per_frame_power[frame])
+    report = validate(tensor, fresh_stats, run.logs, blocks, n_gen, frame=frame, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -498,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="print summary statistics of an I/Q recording")
     p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_inspect)
 
     return parser

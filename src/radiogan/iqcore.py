@@ -77,12 +77,6 @@ class IQRecording:
     def mean_power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def blocks(self, packet_len: int, block_packets: int):
-        """The whole packets of ``packet_len`` samples, as ``IQReader.blocks`` cuts them."""
-        n_packets = self.n_samples // packet_len
-        packets = self.samples[: n_packets * packet_len].reshape(n_packets, packet_len)
-        return (packets[rows] for rows in joined_blocks(n_packets, block_packets))
-
 
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + META_SUFFIX)

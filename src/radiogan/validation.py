@@ -39,33 +39,32 @@ _CHUNK = 1 << 16
 _CRITERIA = ("ks_gen_below_noise", "band_fraction_ratio", "accuracy_in_band")
 
 
-def spectral_matrix(packets, pool=None) -> tuple:
-    """``(energies, table)`` of a packet matrix [P, n_fft]: the energy of each
-    frequency bin, summed over the packets, and the magnitude spectra of the
-    first ``min(P, SPECTRUM_TABLE_PACKETS)`` packets, one column each.
+def spectral_matrix(blocks, pool=None) -> tuple:
+    """``(energies, table)`` of the packets of ``blocks``, an iterable of
+    complex [rows, n_fft] blocks in packet order: the energy of each frequency
+    bin, summed over the P packets, and the magnitude spectra of the first
+    ``min(P, SPECTRUM_TABLE_PACKETS)`` packets, one column each.
 
-    ``packets`` is the matrix, which ``joined_blocks`` cuts into blocks of
-    ``SPECTRUM_BLOCK_ROWS`` packets, or an iterable of its row blocks in
-    packet order. Each block is transformed at once. Each packet's squared
-    magnitudes are added into the energies in packet order, the float sum down
-    the packet axis of the whole [P, n_fft] matrix bit for bit (adding
-    per-block sums would round differently); no [P, n_fft] array is made.
-    With ``pool``, a float64 [2, P, n_fft] array, each block's real parts are
-    also copied into ``pool[0]`` and its imaginary parts into ``pool[1]``.
+    Each block is transformed at once. Each packet's squared magnitudes are
+    added into the energies in packet order, the float sum down the packet
+    axis of the whole [P, n_fft] matrix bit for bit (adding per-block sums
+    would round differently); no [P, n_fft] array is made. With ``pool``, a
+    float64 [2, P, n_fft] array, each block's real parts are also copied into
+    ``pool[0]`` and its imaginary parts into ``pool[1]``, and blocks holding
+    more or fewer than its P packets raise ``ValueError``.
     """
-    blocks = packets
-    if isinstance(packets, np.ndarray):
-        if packets.ndim != 2 or packets.shape[0] < 1:
-            raise ValueError("packets must be a non-empty 2-D array")
-        blocks = (packets[rows] for rows in joined_blocks(packets.shape[0], SPECTRUM_BLOCK_ROWS))
     start = 0
     for block in blocks:
         block = np.asarray(block, dtype=np.complex128)
+        if block.ndim != 2:
+            raise ValueError(f"each block must be a 2-D [rows, n_fft] array, got shape {block.shape}")
         stop = start + block.shape[0]
         if start == 0:
             energies = np.zeros(block.shape[1])
             table = np.empty((SPECTRUM_TABLE_PACKETS, block.shape[1]))
         if pool is not None:
+            if stop > pool.shape[1]:
+                raise ValueError(f"the blocks hold more than {pool.shape[1]} packets")
             pool[0, start:stop], pool[1, start:stop] = block.real, block.imag
         magnitudes = np.abs(dft(block))
         table[start:stop] = magnitudes[: max(0, SPECTRUM_TABLE_PACKETS - start)]
@@ -73,7 +72,9 @@ def spectral_matrix(packets, pool=None) -> tuple:
             energies += row
         start = stop
     if start == 0:
-        raise ValueError("packets must be a non-empty 2-D array")
+        raise ValueError("the blocks hold no packet")
+    if pool is not None and start != pool.shape[1]:
+        raise ValueError(f"the blocks hold {start} packets, not {pool.shape[1]}")
     return energies, table[:start].T
 
 
@@ -264,7 +265,8 @@ def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> np.nd
 
 def _complex_blocks(parts: np.ndarray):
     """Yield the complex packets whose real and imaginary parts are ``parts[0]``
-    and ``parts[1]``, in the blocks ``spectral_matrix`` cuts a matrix into."""
+    and ``parts[1]``, in the blocks of ``SPECTRUM_BLOCK_ROWS`` packets that
+    ``joined_blocks`` cuts."""
     for rows in joined_blocks(parts.shape[1], SPECTRUM_BLOCK_ROWS):
         block = np.empty((rows.stop - rows.start, parts.shape[2]), dtype=np.complex128)
         block.real, block.imag = parts[:, rows]
@@ -301,36 +303,45 @@ def _sample_stats(pool, proto_values, pdf_range) -> tuple:
     return ks_distance(proto_values, parts), empirical_pdf(parts, DEFAULT_N_BINS, pdf_range)[1]
 
 
-def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: int = 0,
-             n_gen: int | None = None, snr_db: float = 0.0, seed: int = 0, generated=None) -> ValidationReport:
-    """Score a trained model pair against its prototype; the report carries its tables.
+def generated_blocks(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed: int, frame_power: float):
+    """Yield ``n_gen`` pseudo-radio-signal packets of the rails' generators
+    ``i_model`` and ``q_model``, without the reconstruction filter, as the
+    complex blocks of ``SPECTRUM_BLOCK_ROWS`` packets that ``joined_blocks``
+    cuts. Each block draws its latent rows at ``snr_db`` from each rail's
+    ``("validate", "latent", rail)`` substream of ``seed`` in turn, and
+    ``frame_power`` denormalizes its packets: the bits of one
+    ``generate_packets`` call per rail over all ``n_gen`` packets.
+    """
+    latents = [substream(seed, "validate", "latent", rail) for rail in COMPONENTS]
+    for rows in joined_blocks(n_gen, SPECTRUM_BLOCK_ROWS):
+        i_mat, q_mat = (generate_packets(model, rows.stop - rows.start, snr_db, latent)
+                        for model, latent in zip((i_model, q_model), latents))
+        yield assemble_iq(i_mat, q_mat, frame_power)
 
-    ``model`` is the ``(i_model, q_model)`` pair of the rails' generators.
-    ``logs`` is a sequence of TrainingLogs; the mean discriminator accuracy
-    over the final quartile of each non-empty log is averaged, and is 0.0
-    when every log is empty. ``generated`` optionally supplies an
-    already-synthesized IQRecording, or an ``IQReader`` whose packets are
-    read a block at a time; otherwise ``n_gen`` packets (default: the
-    prototype's packet count) are generated in-process at ``snr_db`` from
-    ``seed``, which also seeds the noise baseline. ``frame`` is the prototype
-    frame scored, whose power denormalizes the in-process packets. The
-    thresholds are the ``DEFAULT_*`` constants, which the report stores.
-    ``report.tables`` holds the histogram and each matrix's spectrum table
-    from ``spectral_matrix``.
+
+def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: int, *, frame: int = 0,
+             seed: int = 0) -> ValidationReport:
+    """Score ``n_gen`` generated packets against their prototype; the report carries its tables.
+
+    ``blocks`` is an iterable of complex [rows, n_fft] blocks holding the
+    ``n_gen`` packets in order, read once: ``generated_blocks`` of a model
+    pair, or an ``IQReader``'s ``blocks``. ``logs`` is a sequence of
+    TrainingLogs; the mean discriminator accuracy over the final quartile of
+    each non-empty log is averaged, and is 0.0 when every log is empty.
+    ``seed`` seeds the noise baseline. ``frame`` is the prototype frame
+    scored. ``n_gen`` below 1 or out-of-range ``frame`` raise ``ValueError``
+    before any block is read, and blocks holding other than ``n_gen``
+    packets raise it once they are read. The thresholds are the
+    ``DEFAULT_*`` constants, which the report stores. ``report.tables``
+    holds the histogram and each packet set's spectrum table from
+    ``spectral_matrix``.
     """
     if not tensor.normalized:
         raise ValueError("tensor must be normalized (validate uses stats to denormalize)")
     if not 0 <= frame < tensor.n_frames:
         raise ValueError(f"frame {frame} out of range [0, {tensor.n_frames})")
-    try:
-        i_model, q_model = model
-    except (TypeError, ValueError) as exc:
-        raise ValueError("model must be the (i_model, q_model) pair") from exc
-    if not (isinstance(i_model, Net) and isinstance(q_model, Net)):
-        raise ValueError("model must be a pair of generator Nets")
-    n_fft = tensor.packet_len
-    if i_model.n_fft != n_fft or q_model.n_fft != n_fft:
-        raise ValueError("model packet length does not match tensor")
+    if n_gen < 1:
+        raise ValueError(f"n_gen must be >= 1, got {n_gen}: no whole {tensor.packet_len}-sample packet to score")
 
     populated = [l for l in logs if len(l) > 0]
     mean_accuracy = 0.0  # every log empty, as after train --epochs 0
@@ -338,27 +349,14 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
         quartiles = [l.final_quartile_accuracy() for l in populated]
         mean_accuracy = float(np.mean(quartiles))
 
-    frame_power = float(stats.per_frame_power[frame])
-    proto_packets = denormalize(tensor.complex_packets(frame), frame_power)
+    proto_packets = denormalize(tensor.complex_packets(frame), float(stats.per_frame_power[frame]))
 
-    if generated is None:
-        n_gen = tensor.n_packets if n_gen is None else n_gen
-        i_mat, q_mat = (
-            generate_packets(m, n_gen, snr_db, substream(seed, "validate", "latent", rail))
-            for m, rail in zip((i_model, q_model), COMPONENTS)
-        )
-        gen_packets = assemble_iq(i_mat, q_mat, frame_power)
-    else:
-        n_gen = generated.n_samples // n_fft
-        if n_gen < 1:
-            raise ValueError(f"recording too short for one {n_fft}-sample packet")
-        gen_packets = generated.blocks(n_fft, SPECTRUM_BLOCK_ROWS)
-
-    # Each matrix's spectra and pooled values (real parts, then imaginary
+    # Each packet set's spectra and pooled values (real parts, then imaginary
     # parts) come from one pass over its blocks, and serve both the numbers
     # and the tables.
     proto_pool = np.empty((2,) + proto_packets.shape)
-    proto_energies, proto_table = spectral_matrix(proto_packets, proto_pool)
+    proto_energies, proto_table = spectral_matrix(
+        (proto_packets[rows] for rows in joined_blocks(len(proto_packets), SPECTRUM_BLOCK_ROWS)), proto_pool)
     proto_values = proto_pool.reshape(-1)
     sigma = float(np.std(proto_values))  # before the sort, which would reorder its sum
     proto_values.sort()
@@ -371,10 +369,10 @@ def validate(model, tensor: PrototypeTensor, stats: FrameStats, logs, *, frame: 
     # noise is drawn into it and scored first, then its sorted values are
     # overwritten by the generated packets', which are read a block at a time
     # and whose correlation is read off the pool before its sort.
-    pool = _noise_baseline(proto_packets, (n_gen, n_fft), seed)
+    pool = _noise_baseline(proto_packets, (n_gen, tensor.packet_len), seed)
     noise_energies, noise_table = spectral_matrix(_complex_blocks(pool))
     ks_noise, noise_mass = _sample_stats(pool, proto_values, pdf_range)
-    gen_energies, gen_table = spectral_matrix(gen_packets, pool)
+    gen_energies, gen_table = spectral_matrix(blocks, pool)
     correlation = _mean_pairwise_correlation(pool)
     ks_gen, gen_mass = _sample_stats(pool, proto_values, pdf_range)
 

@@ -838,6 +838,17 @@ _VALIDATE_TABLES = ("report.txt", "histogram.csv", "spectrum_prototype.csv", "sp
                     "spectrum_noise.csv")
 
 
+def _validate_peak(argv) -> int:
+    """tracemalloc's peak over a ``main(argv)`` run of ``validate``, after one run outside the trace."""
+    main(argv)  # any cached DFT factors are made outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) in (0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_validate_holds_one_pooled_sample_set_of_a_generated_file(trained_run, tmp_path):
     """``validate --generated`` holds the file's pooled values, or the noise's,
     one at a time: never the file beside the noise or beside its pool."""
@@ -847,20 +858,27 @@ def test_validate_holds_one_pooled_sample_set_of_a_generated_file(trained_run, t
         gen = tmp_path / f"gen_{n_gen}.iq"
         assert main(["generate", "--run-dir", str(run_dir), "--ngen", str(n_gen), "--rc-length", "1",
                      "--out", str(gen), "--quiet"]) == 0
-        argv = ["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen),
-                "--out-dir", str(tmp_path / f"val_{n_gen}"), "--quiet"]
-        main(argv)  # any cached DFT factors are made outside the trace
-        tracemalloc.start()
-        try:
-            assert main(argv) in (0, 1)
-            _, peaks[n_gen] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peaks[n_gen] = _validate_peak(["validate", "--proto", str(proto), "--run-dir", str(run_dir),
+                                       "--generated", str(gen), "--out-dir", str(tmp_path / f"val_{n_gen}"),
+                                       "--quiet"])
     pool = 2 * 2560 * NFFT * 8
     # The one-block file's peak holds what does not grow with the file: the
     # run's nets, the prototype's matrices and one block's transforms.
     # Measured: 17.0 MB against a bound of 22.3 MB; 26.2 MB against 22.0 MB
     # while the recording was held beside the noise, then beside its pool.
+    assert peaks[2560] < 1.5 * pool + peaks[128], peaks
+
+
+def test_validate_in_process_holds_one_pooled_sample_set(trained_run, tmp_path):
+    """In-process ``validate`` draws its packets a block at a time into the
+    pool the noise's values leave: it never holds them all beside the pool."""
+    _, proto, run_dir = trained_run
+    peaks = {n_gen: _validate_peak(["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--ngen",
+                                     str(n_gen), "--out-dir", str(tmp_path / f"val_{n_gen}"), "--quiet"])
+             for n_gen in (128, 2560)}  # one spectrum block, then a pool of 10.5 MB
+    pool = 2 * 2560 * NFFT * 8
+    # Measured: 17.3 MB against a bound of 22.5 MB; 38.0 MB against 23.2 MB
+    # while every packet was generated at once.
     assert peaks[2560] < 1.5 * pool + peaks[128], peaks
 
 
@@ -1045,6 +1063,21 @@ def test_a_huge_n_frames_is_refused_without_naming_its_frames(trained_run, tmp_p
     assert peak < 16 << 20, peak  # naming 2,000,000 frames took over 100 MB
 
 
+@pytest.mark.parametrize("frame", ["5", "-1"])
+@pytest.mark.parametrize("generated", [False, True])
+def test_validate_refuses_a_frame_out_of_range_without_writing(trained_run, tmp_path, capsys, generated, frame):
+    _, proto, run_dir = trained_run
+    argv = ["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--frame", frame, "--quiet"]
+    if generated:
+        gen = tmp_path / "gen.iq"
+        assert main(["generate", "--run-dir", str(run_dir), "--ngen", "16", "--out", str(gen), "--quiet"]) == 0
+        argv += ["--generated", str(gen)]
+    out_dir = tmp_path / "val"
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: frame {frame} out of range [0, 2)\n"
+    assert not out_dir.exists()
+
+
 def test_validate_refuses_a_prototype_framed_unlike_the_run(trained_run, tmp_path, capsys):
     _, _, run_dir = trained_run
     short = _protogen(tmp_path, "short.iq", extra=("--samples", "4096"))  # 8 packets per frame, not 16
@@ -1098,6 +1131,13 @@ def test_inspect_prints_summary(trained_run, capsys):
 def test_inspect_missing_file_exits_2(tmp_path, capsys):
     assert main(["inspect", "--in", str(tmp_path / "missing.iq")]) == 2
     capsys.readouterr()
+
+
+def test_inspect_takes_no_quiet_or_seed_option(trained_run, capsys):
+    _, proto, _ = trained_run
+    for option in (["--quiet"], ["--seed", "1"]):
+        assert main(["inspect", "--in", str(proto), *option]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_train_sweep_writes_ablation_table(tmp_path):

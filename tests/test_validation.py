@@ -9,12 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiogan import validation
+from radiogan.blocks import joined_blocks
 from radiogan.dsp import dft
 from radiogan.gan import TrainingLog, build_generator
-from radiogan.iqcore import IQRecording, denormalize, frame_tensor, normalize_frames
+from radiogan.iqcore import IQRecording, denormalize, frame_tensor, iq_reader, normalize_frames, save_iq
 from radiogan.kvfile import parse_kv
 from radiogan.seeding import substream
+from radiogan.synthesis import assemble_iq, generate_packets
 from radiogan.validation import (
+    SPECTRUM_BLOCK_ROWS,
     ValidationReport,
     _mean_pairwise_correlation,
     band_fraction,
@@ -28,6 +31,11 @@ from radiogan.validation import (
 N_FFT = 64
 
 
+def _blocks(packets, rows=SPECTRUM_BLOCK_ROWS):
+    """The rows of a packet matrix in the blocks of ``rows`` packets that ``joined_blocks`` cuts."""
+    return (packets[r] for r in joined_blocks(len(packets), rows))
+
+
 def _whole_transform(packets):
     """The per-bin energies and the spectrum table of ``packets`` from one
     transform of them all: the sum down the packet axis of the [P, n_fft]
@@ -39,7 +47,7 @@ def _whole_transform(packets):
 def test_spectral_matrix_layout_and_values():
     rng = np.random.default_rng(0)
     packets = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-    energies, table = spectral_matrix(packets)
+    energies, table = spectral_matrix(_blocks(packets))
     assert energies.shape == (16,)
     assert table.shape == (16, 5)
     for p in range(5):
@@ -50,7 +58,7 @@ def test_spectral_matrix_layout_and_values():
 def test_spectral_matrix_parseval_per_column():
     rng = np.random.default_rng(1)
     packets = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-    energies, table = spectral_matrix(packets)
+    energies, table = spectral_matrix(_blocks(packets))
     for p in range(3):
         lhs = np.sum(table[:, p] ** 2)
         rhs = 32 * np.sum(np.abs(packets[p]) ** 2)
@@ -59,7 +67,7 @@ def test_spectral_matrix_parseval_per_column():
 
 
 def test_spectral_matrix_constant_packet_hits_dc_only():
-    energies, table = spectral_matrix(np.ones((1, 8), dtype=complex))
+    energies, table = spectral_matrix([np.ones((1, 8), dtype=complex)])
     assert table[0, 0] == pytest.approx(8.0, abs=1e-12)
     assert np.all(table[1:, 0] < 1e-12)
     assert energies[0] == pytest.approx(64.0, abs=1e-12)
@@ -68,12 +76,11 @@ def test_spectral_matrix_constant_packet_hits_dc_only():
 @pytest.mark.parametrize("n_packets", [1, 63, 64, 65, 300])
 @pytest.mark.parametrize("block_rows", [7, 128])
 def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatch, block_rows, n_packets):
-    monkeypatch.setattr(validation, "SPECTRUM_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(block_rows + n_packets)
     packets = rng.standard_normal((n_packets, 64)) + 1j * rng.standard_normal((n_packets, 64))
     calls = []
     monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
-    energies, table = spectral_matrix(packets)
+    energies, table = spectral_matrix(_blocks(packets, block_rows))
     # whole blocks, fewer rows than a block left at the end joining the last one
     n_blocks = max(1, n_packets // block_rows)
     assert calls == [block_rows] * (n_blocks - 1) + [n_packets - (n_blocks - 1) * block_rows]
@@ -87,7 +94,7 @@ def test_spectral_matrix_in_blocks_is_the_whole_transform_bit_for_bit(monkeypatc
 def test_spectral_matrix_energies_are_the_whole_sum_bit_for_bit_at_scale(shape):
     rng = np.random.default_rng(shape[0])
     packets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    energies, table = spectral_matrix(packets)
+    energies, table = spectral_matrix(_blocks(packets))
     want_energies, want_table = _whole_transform(packets)
     assert energies.tobytes() == want_energies.tobytes()
     assert table.tobytes() == want_table.tobytes()
@@ -100,7 +107,7 @@ def test_spectral_matrix_at_a_non_power_of_two_length_is_the_whole_transform_bit
     # same row in a larger product; no block of one row is transformed.
     rng = np.random.default_rng(n_fft + n_packets)
     packets = rng.standard_normal((n_packets, n_fft)) + 1j * rng.standard_normal((n_packets, n_fft))
-    energies, table = spectral_matrix(packets)
+    energies, table = spectral_matrix(_blocks(packets))
     want_energies, want_table = _whole_transform(packets)
     assert energies.tobytes() == want_energies.tobytes()
     assert table.tobytes() == want_table.tobytes()
@@ -109,10 +116,10 @@ def test_spectral_matrix_at_a_non_power_of_two_length_is_the_whole_transform_bit
 def test_spectral_matrix_holds_no_packet_by_bin_matrix():
     packets = np.exp(1j * np.arange(2048 * 256).reshape(2048, 256) * 1e-3)  # 2048 packets of 256
     one_matrix = 2048 * 256 * 8  # a float64 [2048, 256] matrix, 4 MiB
-    spectral_matrix(packets)  # any cached DFT factors are made outside the trace
+    spectral_matrix(_blocks(packets))  # any cached DFT factors are made outside the trace
     tracemalloc.start()
     try:
-        spectral_matrix(packets)
+        spectral_matrix(_blocks(packets))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -120,10 +127,13 @@ def test_spectral_matrix_holds_no_packet_by_bin_matrix():
 
 
 def test_spectral_matrix_validation():
-    with pytest.raises(ValueError):
-        spectral_matrix(np.zeros((0, 4)))
-    with pytest.raises(ValueError):
-        spectral_matrix(np.zeros(4))
+    for blocks in ([], [np.zeros((0, 4))], [np.zeros(4)], np.zeros((2, 4))):  # a matrix's rows are not blocks
+        with pytest.raises(ValueError):
+            spectral_matrix(blocks)
+    packets = np.ones((5, 4), dtype=complex)
+    for n_pool in (4, 6):  # a pool of one packet fewer, then one more, than the blocks hold
+        with pytest.raises(ValueError, match="packets"):
+            spectral_matrix(_blocks(packets, 2), np.empty((2, n_pool, 4)))
 
 
 @pytest.mark.parametrize("swap", [None, 0, 65535, 65536, 131071, 3 * 65536 + 3])
@@ -425,11 +435,11 @@ def test_occupied_band_bins_validation():
 
 def test_in_band_fraction_tone():
     t = np.arange(32)
-    energies, _ = spectral_matrix(np.exp(2j * np.pi * (4 / 32) * t)[None, :])
+    energies, _ = spectral_matrix([np.exp(2j * np.pi * (4 / 32) * t)[None, :]])
     assert band_fraction(energies, np.array([4])) == pytest.approx(1.0, abs=1e-12)
     assert band_fraction(energies, np.array([5])) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        band_fraction(spectral_matrix(np.zeros((1, 32), dtype=complex))[0], np.array([0]))
+        band_fraction(spectral_matrix([np.zeros((1, 32), dtype=complex)])[0], np.array([0]))
 
 
 def _parts(packets):
@@ -548,16 +558,18 @@ def _log(accuracies):
     return log
 
 
-def _recording(packets):
-    """A generated recording holding the rows of a complex packet matrix."""
-    return IQRecording(samples=np.ravel(packets), sample_rate_hz=1e6)
+def _in_process(tensor, stats, n_gen=None, seed=0):
+    """validate's in-process ``blocks`` and ``n_gen``: ``n_gen`` packets (default:
+    the prototype's count) of ``_gens()`` at -27 dB, drawn from ``seed``."""
+    n_gen = tensor.n_packets if n_gen is None else n_gen
+    return validation.generated_blocks(*_gens(), n_gen, -27.0, seed, stats.per_frame_power[0]), n_gen
 
 
 def test_validate_passes_when_fed_the_prototype_itself():
     tensor, stats = _tensor()
     log = _log([0.5] * 8)
     proto = tensor.complex_packets(0) * np.sqrt(stats.per_frame_power[0])
-    rep = validate(_gens(), tensor, stats, [log], generated=_recording(proto))
+    rep = validate(tensor, stats, [log], _blocks(proto), len(proto))
     assert rep.ks_proto_vs_gen == 0.0
     assert rep.band_energy_fraction_gen == 1.0
     assert rep.verdict == "pass"
@@ -568,7 +580,7 @@ def test_validate_flags_a_white_noise_generator():
     log = _log([0.5] * 8)
     rng = np.random.default_rng(0)
     white = rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT))
-    rep = validate(_gens(), tensor, stats, [log], generated=_recording(white))
+    rep = validate(tensor, stats, [log], _blocks(white), len(white))
     # white noise cannot beat the matched-power noise reference on band energy
     assert rep.criteria["band_fraction_ratio"] is False
     assert rep.verdict == "fail"
@@ -577,14 +589,28 @@ def test_validate_flags_a_white_noise_generator():
 def test_validate_in_process_generation_is_seeded():
     tensor, stats = _tensor()
     log = _log([0.5] * 8)
-    rep_a = validate(_gens(), tensor, stats, [log], seed=3, snr_db=-27.0)
-    rep_b = validate(_gens(), tensor, stats, [log], seed=3, snr_db=-27.0)
+    rep_a = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=3), seed=3)
+    rep_b = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=3), seed=3)
     assert rep_a == rep_b
-    rep_c = validate(_gens(), tensor, stats, [log], seed=4, snr_db=-27.0)
+    rep_c = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=4), seed=4)
     assert rep_a.ks_proto_vs_gen != rep_c.ks_proto_vs_gen
+    # The blocks give the bits of one generate_packets call per rail over
+    # every packet, one block of all of them: under a block, one whole block,
+    # a joined last block, and several blocks.
+    power = stats.per_frame_power[0]
+    for n_gen in (30, 128, 300, 1000):
+        rep = validate(tensor, stats, [log], *_in_process(tensor, stats, n_gen, seed=3), seed=3)
+        rails = (generate_packets(model, n_gen, -27.0, substream(3, "validate", "latent", rail))
+                 for model, rail in zip(_gens(), "IQ"))
+        want = validate(tensor, stats, [log], [assemble_iq(*rails, power)], n_gen, seed=3)
+        assert rep.to_text() == want.to_text()
+        for got, expect in zip(rep.tables["histogram"], want.tables["histogram"]):
+            assert got.tobytes() == expect.tobytes()
+        for name in ("spectrum_prototype", "spectrum_generated", "spectrum_noise"):
+            assert rep.tables[name].tobytes() == want.tables[name].tobytes()
 
 
-def test_validate_accepts_recording_input():
+def test_validate_accepts_recording_input(tmp_path):
     tensor, stats = _tensor()
     log = _log([0.5] * 8)
     rng = np.random.default_rng(1)
@@ -594,7 +620,8 @@ def test_validate_accepts_recording_input():
         center_freq_hz=1e9,
         rx_gain_db=0.0,
     )
-    rep = validate(_gens(), tensor, stats, [log], generated=rec)
+    save_iq(rec, tmp_path / "gen.iq")
+    rep = validate(tensor, stats, [log], iq_reader(tmp_path / "gen.iq").blocks(N_FFT, SPECTRUM_BLOCK_ROWS), 24)
     assert 0.0 <= rep.ks_proto_vs_gen <= 1.0
 
 
@@ -602,29 +629,27 @@ def test_validate_final_quartile_accuracy():
     tensor, stats = _tensor()
     # 8 epochs: final quartile = last 2 rows
     log = _log([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6, 0.4])
-    rep = validate(_gens(), tensor, stats, [log], snr_db=-27.0)
+    rep = validate(tensor, stats, [log], *_in_process(tensor, stats))
     assert rep.mean_d_accuracy == pytest.approx(0.5)
     # two logs: mean of the per-log quartile means
-    rep2 = validate(
-        _gens(), tensor, stats, [log, _log([0.1, 0.1, 0.1, 0.3])], snr_db=-27.0
-    )
+    rep2 = validate(tensor, stats, [log, _log([0.1, 0.1, 0.1, 0.3])], *_in_process(tensor, stats))
     assert rep2.mean_d_accuracy == pytest.approx(0.5 * (0.5 + 0.3))
 
 
 def test_validate_empty_log_handling():
     tensor, stats = _tensor()
     for logs in ([TrainingLog()], [TrainingLog(), TrainingLog()], []):
-        rep = validate(_gens(), tensor, stats, logs, snr_db=-27.0)
+        rep = validate(tensor, stats, logs, *_in_process(tensor, stats))
         assert rep.mean_d_accuracy == 0.0
         assert rep.criteria["accuracy_in_band"] is False
     # an empty log beside a populated one does not count
-    rep = validate(_gens(), tensor, stats, [TrainingLog(), _log([0.5] * 4)], snr_db=-27.0)
+    rep = validate(tensor, stats, [TrainingLog(), _log([0.5] * 4)], *_in_process(tensor, stats))
     assert rep.mean_d_accuracy == 0.5
 
 
 def test_validate_with_tables():
     tensor, stats = _tensor()
-    rep = validate(_gens(), tensor, stats, [_log([0.5] * 4)], snr_db=-27.0)
+    rep = validate(tensor, stats, [_log([0.5] * 4)], *_in_process(tensor, stats))
     centers, p_mass, g_mass, n_mass = rep.tables["histogram"]
     assert centers.shape == (101,)
     for mass in (p_mass, g_mass, n_mass):
@@ -694,14 +719,13 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
     transformed = []
     original = validation.spectral_matrix
 
-    def counting(packets, pool=None):
-        if not isinstance(packets, np.ndarray):
-            packets = list(packets)  # the row blocks, read once
-        transformed.append(np.concatenate(packets) if isinstance(packets, list) else np.array(packets))
-        return original(packets, pool)
+    def counting(blocks, pool=None):
+        blocks = list(blocks)  # read once
+        transformed.append(np.concatenate(blocks))
+        return original(blocks, pool)
 
     monkeypatch.setattr(validation, "spectral_matrix", counting)
-    rep = validate(_gens(), tensor, stats, [log], seed=seed, generated=_recording(gen))
+    rep = validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
     monkeypatch.undo()
 
     # one transform each of the prototype, the noise and the generated matrix
@@ -726,8 +750,8 @@ def test_validate_transforms_each_matrix_in_128_packet_blocks(monkeypatch, gener
     gen = np.random.default_rng(2).standard_normal((n_gen, N_FFT)) + 0j
     calls = []
     monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
-    validate(_gens(), tensor, stats, [_log([0.5] * 4)], n_gen=None if generated else n_gen,
-             generated=_recording(gen) if generated else None, snr_db=-27.0)
+    blocks = _blocks(gen) if generated else _in_process(tensor, stats, n_gen)[0]
+    validate(tensor, stats, [_log([0.5] * 4)], blocks, n_gen)
     # max(1, P // 128) blocks for the prototype, the noise and the generated packets each
     assert calls == [tensor.n_packets] + [128, 172] * 2
 
@@ -737,7 +761,7 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
     sorted and sort no copy of them (np.sort serves only the band bins)."""
     tensor, stats = _tensor()
     log = _log([0.5] * 4)
-    expect = validate(_gens(), tensor, stats, [log], seed=2, snr_db=-27.0)
+    expect = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
     sizes = []
     original = np.sort
 
@@ -746,7 +770,7 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "sort", recording_sort)
-    rep = validate(_gens(), tensor, stats, [log], seed=2, snr_db=-27.0)
+    rep = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
     monkeypatch.undo()
     assert sizes and max(sizes) <= N_FFT
     assert rep.to_text() == expect.to_text()
@@ -812,7 +836,7 @@ def test_pooled_values_are_the_real_parts_then_the_imaginary_parts():
     for p in (packets, packets.astype(np.complex64), packets[::2, ::3], packets.T):
         expect = np.concatenate([p.real.ravel(), p.imag.ravel()]).astype(np.float64)
         pool = np.empty((2,) + p.shape)
-        spectral_matrix(p, pool)
+        spectral_matrix([p], pool)
         assert pool.tobytes() == expect.tobytes()
 
 
@@ -827,25 +851,27 @@ def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
     assert np.std(values) != np.std(np.sort(values))  # heavy tails: the sum's order shows
     log, seed = _log([0.5] * 4), 1
     gen = 300.0 * (rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT)))
-    rep = validate(_gens(), tensor, stats, [log], seed=seed, generated=_recording(gen))
+    rep = validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
     _, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
     for got, want in zip(rep.tables["histogram"], tables["histogram"]):
         assert got.tobytes() == want.tobytes()
 
 
-def test_validate_input_checks():
+def test_validate_input_checks(monkeypatch):
     tensor, stats = _tensor()
     log = _log([0.5] * 4)
-    gi, gq = _gens()
-    with pytest.raises(ValueError):
-        validate(gi, tensor, stats, [log])  # not a pair
-    with pytest.raises(ValueError):
-        validate((gi, "nope"), tensor, stats, [log])
-    with pytest.raises(ValueError):
-        validate((gi, build_generator(128, 0, width=16)), tensor, stats, [log])
-    with pytest.raises(ValueError):
-        validate(_gens(), tensor, stats, [log], frame=1)
-    with pytest.raises(ValueError, match="too short"):
-        validate(_gens(), tensor, stats, [log], generated=_recording(np.ones(N_FFT - 1)))
-    with pytest.raises(ValueError, match="n_gen"):
-        validate(_gens(), tensor, stats, [log], n_gen=0)
+    drawn = []
+    monkeypatch.setattr(validation, "generate_packets", lambda *args: drawn.append(args) or generate_packets(*args))
+    for frame in (1, -1):
+        with pytest.raises(ValueError, match=f"frame {frame} out of range"):
+            validate(tensor, stats, [log], *_in_process(tensor, stats), frame=frame)
+    with pytest.raises(ValueError, match="n_gen must be >= 1, got 0"):
+        validate(tensor, stats, [log], *_in_process(tensor, stats, 0))
+    assert drawn == []  # refused before any latent draw
+    # a stream one packet short, then one packet long, of the n_gen it is scored as
+    with pytest.raises(ValueError, match="hold 29 packets, not 30"):
+        validate(tensor, stats, [log], _in_process(tensor, stats, 29)[0], 30)
+    with pytest.raises(ValueError, match="more than 30 packets"):
+        validate(tensor, stats, [log], _in_process(tensor, stats, 31)[0], 30)
+    with pytest.raises(ValueError):  # packets of another length than the prototype's
+        validate(tensor, stats, [log], [np.ones((24, 2 * N_FFT), dtype=complex)], 24)
