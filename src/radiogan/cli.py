@@ -189,14 +189,15 @@ def _train_rail(out_dir: Path, tensor, component: str, frame: int, cfg: TrainCon
     return log
 
 
-def _write_run_files(out_dir: Path, command: str, rec, tensor, stats, frame: int,
+def _write_run_files(out_dir: Path, command: str, capture: dict, tensor, stats, frame: int,
                      cfg: TrainConfig, extra: dict) -> None:
     """Write ``run.meta`` (what the checkpoints do not hold) and ``train.manifest``;
-    ``extra`` joins the manifest's config."""
+    ``capture`` holds the prototype's ``REQUIRED_META`` values, and ``extra``
+    joins the manifest's config."""
     meta = {
         "n_frames": tensor.n_frames,
         "n_packets": tensor.n_packets,
-        **{key: repr(getattr(rec, key)) for key in REQUIRED_META},
+        **{key: repr(capture[key]) for key in REQUIRED_META},
         **{f"frame_power_{i}": repr(float(power)) for i, power in enumerate(stats.per_frame_power)},
     }
     write_kv(out_dir / "run.meta", meta)
@@ -205,7 +206,7 @@ def _write_run_files(out_dir: Path, command: str, rec, tensor, stats, frame: int
     write_manifest(out_dir / "train.manifest", command, resolved, cfg.seed)
 
 
-def _run_sweep(args, rec, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -> int:
+def _run_sweep(args, capture: dict, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -> int:
     frame = args.frame
     rows = ["regularization,mean_d_accuracy,runtime_s"]
     for name, overrides in SWEEP_CONFIGS:
@@ -219,15 +220,16 @@ def _run_sweep(args, rec, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -
         rows.append(f"{name},{accuracy!r},{runtime_s:.3f}")
         _say(args, f"sweep {name}: mean accuracy {accuracy:.4f} in {runtime_s:.1f}s")
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_run_files(out_dir, "train --sweep regularization", rec, tensor, stats, frame, base_cfg,
+    _write_run_files(out_dir, "train --sweep regularization", capture, tensor, stats, frame, base_cfg,
                      {"sweep": "regularization"})
     return 0
 
 
 def cmd_train(args) -> int:
     rec = load_iq(args.proto)
-    tensor = frame_tensor(rec, args.nfft, args.frames)
-    tensor, stats = normalize_frames(tensor)
+    capture = {key: getattr(rec, key) for key in REQUIRED_META}
+    tensor, stats = normalize_frames(frame_tensor(rec, args.nfft, args.frames))
+    del rec  # the frames are a copy; only the capture metadata is written from here on
     cfg = _resolve_train_config(args, args.nfft)
     cfg.validate_for(args.nfft)
     if cfg.n_examples > tensor.n_packets:
@@ -240,7 +242,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.sweep:
-        return _run_sweep(args, rec, tensor, stats, cfg, out_dir)
+        return _run_sweep(args, capture, tensor, stats, cfg, out_dir)
 
     for component in COMPONENTS:
         tic = time.perf_counter()
@@ -253,7 +255,7 @@ def cmd_train(args) -> int:
             )
         else:
             _say(args, f"{component}: wrote initialized (untrained) checkpoint")
-    _write_run_files(out_dir, "train", rec, tensor, stats, args.frame, cfg, {"n_frames": tensor.n_frames})
+    _write_run_files(out_dir, "train", capture, tensor, stats, args.frame, cfg, {"n_frames": tensor.n_frames})
     return 0
 
 
@@ -338,8 +340,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _write_histogram_csv(path: Path, tables: dict) -> None:
-    centers, proto_mass, gen_mass, noise_mass = tables["histogram"]
+def _write_histogram_csv(path: Path, histogram: tuple) -> None:
+    centers, proto_mass, gen_mass, noise_mass = histogram
     lines = ["value,prototype_mass,generated_mass,noise_mass"]
     for c, p, g, n in zip(centers, proto_mass, gen_mass, noise_mass):
         lines.append(f"{c:.8g},{p:.8g},{g:.8g},{n:.8g}")
@@ -349,10 +351,12 @@ def _write_histogram_csv(path: Path, tables: dict) -> None:
 def _write_spectrum_csv(path: Path, table) -> None:
     header = "bin," + ",".join(f"packet_{i}" for i in range(table.shape[1]))
     row = ",".join(["%.8g"] * table.shape[1])  # "%.8g" % v is the text of f"{v:.8g}"
-    lines = [header]
-    for k, values in enumerate(table.tolist()):
-        lines.append(f"{k}," + row % tuple(values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a row at a time, with no whole-table text or list: validate hands on its
+    # tables while it holds its pooled samples
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        for k, values in enumerate(table):
+            out.write(f"{k}," + row % tuple(values.tolist()) + "\n")
 
 
 def _check_generated_fits(generated, n_fft: int) -> None:
@@ -374,8 +378,7 @@ def cmd_validate(args) -> int:
         raise ValueError("--ngen sets the in-process packet count; it does not apply with --generated")
     run_dir = Path(args.run_dir)
     run = _load_run(run_dir)
-    rec = load_iq(args.proto)
-    tensor = frame_tensor(rec, run.n_fft, run.stats.n_frames)
+    tensor = frame_tensor(load_iq(args.proto), run.n_fft, run.stats.n_frames)  # a copy: the recording goes
     if tensor.n_packets != run.n_packets:
         raise ValueError(
             f"{args.proto} frames into {tensor.n_packets} packets per frame; the run trained on {run.n_packets}"
@@ -394,14 +397,16 @@ def cmd_validate(args) -> int:
         n_gen = tensor.n_packets if args.ngen is None else args.ngen
         blocks = generated_blocks(run.model_i.generator, run.model_q.generator, n_gen, run.snr_mid_db, args.seed,
                                   fresh_stats.per_frame_power[frame])
-    report = validate(tensor, fresh_stats, run.logs, blocks, n_gen, frame=frame, seed=args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def write_table(name, table):  # validate hands on no table before every input is read and scored
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write = _write_histogram_csv if name == "histogram" else _write_spectrum_csv
+        write(out_dir / f"{name}.csv", table)
+
+    report = validate(tensor, fresh_stats, run.logs, blocks, n_gen, frame=frame, seed=args.seed,
+                      write_table=write_table)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    _write_histogram_csv(out_dir / "histogram.csv", report.tables)
-    _write_spectrum_csv(out_dir / "spectrum_prototype.csv", report.tables["spectrum_prototype"])
-    _write_spectrum_csv(out_dir / "spectrum_generated.csv", report.tables["spectrum_generated"])
-    _write_spectrum_csv(out_dir / "spectrum_noise.csv", report.tables["spectrum_noise"])
     resolved = {
         "run_dir": str(run_dir),
         "frame": frame,

@@ -12,11 +12,12 @@ from the report alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
-from .blocks import joined_blocks, run_blocks
-from .dsp import dft
+from .blocks import joined_blocks, row_blocks, run_blocks
+from .dsp import dft, fft_block_rows
 from .gan import Net
 from .iqcore import COMPONENTS, FrameStats, PrototypeTensor, denormalize
 from .kvfile import format_kv, parse_kv
@@ -45,13 +46,15 @@ def spectral_matrix(blocks, pool=None) -> tuple:
     bin, summed over the P packets, and the magnitude spectra of the first
     ``min(P, SPECTRUM_TABLE_PACKETS)`` packets, one column each.
 
-    Each block is transformed at once. Each packet's squared magnitudes are
-    added into the energies in packet order, the float sum down the packet
-    axis of the whole [P, n_fft] matrix bit for bit (adding per-block sums
-    would round differently); no [P, n_fft] array is made. With ``pool``, a
-    float64 [2, P, n_fft] array, each block's real parts are also copied into
-    ``pool[0]`` and its imaginary parts into ``pool[1]``, and blocks holding
-    more or fewer than its P packets raise ``ValueError``.
+    Each block is transformed by one ``dft`` call in this thread; its
+    magnitudes, their squares and the copies into ``pool`` are then taken on
+    the CPU pool, in the FFT's row blocks. Each packet's squared magnitudes
+    are added into the energies in packet order, the float sum down the
+    packet axis of the whole [P, n_fft] matrix bit for bit (adding per-block
+    sums would round differently); no [P, n_fft] array is made. With
+    ``pool``, a float64 [2, P, n_fft] array, each block's real parts are also
+    copied into ``pool[0]`` and its imaginary parts into ``pool[1]``, and
+    blocks holding more or fewer than its P packets raise ``ValueError``.
     """
     start = 0
     for block in blocks:
@@ -62,13 +65,21 @@ def spectral_matrix(blocks, pool=None) -> tuple:
         if start == 0:
             energies = np.zeros(block.shape[1])
             table = np.empty((SPECTRUM_TABLE_PACKETS, block.shape[1]))
-        if pool is not None:
-            if stop > pool.shape[1]:
-                raise ValueError(f"the blocks hold more than {pool.shape[1]} packets")
-            pool[0, start:stop], pool[1, start:stop] = block.real, block.imag
-        magnitudes = np.abs(dft(block))
-        table[start:stop] = magnitudes[: max(0, SPECTRUM_TABLE_PACKETS - start)]
-        for row in np.square(magnitudes, out=magnitudes):
+        if pool is not None and stop > pool.shape[1]:
+            raise ValueError(f"the blocks hold more than {pool.shape[1]} packets")
+        spectrum = dft(block)
+        magnitudes = np.empty(spectrum.shape)
+
+        def finish(rows, _):
+            packets = slice(start + rows.start, start + rows.stop)
+            if pool is not None:
+                pool[0, packets], pool[1, packets] = block[rows].real, block[rows].imag
+            np.abs(spectrum[rows], out=magnitudes[rows])
+            table[packets] = magnitudes[rows][: max(0, SPECTRUM_TABLE_PACKETS - packets.start)]
+            np.square(magnitudes[rows], out=magnitudes[rows])
+
+        run_blocks(finish, row_blocks(len(block), fft_block_rows(block.shape[1])))
+        for row in magnitudes:
             energies += row
         start = stop
     if start == 0:
@@ -95,10 +106,17 @@ def _ascending(x) -> np.ndarray:
     return x if in_order else np.sort(x)
 
 
-def _sorted_parts(samples) -> list:
+class _Ascending(tuple):
+    """A sample set's parts, each a flat float64 array already in ascending
+    order (NaN last), which the statistics take as they are."""
+
+
+def _sorted_parts(samples) -> _Ascending:
     """A sample set's parts, each made ``_ascending``: the items of a tuple,
     whose values together are the set, or else the whole array."""
-    return [_ascending(part) for part in samples] if isinstance(samples, tuple) else [_ascending(samples)]
+    if isinstance(samples, _Ascending):
+        return samples
+    return _Ascending(_ascending(part) for part in (samples if isinstance(samples, tuple) else (samples,)))
 
 
 def _has_nan(parts) -> bool:
@@ -140,10 +158,11 @@ def ks_distance(a, b) -> float:
     ``a`` its count is fixed and that of ``b`` grows, so the CDF difference is
     monotone there and peaks at an end: at a value v of ``a`` (``A(v)``,
     ``#b <= v``) or just below it (the previous count, or 0, and ``#b < v``).
-    The counts of ``b`` are added over its parts, for ``_CHUNK`` distinct
-    values of ``a`` at a time. Each candidate is ``|count_a/n_a - count_b/n_b|``
-    and rounding is monotone, so the result is the same float as the maximum
-    over every merged value. Empty or NaN input raises ``ValueError``.
+    The counts of ``b`` are taken for ``_CHUNK`` distinct values of ``a`` at a
+    time, each non-empty part of ``b`` on the CPU pool, and added in part
+    order. Each candidate is ``|count_a/n_a - count_b/n_b|`` and rounding is
+    monotone, so the result is the same float as the maximum over every
+    merged value. Empty or NaN input raises ``ValueError``.
     """
     a, b = _sorted_parts(a), _sorted_parts(b)
     n_a, n_b = (sum(part.size for part in parts) for parts in (a, b))
@@ -155,22 +174,27 @@ def ks_distance(a, b) -> float:
         raise ValueError("samples contain NaN")
     a = a[0] if len(a) == 1 else np.sort(np.concatenate(a))
     last = np.flatnonzero(np.append(a[1:] != a[:-1], True))  # the end of each run of equal values
+    b = [part for part in b if part.size]
     distance = 0.0
     for start in range(0, last.size, _CHUNK):
         ends = last[start : start + _CHUNK]
         values = a[ends]
         count_a = ends + 1.0
-        upto = below = 0
-        for part in filter(len, b):
-            part_upto = np.searchsorted(part, values, side="right")  # #part <= v
-            part_below = part_upto.copy()  # #part < v: the same count unless the part holds v
-            held = (part[part_upto - 1] == values) & (part_upto > 0)
-            part_below[held] = np.searchsorted(part, values[held], side="left")
-            upto, below = upto + part_upto, below + part_below
+        counts = run_blocks(partial(_counts_at, values), b)  # each part on its own CPU
+        upto, below = (sum(part_counts) for part_counts in zip(*counts))
         at_v = count_a / n_a - upto / n_b
         below_v = np.append(last[start - 1] + 1.0 if start else 0.0, count_a[:-1]) / n_a - below / n_b
         distance = max(distance, np.max(np.abs(at_v)), np.max(np.abs(below_v)))
     return float(distance)
+
+
+def _counts_at(values, part, _) -> tuple:
+    """``(#part <= v, #part < v)`` for each of the ascending ``values``, ``part`` ascending and not empty."""
+    upto = np.searchsorted(part, values, side="right")
+    below = upto.copy()  # the same count unless the part holds v
+    held = (part[upto - 1] == values) & (upto > 0)
+    below[held] = np.searchsorted(part, values[held], side="left")
+    return upto, below
 
 
 def occupied_band_bins(energies: np.ndarray, coverage: float = DEFAULT_COVERAGE) -> np.ndarray:
@@ -204,7 +228,6 @@ class ValidationReport:
     accuracy_band: tuple = DEFAULT_ACCURACY_BAND
     criteria: dict = field(default_factory=dict)
     verdict: str = ""
-    tables: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.accuracy_band = (float(self.accuracy_band[0]), float(self.accuracy_band[1]))
@@ -250,16 +273,16 @@ class ValidationReport:
         )
 
 
-def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int) -> np.ndarray:
+def _noise_baseline(proto_packets: np.ndarray, shape: tuple, seed: int, out=None) -> np.ndarray:
     """The real and imaginary parts, a float64 [2, *shape] array, of white
     complex noise packets of ``shape`` with the prototype's power.
 
     The real parts are drawn, then the imaginary parts, straight into the
-    array, and scaled in place: the bits of one draw of each part, with no
-    temporary.
+    array (``out`` if given), and scaled in place: the bits of one draw of
+    each part, with no temporary.
     """
     scale = np.sqrt(float(np.mean(np.abs(proto_packets) ** 2)) / 2.0)
-    parts = substream(seed, "validate", "noise").standard_normal((2,) + tuple(shape))
+    parts = substream(seed, "validate", "noise").standard_normal((2,) + tuple(shape), out=out)
     return np.multiply(parts, scale, out=parts)
 
 
@@ -293,13 +316,13 @@ def _sample_stats(pool, proto_values, pdf_range) -> tuple:
     """``(ks, PDF masses)`` of one packet matrix's pooled values, ``pool``, a
     float64 array of its real parts and then its imaginary parts.
 
-    Each half is sorted once, in place, for both; with two CPUs the two sorts
-    run at the same time. The counts are then taken in this thread over the
-    two sorted halves.
+    Each half is sorted once, in place, for both, and neither checks its
+    order again; with two CPUs the two sorts run at the same time, and so do
+    the KS counts over the two sorted halves.
     """
     halves = pool.reshape(2, -1)
     run_blocks(lambda half, _: half.sort(), halves)
-    parts = tuple(halves)
+    parts = _Ascending(halves)
     return ks_distance(proto_values, parts), empirical_pdf(parts, DEFAULT_N_BINS, pdf_range)[1]
 
 
@@ -320,8 +343,8 @@ def generated_blocks(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed
 
 
 def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: int, *, frame: int = 0,
-             seed: int = 0) -> ValidationReport:
-    """Score ``n_gen`` generated packets against their prototype; the report carries its tables.
+             seed: int = 0, write_table=lambda name, table: None) -> ValidationReport:
+    """Score ``n_gen`` generated packets against their prototype, handing each table to ``write_table``.
 
     ``blocks`` is an iterable of complex [rows, n_fft] blocks holding the
     ``n_gen`` packets in order, read once: ``generated_blocks`` of a model
@@ -331,10 +354,16 @@ def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: in
     ``seed`` seeds the noise baseline. ``frame`` is the prototype frame
     scored. ``n_gen`` below 1 or out-of-range ``frame`` raise ``ValueError``
     before any block is read, and blocks holding other than ``n_gen``
-    packets raise it once they are read. The thresholds are the
-    ``DEFAULT_*`` constants, which the report stores. ``report.tables``
-    holds the histogram and each packet set's spectrum table from
-    ``spectral_matrix``.
+    packets, or carrying no energy, raise it once they are read. The
+    thresholds are the ``DEFAULT_*`` constants, which the report stores.
+
+    ``write_table(name, table)`` gets each table once it is final, and the
+    first only after the last block has been read and scored: each packet
+    set's spectrum table from ``spectral_matrix`` as ``"spectrum_prototype"``,
+    ``"spectrum_generated"`` and ``"spectrum_noise"``, and ``"histogram"``,
+    the tuple ``(bin centers, prototype, generated and noise masses)``. The
+    first two are handed on while the noise is drawn, on another CPU where
+    there is one.
     """
     if not tensor.normalized:
         raise ValueError("tensor must be normalized (validate uses stats to denormalize)")
@@ -365,28 +394,35 @@ def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: in
     span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
     pdf_range = (-span, span)
     centers, proto_mass = empirical_pdf(proto_values, DEFAULT_N_BINS, pdf_range)
-    # One full-size pool serves the noise and then the generated packets: the
-    # noise is drawn into it and scored first, then its sorted values are
-    # overwritten by the generated packets', which are read a block at a time
-    # and whose correlation is read off the pool before its sort.
-    pool = _noise_baseline(proto_packets, (n_gen, tensor.packet_len), seed)
-    noise_energies, noise_table = spectral_matrix(_complex_blocks(pool))
-    ks_noise, noise_mass = _sample_stats(pool, proto_values, pdf_range)
+    # One full-size pool serves the generated packets and then the noise. The
+    # generated packets are read into it a block at a time and scored first,
+    # their correlation read off the pool before its sort; every refusal of
+    # them comes before any table is handed on.
+    pool = np.empty((2, n_gen, tensor.packet_len))
     gen_energies, gen_table = spectral_matrix(blocks, pool)
+    gen_fraction = band_fraction(gen_energies, band)
     correlation = _mean_pairwise_correlation(pool)
     ks_gen, gen_mass = _sample_stats(pool, proto_values, pdf_range)
+
+    def finished_tables():
+        write_table("spectrum_prototype", proto_table)
+        write_table("spectrum_generated", gen_table)
+
+    # The noise is drawn over the sorted values on one CPU while the other
+    # hands on the finished tables: the draw releases the GIL, which
+    # formatting them holds.
+    run_blocks(lambda task, _: task(),
+               [partial(_noise_baseline, proto_packets, pool.shape[1:], seed, pool), finished_tables])
+    noise_energies, noise_table = spectral_matrix(_complex_blocks(pool))
+    ks_noise, noise_mass = _sample_stats(pool, proto_values, pdf_range)
+    write_table("spectrum_noise", noise_table)
+    write_table("histogram", (centers, proto_mass, gen_mass, noise_mass))
 
     return ValidationReport(
         ks_proto_vs_gen=ks_gen,
         ks_proto_vs_noise=ks_noise,
-        band_energy_fraction_gen=min(1.0, band_fraction(gen_energies, band) / raw_proto),
+        band_energy_fraction_gen=min(1.0, gen_fraction / raw_proto),
         band_energy_fraction_noise=min(1.0, band_fraction(noise_energies, band) / raw_proto),
         mean_d_accuracy=mean_accuracy,
         packet_correlation_gen=correlation,
-        tables={
-            "histogram": (centers, proto_mass, gen_mass, noise_mass),
-            "spectrum_prototype": proto_table,
-            "spectrum_generated": gen_table,
-            "spectrum_noise": noise_table,
-        },
     )

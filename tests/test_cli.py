@@ -1,17 +1,19 @@
 """End-to-end CLI behaviour on small desk-scale runs."""
 
+import gc
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from radiogan import blocks, synthesis
+from radiogan import blocks, cli, synthesis
 from radiogan.cli import CONFIG_FLAGS, _resolve_train_config, build_parser, main
 from radiogan.gan import (CONFIG_PARSERS, Net, TrainConfig, TrainingLog, build_discriminator, build_generator, load_gan,
                           save_gan)
@@ -880,6 +882,39 @@ def test_validate_in_process_holds_one_pooled_sample_set(trained_run, tmp_path):
     # Measured: 17.3 MB against a bound of 22.5 MB; 38.0 MB against 23.2 MB
     # while every packet was generated at once.
     assert peaks[2560] < 1.5 * pool + peaks[128], peaks
+
+
+@pytest.mark.parametrize("command", ["train", "validate"])
+def test_the_prototype_recording_is_released_once_framed(trained_run, tmp_path, monkeypatch, command):
+    """Only the frames and the capture metadata outlive the framing: the
+    recording is gone once training or validation starts."""
+    _, proto, run_dir = trained_run
+    recordings, alive = [], []
+    load_iq = cli.load_iq
+
+    def loading(path):
+        rec = load_iq(path)
+        recordings.append(weakref.ref(rec))
+        return rec
+
+    def starting(stage):
+        def started(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in recordings])
+            return stage(*args, **kwargs)
+        return started
+
+    monkeypatch.setattr(cli, "load_iq", loading)
+    monkeypatch.setattr(cli, "train", starting(cli.train))
+    monkeypatch.setattr(cli, "validate", starting(cli.validate))
+    if command == "train":
+        rc, _ = _train(tmp_path, proto, extra=("--epochs", "1"))
+        assert rc == 0
+        assert alive == [[False], [False]]  # one per rail
+    else:
+        assert main(["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--ngen", "30",
+                     "--out-dir", str(tmp_path / "val"), "--quiet"]) in (0, 1)
+        assert alive == [[False]]
 
 
 def test_validate_untrained_run_fails_cleanly(tmp_path, capsys):

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radiogan import validation
+from radiogan import blocks, validation
 from radiogan.blocks import joined_blocks
 from radiogan.dsp import dft
 from radiogan.gan import TrainingLog, build_generator
@@ -386,10 +386,14 @@ def test_ks_and_masses_over_sorted_parts_are_those_of_the_whole_pool(data):
     if data.draw(st.booleans()):
         parts = tuple(np.sort(p) for p in parts)  # as validate hands them over
     whole = np.sort(np.concatenate(parts))
-    assert ks_distance(proto, parts).hex() == ks_distance(proto, whole).hex() == reference_ks(proto, whole).hex()
-    assert ks_distance(parts, proto).hex() == ks_distance(whole, proto).hex()
-    for got, want in zip(empirical_pdf(parts, 5, (-2.0, 2.0)), empirical_pdf(whole, 5, (-2.0, 2.0))):
-        assert got.tobytes() == want.tobytes()
+    for cpus in (1, 2, 3):  # the parts are counted on the CPU pool
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blocks, "cpu_count", lambda: cpus)
+            got_ks = ks_distance(proto, parts).hex()
+            assert got_ks == ks_distance(proto, whole).hex() == reference_ks(proto, whole).hex()
+            assert ks_distance(parts, proto).hex() == ks_distance(whole, proto).hex()
+            for got, want in zip(empirical_pdf(parts, 5, (-2.0, 2.0)), empirical_pdf(whole, 5, (-2.0, 2.0))):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_ks_counts_the_distinct_values_in_chunks_as_at_once(monkeypatch):
@@ -398,9 +402,11 @@ def test_ks_counts_the_distinct_values_in_chunks_as_at_once(monkeypatch):
     small = np.sort(np.round(rng.standard_normal(5000), 2))
     big = (np.round(rng.standard_normal(3000), 1), np.round(rng.standard_normal(4000), 3))
     want = ks_distance(small, big)
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(validation, "_CHUNK", chunk)
-        assert ks_distance(small, big) == ks_distance(big, small) == want
+    for cpus in (1, 2, 3):  # each part of big counted on the CPU pool
+        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(validation, "_CHUNK", chunk)
+            assert ks_distance(small, big) == ks_distance(big, small) == want
     assert want == reference_ks(small, np.concatenate(big))
 
 
@@ -558,6 +564,12 @@ def _log(accuracies):
     return log
 
 
+def _validate(*args, **kwargs):
+    """validate's report and the tables it hands to ``write_table``, by name."""
+    tables = {}
+    return validate(*args, write_table=tables.__setitem__, **kwargs), tables
+
+
 def _in_process(tensor, stats, n_gen=None, seed=0):
     """validate's in-process ``blocks`` and ``n_gen``: ``n_gen`` packets (default:
     the prototype's count) of ``_gens()`` at -27 dB, drawn from ``seed``."""
@@ -599,15 +611,15 @@ def test_validate_in_process_generation_is_seeded():
     # a joined last block, and several blocks.
     power = stats.per_frame_power[0]
     for n_gen in (30, 128, 300, 1000):
-        rep = validate(tensor, stats, [log], *_in_process(tensor, stats, n_gen, seed=3), seed=3)
+        rep, tables = _validate(tensor, stats, [log], *_in_process(tensor, stats, n_gen, seed=3), seed=3)
         rails = (generate_packets(model, n_gen, -27.0, substream(3, "validate", "latent", rail))
                  for model, rail in zip(_gens(), "IQ"))
-        want = validate(tensor, stats, [log], [assemble_iq(*rails, power)], n_gen, seed=3)
+        want, want_tables = _validate(tensor, stats, [log], [assemble_iq(*rails, power)], n_gen, seed=3)
         assert rep.to_text() == want.to_text()
-        for got, expect in zip(rep.tables["histogram"], want.tables["histogram"]):
+        for got, expect in zip(tables["histogram"], want_tables["histogram"]):
             assert got.tobytes() == expect.tobytes()
         for name in ("spectrum_prototype", "spectrum_generated", "spectrum_noise"):
-            assert rep.tables[name].tobytes() == want.tables[name].tobytes()
+            assert tables[name].tobytes() == want_tables[name].tobytes()
 
 
 def test_validate_accepts_recording_input(tmp_path):
@@ -649,13 +661,15 @@ def test_validate_empty_log_handling():
 
 def test_validate_with_tables():
     tensor, stats = _tensor()
-    rep = validate(tensor, stats, [_log([0.5] * 4)], *_in_process(tensor, stats))
-    centers, p_mass, g_mass, n_mass = rep.tables["histogram"]
+    _, tables = _validate(tensor, stats, [_log([0.5] * 4)], *_in_process(tensor, stats))
+    # each table handed on once, the two finished ones while the noise is drawn
+    assert list(tables) == ["spectrum_prototype", "spectrum_generated", "spectrum_noise", "histogram"]
+    centers, p_mass, g_mass, n_mass = tables["histogram"]
     assert centers.shape == (101,)
     for mass in (p_mass, g_mass, n_mass):
         assert mass.sum() == pytest.approx(1.0, abs=1e-9)
-    assert rep.tables["spectrum_prototype"].shape == (N_FFT, tensor.n_packets)
-    assert rep.tables["spectrum_generated"].shape == (N_FFT, tensor.n_packets)
+    assert tables["spectrum_prototype"].shape == (N_FFT, tensor.n_packets)
+    assert tables["spectrum_generated"].shape == (N_FFT, tensor.n_packets)
 
 
 def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
@@ -725,22 +739,26 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
         return original(blocks, pool)
 
     monkeypatch.setattr(validation, "spectral_matrix", counting)
-    rep = validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
+    ks_calls = []
+    monkeypatch.setattr(validation, "ks_distance", lambda *args: ks_calls.append(args) or ks_distance(*args))
+    rep, got_tables = _validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
     monkeypatch.undo()
 
-    # one transform each of the prototype, the noise and the generated matrix
+    # one transform each of the prototype, the generated and the noise matrix,
+    # in that order: the generated packets are scored before the noise is drawn
     assert len(transformed) == 3
     assert [m.shape for m in transformed] == [(tensor.n_packets, N_FFT), gen.shape, gen.shape]
-    assert not np.array_equal(transformed[1], gen)
-    assert np.array_equal(transformed[2], gen)
+    assert np.array_equal(transformed[1], gen)
+    assert not np.array_equal(transformed[2], gen)
+    assert len(ks_calls) == 2  # one KS distance each for the generated packets and the noise
 
     expect, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
     assert rep.to_text() == expect.to_text()
     assert rep == expect
-    for got, want in zip(rep.tables["histogram"], tables["histogram"]):
+    for got, want in zip(got_tables["histogram"], tables["histogram"]):
         assert got.tobytes() == want.tobytes()
     for name in ("spectrum_prototype", "spectrum_generated", "spectrum_noise"):
-        assert rep.tables[name].tobytes() == tables[name].tobytes()
+        assert got_tables[name].tobytes() == tables[name].tobytes()
 
 
 @pytest.mark.parametrize("generated", [True, False])
@@ -761,7 +779,7 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
     sorted and sort no copy of them (np.sort serves only the band bins)."""
     tensor, stats = _tensor()
     log = _log([0.5] * 4)
-    expect = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
+    expect, expect_tables = _validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
     sizes = []
     original = np.sort
 
@@ -770,11 +788,11 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "sort", recording_sort)
-    rep = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
+    rep, tables = _validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
     monkeypatch.undo()
     assert sizes and max(sizes) <= N_FFT
     assert rep.to_text() == expect.to_text()
-    for got, want in zip(rep.tables["histogram"], expect.tables["histogram"]):
+    for got, want in zip(tables["histogram"], expect_tables["histogram"]):
         assert got.tobytes() == want.tobytes()
 
 
@@ -798,6 +816,9 @@ def test_noise_baseline_is_one_draw_of_both_parts_byte_for_byte():
     draws = substream(11, "validate", "noise").standard_normal((2, 300, 16))
     parts = validation._noise_baseline(proto, (300, 16), 11)
     assert parts.tobytes() == (draws * scale).tobytes()
+    pool = np.full((2, 300, 16), np.nan)  # drawn into in place, as validate draws it over the sorted pool
+    assert validation._noise_baseline(proto, (300, 16), 11, pool) is pool
+    assert pool.tobytes() == parts.tobytes()
 
 
 def test_noise_baseline_draws_no_full_size_part():
@@ -830,14 +851,20 @@ def test_noise_ks_and_masses_are_those_of_the_two_draw_pool(shape):
     assert mass.tobytes() == want_mass.tobytes()
 
 
-def test_pooled_values_are_the_real_parts_then_the_imaginary_parts():
+def test_pooled_values_are_the_real_parts_then_the_imaginary_parts(monkeypatch):
     rng = np.random.default_rng(8)
     packets = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
-    for p in (packets, packets.astype(np.complex64), packets[::2, ::3], packets.T):
-        expect = np.concatenate([p.real.ravel(), p.imag.ravel()]).astype(np.float64)
-        pool = np.empty((2,) + p.shape)
-        spectral_matrix([p], pool)
-        assert pool.tobytes() == expect.tobytes()
+    wide = rng.standard_normal((130, 1024)) + 1j * rng.standard_normal((130, 1024))  # 9 of the FFT's row blocks
+    for cpus in (1, 2, 3):  # the copies are made on the CPU pool
+        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
+        for p in (packets, packets.astype(np.complex64), packets[::2, ::3], packets.T, wide):
+            expect = np.concatenate([p.real.ravel(), p.imag.ravel()]).astype(np.float64)
+            pool = np.empty((2,) + p.shape)
+            energies, table = spectral_matrix([p], pool)
+            assert pool.tobytes() == expect.tobytes()
+            want_energies, want_table = _whole_transform(p)
+            assert energies.tobytes() == want_energies.tobytes()
+            assert table.tobytes() == want_table.tobytes()
 
 
 def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
@@ -851,27 +878,35 @@ def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
     assert np.std(values) != np.std(np.sort(values))  # heavy tails: the sum's order shows
     log, seed = _log([0.5] * 4), 1
     gen = 300.0 * (rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT)))
-    rep = validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
+    _, got_tables = _validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
     _, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
-    for got, want in zip(rep.tables["histogram"], tables["histogram"]):
+    for got, want in zip(got_tables["histogram"], tables["histogram"]):
         assert got.tobytes() == want.tobytes()
 
 
 def test_validate_input_checks(monkeypatch):
     tensor, stats = _tensor()
     log = _log([0.5] * 4)
-    drawn = []
+    drawn, written = [], []
     monkeypatch.setattr(validation, "generate_packets", lambda *args: drawn.append(args) or generate_packets(*args))
+
+    def refused(blocks, n_gen, match=None, frame=0):
+        with pytest.raises(ValueError, match=match):
+            validate(tensor, stats, [log], blocks, n_gen, frame=frame, write_table=lambda *table: written.append(table))
+
     for frame in (1, -1):
-        with pytest.raises(ValueError, match=f"frame {frame} out of range"):
-            validate(tensor, stats, [log], *_in_process(tensor, stats), frame=frame)
-    with pytest.raises(ValueError, match="n_gen must be >= 1, got 0"):
-        validate(tensor, stats, [log], *_in_process(tensor, stats, 0))
+        refused(*_in_process(tensor, stats), f"frame {frame} out of range", frame)
+    refused(*_in_process(tensor, stats, 0), "n_gen must be >= 1, got 0")
     assert drawn == []  # refused before any latent draw
     # a stream one packet short, then one packet long, of the n_gen it is scored as
-    with pytest.raises(ValueError, match="hold 29 packets, not 30"):
-        validate(tensor, stats, [log], _in_process(tensor, stats, 29)[0], 30)
-    with pytest.raises(ValueError, match="more than 30 packets"):
-        validate(tensor, stats, [log], _in_process(tensor, stats, 31)[0], 30)
-    with pytest.raises(ValueError):  # packets of another length than the prototype's
-        validate(tensor, stats, [log], [np.ones((24, 2 * N_FFT), dtype=complex)], 24)
+    refused(_in_process(tensor, stats, 29)[0], 30, "hold 29 packets, not 30")
+    refused(_in_process(tensor, stats, 31)[0], 30, "more than 30 packets")
+    refused([np.ones((24, 2 * N_FFT), dtype=complex)], 24)  # packets of another length than the prototype's
+
+    def failing_last(packets):  # as a file's reader refuses a non-finite value in its last block
+        yield from packets[:-1]
+        raise ValueError("the last block is corrupt")
+
+    refused(failing_last(list(_blocks(np.ones((300, N_FFT), dtype=complex)))), 300, "last block is corrupt")
+    refused(_blocks(np.zeros((300, N_FFT), dtype=complex)), 300, "no energy")  # read whole, then refused
+    assert written == []  # no table is handed on before every block is read and scored
