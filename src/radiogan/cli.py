@@ -32,8 +32,8 @@ from .gan import (
     save_gan,
     train,
 )
-from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, capture_meta, frame_tensor, iq_reader, iq_writer, load_iq,
-                     normalize_frames, save_iq)
+from .iqcore import (COMPONENTS, REQUIRED_META, FrameStats, capture_meta, denormalize, frame_tensor, iq_reader,
+                     iq_writer, load_iq, normalize_frames, save_iq)
 from .kvfile import parse_kv, read_kv, write_kv
 from .manifest import write_manifest
 from .protogen import MODULATIONS, SyntheticScenario, synth_prototype
@@ -158,17 +158,18 @@ def _resolve_train_config(args, n_fft: int) -> TrainConfig:
     return replace(cfg, **overrides)
 
 
-def _train_rail(out_dir: Path, tensor, component: str, frame: int, cfg: TrainConfig) -> TrainingLog:
+def _train_rail(out_dir: Path, frames, component: str, frame: int, cfg: TrainConfig) -> TrainingLog:
     """Build, train and write one rail: ``model_<rail>.psg`` and ``train_log_<rail>.csv`` in
-    ``out_dir``; returns its log. ``n_epoch`` 0 writes the nets untrained, without optimizer
-    state. On ``TrainingDiverged`` it writes the log so far and re-raises."""
+    ``out_dir``; returns its log. It trains on the ``component`` rail of ``frames[frame]``, the
+    real or imaginary parts of those complex packets. ``n_epoch`` 0 writes the nets untrained,
+    without optimizer state. On ``TrainingDiverged`` it writes the log so far and re-raises."""
     generator = build_generator(
-        tensor.packet_len,
+        frames.shape[2],
         substream(cfg.seed, "init", component, "generator"),
         weight_decay=cfg.lambda_g,
     )
     discriminator = build_discriminator(
-        tensor.packet_len,
+        frames.shape[2],
         substream(cfg.seed, "init", component, "discriminator"),
         dropout_rate=cfg.dropout_rate,
         weight_decay=cfg.lambda_d,
@@ -177,7 +178,7 @@ def _train_rail(out_dir: Path, tensor, component: str, frame: int, cfg: TrainCon
     g_opt = d_opt = None
     log = TrainingLog()
     if cfg.n_epoch > 0:
-        packets = tensor.component_packets(frame, component)
+        packets = (frames[frame].real, frames[frame].imag)[COMPONENTS.index(component)]
         try:
             pretrain_discriminator(discriminator, packets, cfg, component)
             g_opt, d_opt, log = train(generator, discriminator, packets, component, cfg)
@@ -189,24 +190,24 @@ def _train_rail(out_dir: Path, tensor, component: str, frame: int, cfg: TrainCon
     return log
 
 
-def _write_run_files(out_dir: Path, command: str, capture: dict, tensor, stats, frame: int,
+def _write_run_files(out_dir: Path, command: str, capture: dict, frames, stats, frame: int,
                      cfg: TrainConfig, extra: dict) -> None:
     """Write ``run.meta`` (what the checkpoints do not hold) and ``train.manifest``;
     ``capture`` holds the prototype's ``REQUIRED_META`` values, and ``extra``
     joins the manifest's config."""
     meta = {
-        "n_frames": tensor.n_frames,
-        "n_packets": tensor.n_packets,
+        "n_frames": len(frames),
+        "n_packets": frames.shape[1],
         **{key: repr(capture[key]) for key in REQUIRED_META},
         **{f"frame_power_{i}": repr(float(power)) for i, power in enumerate(stats.per_frame_power)},
     }
     write_kv(out_dir / "run.meta", meta)
     resolved = parse_kv(config_to_text(cfg))
-    resolved.update({"n_fft": tensor.packet_len, "frame": frame, **extra})
+    resolved.update({"n_fft": frames.shape[2], "frame": frame, **extra})
     write_manifest(out_dir / "train.manifest", command, resolved, cfg.seed)
 
 
-def _run_sweep(args, capture: dict, tensor, stats, base_cfg: TrainConfig, out_dir: Path) -> int:
+def _run_sweep(args, capture: dict, frames, stats, base_cfg: TrainConfig, out_dir: Path) -> int:
     frame = args.frame
     rows = ["regularization,mean_d_accuracy,runtime_s"]
     for name, overrides in SWEEP_CONFIGS:
@@ -214,13 +215,13 @@ def _run_sweep(args, capture: dict, tensor, stats, base_cfg: TrainConfig, out_di
         sub_dir = out_dir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
         tic = time.perf_counter()
-        log = _train_rail(sub_dir, tensor, "I", frame, cfg)
+        log = _train_rail(sub_dir, frames, "I", frame, cfg)
         runtime_s = time.perf_counter() - tic
         accuracy = log.mean_accuracy() if len(log) else float("nan")
         rows.append(f"{name},{accuracy!r},{runtime_s:.3f}")
         _say(args, f"sweep {name}: mean accuracy {accuracy:.4f} in {runtime_s:.1f}s")
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_run_files(out_dir, "train --sweep regularization", capture, tensor, stats, frame, base_cfg,
+    _write_run_files(out_dir, "train --sweep regularization", capture, frames, stats, frame, base_cfg,
                      {"sweep": "regularization"})
     return 0
 
@@ -228,25 +229,26 @@ def _run_sweep(args, capture: dict, tensor, stats, base_cfg: TrainConfig, out_di
 def cmd_train(args) -> int:
     rec = load_iq(args.proto)
     capture = {key: getattr(rec, key) for key in REQUIRED_META}
-    tensor, stats = normalize_frames(frame_tensor(rec, args.nfft, args.frames))
-    del rec  # the frames are a copy; only the capture metadata is written from here on
+    frames, stats = normalize_frames(frame_tensor(rec, args.nfft, args.frames))
+    del rec  # the normalized frames are a copy; only the capture metadata is written from here on
     cfg = _resolve_train_config(args, args.nfft)
     cfg.validate_for(args.nfft)
-    if cfg.n_examples > tensor.n_packets:
+    n_packets = frames.shape[1]
+    if cfg.n_examples > n_packets:
         raise ValueError(
-            f"n_examples={cfg.n_examples} exceeds packets per frame ({tensor.n_packets}); "
-            f"pass --examples {tensor.n_packets} or fewer"
+            f"n_examples={cfg.n_examples} exceeds packets per frame ({n_packets}); "
+            f"pass --examples {n_packets} or fewer"
         )
-    if not 0 <= args.frame < tensor.n_frames:
-        raise ValueError(f"frame {args.frame} out of range [0, {tensor.n_frames})")
+    if not 0 <= args.frame < len(frames):
+        raise ValueError(f"frame {args.frame} out of range [0, {len(frames)})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.sweep:
-        return _run_sweep(args, capture, tensor, stats, cfg, out_dir)
+        return _run_sweep(args, capture, frames, stats, cfg, out_dir)
 
     for component in COMPONENTS:
         tic = time.perf_counter()
-        log = _train_rail(out_dir, tensor, component, args.frame, cfg)
+        log = _train_rail(out_dir, frames, component, args.frame, cfg)
         if len(log):
             _say(
                 args,
@@ -255,7 +257,7 @@ def cmd_train(args) -> int:
             )
         else:
             _say(args, f"{component}: wrote initialized (untrained) checkpoint")
-    _write_run_files(out_dir, "train", capture, tensor, stats, args.frame, cfg, {"n_frames": tensor.n_frames})
+    _write_run_files(out_dir, "train", capture, frames, stats, args.frame, cfg, {"n_frames": len(frames)})
     return 0
 
 
@@ -378,23 +380,24 @@ def cmd_validate(args) -> int:
         raise ValueError("--ngen sets the in-process packet count; it does not apply with --generated")
     run_dir = Path(args.run_dir)
     run = _load_run(run_dir)
-    tensor = frame_tensor(load_iq(args.proto), run.n_fft, run.stats.n_frames)  # a copy: the recording goes
-    if tensor.n_packets != run.n_packets:
+    frames = frame_tensor(load_iq(args.proto), run.n_fft, run.stats.n_frames)  # a view of the recording
+    if frames.shape[1] != run.n_packets:
         raise ValueError(
-            f"{args.proto} frames into {tensor.n_packets} packets per frame; the run trained on {run.n_packets}"
+            f"{args.proto} frames into {frames.shape[1]} packets per frame; the run trained on {run.n_packets}"
         )
-    tensor, fresh_stats = normalize_frames(tensor)
+    frames, fresh_stats = normalize_frames(frames)  # a copy: the recording goes
+    # each mode range-checks its frame before use: an index of -1 would pass numpy
     if args.generated:  # its samples are read a block at a time by validate
         generated = iq_reader(args.generated)
         _check_generated_fits(generated, run.n_fft)
         # the frame a generated file's power came from, else the training frame
         frame = int(generated.meta.get("frame", run.frame)) if args.frame is None else args.frame
+        frame = resolve_frame(frame, args.seed, len(frames))
         n_gen = generated.n_samples // run.n_fft
         blocks = generated.blocks(run.n_fft, SPECTRUM_BLOCK_ROWS)
     else:
-        # range-checked before its power is read
-        frame = resolve_frame(run.frame if args.frame is None else args.frame, args.seed, tensor.n_frames)
-        n_gen = tensor.n_packets if args.ngen is None else args.ngen
+        frame = resolve_frame(run.frame if args.frame is None else args.frame, args.seed, len(frames))
+        n_gen = frames.shape[1] if args.ngen is None else args.ngen
         blocks = generated_blocks(run.model_i.generator, run.model_q.generator, n_gen, run.snr_mid_db, args.seed,
                                   fresh_stats.per_frame_power[frame])
     out_dir = Path(args.out_dir)
@@ -404,8 +407,9 @@ def cmd_validate(args) -> int:
         write = _write_histogram_csv if name == "histogram" else _write_spectrum_csv
         write(out_dir / f"{name}.csv", table)
 
-    report = validate(tensor, fresh_stats, run.logs, blocks, n_gen, frame=frame, seed=args.seed,
-                      write_table=write_table)
+    # the scored frame in physical units: its normalized packets scaled back by the frame's power
+    proto_packets = denormalize(frames[frame], float(fresh_stats.per_frame_power[frame]))
+    report = validate(proto_packets, run.logs, blocks, n_gen, seed=args.seed, write_table=write_table)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     resolved = {
         "run_dir": str(run_dir),

@@ -1,4 +1,4 @@
-"""I/Q recordings on disk and the packet/frame tensor the GAN trains on.
+"""I/Q recordings on disk and the complex packet frames the GAN trains on.
 
 Payload format is header-less raw interleaved little-endian float32, I then Q
 per complex sample (the common SDR capture layout). Capture metadata travels
@@ -188,61 +188,6 @@ def save_iq(rec: IQRecording, path: str | Path, extra_meta: dict | None = None) 
 
 
 @dataclass
-class PrototypeTensor:
-    """Training view of a recording: [n_frames, n_packets, 2, packet_len].
-
-    Axis 2 separates the I (index 0) and Q (index 1) components, so each
-    ``data[frame, packet, component]`` row is one real-valued training packet.
-    """
-
-    data: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 4:
-            raise ValueError(f"tensor must be 4-D, got shape {self.data.shape}")
-        n_frames, n_packets, n_comp, packet_len = self.data.shape
-        if n_comp != 2:
-            raise ValueError(f"component axis must have size 2, got {n_comp}")
-        if n_frames < 1 or n_packets < 1 or packet_len < 2:
-            raise ValueError(f"degenerate tensor shape {self.data.shape}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_packets(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def packet_len(self) -> int:
-        return self.data.shape[3]
-
-    def _check_frame(self, frame: int) -> int:
-        frame = int(frame)
-        if not 0 <= frame < self.n_frames:
-            raise ValueError(f"frame {frame} out of range [0, {self.n_frames})")
-        return frame
-
-    def frame_power(self, frame: int) -> float:
-        """Mean packet power of one frame: mean over packets/samples of I^2+Q^2."""
-        return float(np.mean(np.sum(self.data[self._check_frame(frame)] ** 2, axis=1)))
-
-    def component_packets(self, frame: int, component: str) -> np.ndarray:
-        """Real packets [n_packets, packet_len] of one component of one frame."""
-        if component not in COMPONENTS:
-            raise ValueError(f"component must be 'I' or 'Q', got {component!r}")
-        return self.data[self._check_frame(frame), :, COMPONENTS.index(component), :]
-
-    def complex_packets(self, frame: int) -> np.ndarray:
-        """Complex packets [n_packets, packet_len] of one frame."""
-        frame = self._check_frame(frame)
-        return self.data[frame, :, 0, :] + 1j * self.data[frame, :, 1, :]
-
-
-@dataclass
 class FrameStats:
     """Per-frame mean packet power recorded at normalization time."""
 
@@ -260,8 +205,9 @@ class FrameStats:
         return int(self.per_frame_power.size)
 
 
-def frame_tensor(rec: IQRecording, n_fft: int, n_frames: int) -> PrototypeTensor:
-    """Slice a recording into the 4-D [n_frames, n_packets, 2, n_fft] tensor.
+def frame_tensor(rec: IQRecording, n_fft: int, n_frames: int) -> np.ndarray:
+    """The recording's samples as complex packets [n_frames, n_packets, n_fft],
+    a view of ``rec.samples``.
 
     The packet count per frame is ``n_samples // (n_frames * n_fft)``; trailing
     samples that do not fill a whole packet are dropped.
@@ -276,27 +222,28 @@ def frame_tensor(rec: IQRecording, n_fft: int, n_frames: int) -> PrototypeTensor
             f"recording too short: {rec.n_samples} samples cannot fill one "
             f"packet per frame at n_fft={n_fft}, n_frames={n_frames}"
         )
-    used = n_frames * n_packets * n_fft
-    block = rec.samples[:used].reshape(n_frames, n_packets, n_fft)
-    data = np.stack([block.real, block.imag], axis=2)
-    return PrototypeTensor(data=data, normalized=False)
+    return rec.samples[: n_frames * n_packets * n_fft].reshape(n_frames, n_packets, n_fft)
 
 
-def normalize_frames(tensor: PrototypeTensor) -> tuple[PrototypeTensor, FrameStats]:
-    """Scale each frame to unit mean packet power; return stats to undo it.
+def normalize_frames(frames: np.ndarray) -> tuple[np.ndarray, FrameStats]:
+    """Scale each frame of the complex packets ``frames`` [n_frames, n_packets,
+    n_fft] to unit mean packet power; return the scaled copy and stats to undo it.
 
     Every sample of frame ``f`` is divided by ``sqrt(P_f)`` where ``P_f`` is
     the frame's mean over packets and samples of ``I^2 + Q^2``, so amplitudes
     land inside the generator's tanh output range.
     """
-    if tensor.normalized:
-        raise ValueError("tensor is already normalized")
-    power = np.mean(np.sum(tensor.data**2, axis=2), axis=(1, 2))
+    power = np.mean(frames.real**2 + frames.imag**2, axis=(1, 2))
     if not np.all(power > 0.0):
         dead = np.flatnonzero(power <= 0.0).tolist()
         raise ValueError(f"cannot normalize all-zero frame(s) {dead}")
-    scaled = tensor.data / np.sqrt(power)[:, None, None, None]
-    return PrototypeTensor(data=scaled, normalized=True), FrameStats(per_frame_power=power)
+    scale = np.sqrt(power)[:, None, None]
+    scaled = np.empty(frames.shape, dtype=np.complex128)
+    # Each part by a float divide: ``frames / scale`` would divide complex by
+    # complex, which rounds differently.
+    np.divide(frames.real, scale, out=scaled.real)
+    np.divide(frames.imag, scale, out=scaled.imag)
+    return scaled, FrameStats(per_frame_power=power)
 
 
 def denormalize(packets: np.ndarray, frame_power: float) -> np.ndarray:

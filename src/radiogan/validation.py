@@ -19,7 +19,7 @@ import numpy as np
 from .blocks import joined_blocks, row_blocks, run_blocks
 from .dsp import dft, fft_block_rows
 from .gan import Net
-from .iqcore import COMPONENTS, FrameStats, PrototypeTensor, denormalize
+from .iqcore import COMPONENTS
 from .kvfile import format_kv, parse_kv
 from .seeding import substream
 from .synthesis import assemble_iq, generate_packets
@@ -33,8 +33,8 @@ DEFAULT_ACCURACY_BAND = (0.3, 0.8)
 SPECTRUM_BLOCK_ROWS = 128  # packets transformed at a time by spectral_matrix
 SPECTRUM_TABLE_PACKETS = 64  # packet columns of each spectrum table
 
-# Values compared or counted at a time by the sample statistics, so that no
-# temporary grows with the sample size.
+# Distinct values counted at a time by the KS distance, so that no temporary
+# grows with the sample size.
 _CHUNK = 1 << 16
 
 _CRITERIA = ("ks_gen_below_noise", "band_fraction_ratio", "accuracy_in_band")
@@ -97,26 +97,19 @@ def band_fraction(energies: np.ndarray, bins: np.ndarray) -> float:
     return float(energies[bins].sum() / total)
 
 
-def _ascending(x) -> np.ndarray:
-    """Flat float64 ``x``, non-decreasing: as is if it already is (one compare
-    pass), else ``np.sort(x)``, which puts NaN last."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    in_order = all(np.all(x[i + 1 : i + _CHUNK + 1] >= x[i : min(i + _CHUNK, x.size - 1)])
-                   for i in range(0, x.size - 1, _CHUNK))
-    return x if in_order else np.sort(x)
-
-
 class _Ascending(tuple):
     """A sample set's parts, each a flat float64 array already in ascending
     order (NaN last), which the statistics take as they are."""
 
 
 def _sorted_parts(samples) -> _Ascending:
-    """A sample set's parts, each made ``_ascending``: the items of a tuple,
-    whose values together are the set, or else the whole array."""
+    """A sample set's parts as they are if marked ``_Ascending``, else each
+    sorted as a flat float64 copy (NaN last): the items of a tuple, whose
+    values together are the set, or else the whole array."""
     if isinstance(samples, _Ascending):
         return samples
-    return _Ascending(_ascending(part) for part in (samples if isinstance(samples, tuple) else (samples,)))
+    parts = samples if isinstance(samples, tuple) else (samples,)
+    return _Ascending(np.sort(np.asarray(part, dtype=np.float64), axis=None) for part in parts)
 
 
 def _has_nan(parts) -> bool:
@@ -342,20 +335,21 @@ def generated_blocks(i_model: Net, q_model: Net, n_gen: int, snr_db: float, seed
         yield assemble_iq(i_mat, q_mat, frame_power)
 
 
-def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: int, *, frame: int = 0,
-             seed: int = 0, write_table=lambda name, table: None) -> ValidationReport:
+def validate(proto_packets: np.ndarray, logs, blocks, n_gen: int, *, seed: int = 0,
+             write_table=lambda name, table: None) -> ValidationReport:
     """Score ``n_gen`` generated packets against their prototype, handing each table to ``write_table``.
 
-    ``blocks`` is an iterable of complex [rows, n_fft] blocks holding the
-    ``n_gen`` packets in order, read once: ``generated_blocks`` of a model
-    pair, or an ``IQReader``'s ``blocks``. ``logs`` is a sequence of
-    TrainingLogs; the mean discriminator accuracy over the final quartile of
-    each non-empty log is averaged, and is 0.0 when every log is empty.
-    ``seed`` seeds the noise baseline. ``frame`` is the prototype frame
-    scored. ``n_gen`` below 1 or out-of-range ``frame`` raise ``ValueError``
-    before any block is read, and blocks holding other than ``n_gen``
-    packets, or carrying no energy, raise it once they are read. The
-    thresholds are the ``DEFAULT_*`` constants, which the report stores.
+    ``proto_packets`` is the scored prototype frame, complex [P, n_fft]
+    packets in physical units. ``blocks`` is an iterable of complex [rows,
+    n_fft] blocks holding the ``n_gen`` packets in order, read once:
+    ``generated_blocks`` of a model pair, or an ``IQReader``'s ``blocks``.
+    ``logs`` is a sequence of TrainingLogs; the mean discriminator accuracy
+    over the final quartile of each non-empty log is averaged, and is 0.0
+    when every log is empty. ``seed`` seeds the noise baseline. ``n_gen``
+    below 1 raises ``ValueError`` before any block is read, and blocks
+    holding other than ``n_gen`` packets, or carrying no energy, raise it
+    once they are read. The thresholds are the ``DEFAULT_*`` constants, which
+    the report stores.
 
     ``write_table(name, table)`` gets each table once it is final, and the
     first only after the last block has been read and scored: each packet
@@ -365,20 +359,15 @@ def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: in
     first two are handed on while the noise is drawn, on another CPU where
     there is one.
     """
-    if not tensor.normalized:
-        raise ValueError("tensor must be normalized (validate uses stats to denormalize)")
-    if not 0 <= frame < tensor.n_frames:
-        raise ValueError(f"frame {frame} out of range [0, {tensor.n_frames})")
+    n_fft = proto_packets.shape[1]
     if n_gen < 1:
-        raise ValueError(f"n_gen must be >= 1, got {n_gen}: no whole {tensor.packet_len}-sample packet to score")
+        raise ValueError(f"n_gen must be >= 1, got {n_gen}: no whole {n_fft}-sample packet to score")
 
     populated = [l for l in logs if len(l) > 0]
     mean_accuracy = 0.0  # every log empty, as after train --epochs 0
     if populated:
         quartiles = [l.final_quartile_accuracy() for l in populated]
         mean_accuracy = float(np.mean(quartiles))
-
-    proto_packets = denormalize(tensor.complex_packets(frame), float(stats.per_frame_power[frame]))
 
     # Each packet set's spectra and pooled values (real parts, then imaginary
     # parts) come from one pass over its blocks, and serve both the numbers
@@ -389,6 +378,7 @@ def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: in
     proto_values = proto_pool.reshape(-1)
     sigma = float(np.std(proto_values))  # before the sort, which would reorder its sum
     proto_values.sort()
+    proto_values = _Ascending((proto_values,))
     band = occupied_band_bins(proto_energies, DEFAULT_COVERAGE)
     raw_proto = band_fraction(proto_energies, band)
     span = DEFAULT_SIGMA_SPAN * (sigma if sigma > 0.0 else 1.0)
@@ -398,7 +388,7 @@ def validate(tensor: PrototypeTensor, stats: FrameStats, logs, blocks, n_gen: in
     # generated packets are read into it a block at a time and scored first,
     # their correlation read off the pool before its sort; every refusal of
     # them comes before any table is handed on.
-    pool = np.empty((2, n_gen, tensor.packet_len))
+    pool = np.empty((2, n_gen, n_fft))
     gen_energies, gen_table = spectral_matrix(blocks, pool)
     gen_fraction = band_fraction(gen_energies, band)
     correlation = _mean_pairwise_correlation(pool)

@@ -230,11 +230,11 @@ def test_criterion_06_normalization_round_trip(record):
     )
     raw = frame_tensor(rec, 64, 2)
     norm, stats = normalize_frames(raw)
-    power_err = max(abs(norm.frame_power(f) - 1.0) for f in range(2))
+    power_err = max(abs(float(np.mean(np.abs(norm[f]) ** 2)) - 1.0) for f in range(2))
     round_err = 0.0
     for f in range(2):
-        back = denormalize(norm.complex_packets(f), float(stats.per_frame_power[f]))
-        round_err = max(round_err, float(np.max(np.abs(back - raw.complex_packets(f)))))
+        back = denormalize(norm[f], float(stats.per_frame_power[f]))
+        round_err = max(round_err, float(np.max(np.abs(back - raw[f]))))
     ok = power_err < 1e-9 and round_err < 1e-9
     record(6, ok, f"normalized power err {power_err:.1e}, round-trip err {round_err:.1e}")
 

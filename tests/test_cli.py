@@ -886,15 +886,19 @@ def test_validate_in_process_holds_one_pooled_sample_set(trained_run, tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "validate"])
 def test_the_prototype_recording_is_released_once_framed(trained_run, tmp_path, monkeypatch, command):
-    """Only the frames and the capture metadata outlive the framing: the
-    recording is gone once training or validation starts."""
+    """Only the normalized frames and the capture metadata outlive the framing:
+    the recording, and the samples array that the framed view shares, are
+    gone once training or validation starts."""
     _, proto, run_dir = trained_run
     recordings, alive = [], []
     load_iq = cli.load_iq
 
     def loading(path):
         rec = load_iq(path)
-        recordings.append(weakref.ref(rec))
+        owner = rec.samples
+        while owner.base is not None:  # the array that owns the samples' memory
+            owner = owner.base
+        recordings.extend(weakref.ref(obj) for obj in (rec, rec.samples, owner))
         return rec
 
     def starting(stage):
@@ -910,11 +914,11 @@ def test_the_prototype_recording_is_released_once_framed(trained_run, tmp_path, 
     if command == "train":
         rc, _ = _train(tmp_path, proto, extra=("--epochs", "1"))
         assert rc == 0
-        assert alive == [[False], [False]]  # one per rail
+        assert alive == [[False] * 3] * 2  # one per rail
     else:
         assert main(["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--ngen", "30",
                      "--out-dir", str(tmp_path / "val"), "--quiet"]) in (0, 1)
-        assert alive == [[False]]
+        assert alive == [[False] * 3]
 
 
 def test_validate_untrained_run_fails_cleanly(tmp_path, capsys):
@@ -1110,6 +1114,18 @@ def test_validate_refuses_a_frame_out_of_range_without_writing(trained_run, tmp_
     out_dir = tmp_path / "val"
     assert main(argv + ["--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: frame {frame} out of range [0, 2)\n"
+    assert not out_dir.exists()
+
+
+def test_validate_refuses_a_generated_file_whose_frame_is_out_of_range(trained_run, tmp_path, capsys):
+    _, proto, run_dir = trained_run
+    gen = tmp_path / "gen.iq"
+    assert main(["generate", "--run-dir", str(run_dir), "--ngen", "16", "--out", str(gen), "--quiet"]) == 0
+    write_kv(sidecar_path(gen), {**read_kv(sidecar_path(gen)), "frame": "-1"})
+    out_dir = tmp_path / "val"
+    argv = ["validate", "--proto", str(proto), "--run-dir", str(run_dir), "--generated", str(gen), "--quiet"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: frame -1 out of range [0, 2)\n"
     assert not out_dir.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiogan.gan import TrainConfig, _rail_packets
 from radiogan.iqcore import (
     IQFormatError,
     IQRecording,
@@ -250,19 +251,19 @@ def test_frame_tensor_shape_and_layout():
     # 8192 samples, n_fft 2048, 2 frames -> 2 packets per frame
     rec = _rec(n=8192)
     t = frame_tensor(rec, 2048, 2)
-    assert t.data.shape == (2, 2, 2, 2048)
+    assert t.shape == (2, 2, 2048)
+    assert t.dtype == np.complex128
+    assert np.shares_memory(t, rec.samples)  # a view, not a copy
     # packet (frame 1, packet 0) must be samples [2*2048 : 3*2048)
-    seg = rec.samples[2 * 2048 : 3 * 2048]
-    assert np.array_equal(t.data[1, 0, 0], seg.real)
-    assert np.array_equal(t.data[1, 0, 1], seg.imag)
+    assert np.array_equal(t[1, 0], rec.samples[2 * 2048 : 3 * 2048])
 
 
 def test_frame_tensor_drops_tail():
     rec = _rec(n=1000)
     t = frame_tensor(rec, 64, 3)
     # 1000 // (3*64) = 5 packets per frame; 40 samples dropped
-    assert t.n_packets == 5
-    assert np.array_equal(t.data[0, 0, 0], rec.samples[:64].real)
+    assert t.shape == (3, 5, 64)
+    assert np.array_equal(t[0, 0], rec.samples[:64])
 
 
 def test_frame_tensor_too_short():
@@ -272,17 +273,17 @@ def test_frame_tensor_too_short():
 
 
 def test_component_and_complex_packets():
+    """A rail is the real or imaginary part of a frame's packets, which the
+    training loops take as a strided float64 view, without a copy."""
     rec = _rec(n=1024)
     t = frame_tensor(rec, 128, 2)
-    i = t.component_packets(0, "I")
-    q = t.component_packets(0, "Q")
-    z = t.complex_packets(0)
+    cfg = TrainConfig(n_examples=4)
+    i, q = (_rail_packets(rail, component, cfg) for rail, component in ((t[0].real, "I"), (t[0].imag, "Q")))
     assert i.shape == (4, 128)
-    assert np.array_equal(z, i + 1j * q)
+    assert np.shares_memory(i, rec.samples) and np.shares_memory(q, rec.samples)
+    assert np.array_equal(t[0], i + 1j * q)
     with pytest.raises(ValueError):
-        t.component_packets(0, "x")
-    with pytest.raises(ValueError):
-        t.component_packets(5, "I")
+        _rail_packets(t[0].real, "x", cfg)
 
 
 def test_normalize_unit_power_and_round_trip():
@@ -297,34 +298,43 @@ def test_normalize_unit_power_and_round_trip():
         t = frame_tensor(rec, 128, 2)
         norm, stats = normalize_frames(t)
         for f in range(2):
-            power = np.mean(np.sum(norm.data[f] ** 2, axis=1))
-            assert power == pytest.approx(1.0, abs=1e-9)
-            back = denormalize(norm.complex_packets(f), stats.per_frame_power[f])
-            assert np.max(np.abs(back - t.complex_packets(f))) < 1e-9
+            assert np.mean(np.abs(norm[f]) ** 2) == pytest.approx(1.0, abs=1e-9)
+            back = denormalize(norm[f], stats.per_frame_power[f])
+            assert np.max(np.abs(back - t[f])) < 1e-9
+
+
+def test_normalize_divides_each_part_by_the_root_power_bit_for_bit():
+    """Each part is a float divide by sqrt(P_f), and P_f is the sum of the
+    squared parts' mean; a complex divide (``frames / scale``) rounds
+    differently, which this data shows."""
+    rng = np.random.default_rng(5)
+    shape = (2, 50, 1000)
+    frames = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.array([3.7, 0.2])[:, None, None]
+    norm, stats = normalize_frames(frames)
+    stacked = np.stack([frames.real, frames.imag], axis=2)  # [frames, packets, I/Q, n_fft]
+    power = np.mean(np.sum(stacked**2, axis=2), axis=(1, 2))
+    assert stats.per_frame_power.tobytes() == power.tobytes()
+    scale = np.sqrt(power)[:, None, None]
+    assert norm.dtype == np.complex128
+    for part, want in ((norm.real, frames.real / scale), (norm.imag, frames.imag / scale)):
+        assert np.ascontiguousarray(part).tobytes() == want.tobytes()
+    assert not np.array_equal(frames / scale, norm)
 
 
 def test_normalize_scales_by_sqrt_power():
     # packets of constant power 4 -> normalized amplitude halves
-    data = np.zeros((1, 2, 2, 8))
-    data[0, :, 0, :] = 2.0  # I = 2, Q = 0 -> power 4
-    from radiogan.iqcore import PrototypeTensor
-
-    t = PrototypeTensor(data=data)
-    norm, stats = normalize_frames(t)
+    frames = np.full((1, 2, 8), 2.0 + 0.0j)  # I = 2, Q = 0 -> power 4
+    norm, stats = normalize_frames(frames)
     assert stats.per_frame_power[0] == pytest.approx(4.0)
-    assert np.allclose(norm.data[0, :, 0, :], 1.0)
+    assert np.allclose(norm.real, 1.0)
+    assert np.all(norm.imag == 0.0)
 
 
-def test_normalize_rejects_zero_frame_and_double_call():
-    from radiogan.iqcore import PrototypeTensor
-
-    zero = PrototypeTensor(data=np.zeros((1, 2, 2, 8)))
-    with pytest.raises(ValueError):
-        normalize_frames(zero)
-    t = PrototypeTensor(data=np.random.default_rng(0).standard_normal((1, 2, 2, 8)))
-    norm, _ = normalize_frames(t)
-    with pytest.raises(ValueError):
-        normalize_frames(norm)
+def test_normalize_rejects_a_zero_frame():
+    frames = np.random.default_rng(0).standard_normal((3, 2, 8)) + 0j
+    frames[1] = 0.0
+    with pytest.raises(ValueError, match=r"all-zero frame\(s\) \[1\]"):
+        normalize_frames(frames)
 
 
 def test_denormalize_rejects_bad_power():

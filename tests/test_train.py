@@ -30,7 +30,7 @@ from radiogan.seeding import substream
 N_FFT = 64
 
 
-def _tensor(seed=0, n_frames=1, n_packets=20):
+def _frames(seed=0, n_frames=1, n_packets=20):
     rng = np.random.default_rng(seed)
     n = n_frames * n_packets * N_FFT
     t = np.arange(n)
@@ -59,8 +59,8 @@ def _cfg(**overrides):
 
 
 def _packets():
-    tensor, _ = _tensor()
-    return tensor.component_packets(0, "I")
+    frames, _ = _frames()
+    return frames[0].real
 
 
 def _run(seed=0, **cfg_overrides):
@@ -172,15 +172,15 @@ def test_train_rejects_mismatched_widths():
 def test_pretrain_zero_epochs_is_identity():
     _, d = _models(seed=6)
     before = [p.copy() for p in d.params()]
-    tensor, _ = _tensor()
-    out = pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(n_epoch_pretrain=0), "I")
+    frames, _ = _frames()
+    out = pretrain_discriminator(d, frames[0].real, _cfg(n_epoch_pretrain=0), "I")
     for p, q in zip(before, out.params()):
         assert np.array_equal(p, q)
 
 
 def test_pretrain_moves_weights_and_separates():
-    tensor, _ = _tensor()
-    packets = tensor.component_packets(0, "I")
+    frames, _ = _frames()
+    packets = frames[0].real
     _, d = _models(seed=6)
 
     def separation(net):
@@ -286,10 +286,10 @@ def test_training_steps_reuse_the_heap_instead_of_faulting_it_back_in(tmp_path):
 
 
 def test_pretrain_rejects_insufficient_packets():
-    tensor, _ = _tensor()
+    frames, _ = _frames()
     _, d = _models()
     with pytest.raises(ValueError):
-        pretrain_discriminator(d, tensor.component_packets(0, "I"), _cfg(n_examples=64), "I")
+        pretrain_discriminator(d, frames[0].real, _cfg(n_examples=64), "I")
     with pytest.raises(ValueError):
         pretrain_discriminator(d, np.empty((0, N_FFT)), _cfg(), "I")
 

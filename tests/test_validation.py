@@ -29,6 +29,7 @@ from radiogan.validation import (
 )
 
 N_FFT = 64
+N_PACKETS = 24  # packets of the prototype frame
 
 
 def _blocks(packets, rows=SPECTRUM_BLOCK_ROWS):
@@ -134,16 +135,6 @@ def test_spectral_matrix_validation():
     for n_pool in (4, 6):  # a pool of one packet fewer, then one more, than the blocks hold
         with pytest.raises(ValueError, match="packets"):
             spectral_matrix(_blocks(packets, 2), np.empty((2, n_pool, 4)))
-
-
-@pytest.mark.parametrize("swap", [None, 0, 65535, 65536, 131071, 3 * 65536 + 3])
-def test_ascending_finds_an_inversion_at_any_place_of_its_chunked_check(swap):
-    x = np.arange(3 * 65536 + 5, dtype=np.float64)
-    if swap is not None:
-        x[[swap, swap + 1]] = x[[swap + 1, swap]]
-    got = validation._ascending(x)
-    assert np.array_equal(got, np.sort(x))
-    assert np.shares_memory(got, x) == (swap is None)  # a sorted input is not copied
 
 
 def test_empirical_pdf_fixture():
@@ -253,9 +244,11 @@ def test_neither_statistic_reorders_or_mutates_its_input(make):
 
 
 def test_sorted_inputs_are_not_sorted_again(monkeypatch):
+    """Parts marked ``_Ascending``, as validate marks its sorted pools, are taken as they are."""
     rng = np.random.default_rng(6)
     a, b = np.sort(rng.standard_normal(50)), np.sort(rng.standard_normal(80))
     expect_ks, expect_pdf = ks_distance(a, b), empirical_pdf(b, 5, (-1.0, 1.0))[1]
+    a, b = validation._Ascending((a,)), validation._Ascending((b[:30], b[30:]))
 
     def no_sort(*args, **kwargs):
         raise AssertionError("np.sort called on an already sorted sample")
@@ -539,15 +532,24 @@ def test_report_tamper_detection():
         )
 
 
-def _tensor(seed=0, n_frames=1, n_packets=24):
+def _scored_frame(samples):
+    """A one-frame recording of ``samples`` as ``validate`` scores it, and the
+    frame's power: normalized and denormalized again, as the CLI passes it."""
+    rec = IQRecording(samples=samples, sample_rate_hz=1e6, center_freq_hz=1e9, rx_gain_db=0.0)
+    frames, stats = normalize_frames(frame_tensor(rec, N_FFT, 1))
+    power = float(stats.per_frame_power[0])
+    return denormalize(frames[0], power), power
+
+
+def _prototype(seed=0):
+    """``_scored_frame`` of N_PACKETS packets of a tone in noise."""
     rng = np.random.default_rng(seed)
-    n = n_frames * n_packets * N_FFT
+    n = N_PACKETS * N_FFT
     t = np.arange(n)
     z = 0.9 * np.exp(2j * np.pi * 0.2 * t) + 0.1 * (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
     )
-    rec = IQRecording(samples=z, sample_rate_hz=1e6, center_freq_hz=1e9, rx_gain_db=0.0)
-    return normalize_frames(frame_tensor(rec, N_FFT, n_frames))
+    return _scored_frame(z)
 
 
 def _gens(seed=0):
@@ -570,51 +572,48 @@ def _validate(*args, **kwargs):
     return validate(*args, write_table=tables.__setitem__, **kwargs), tables
 
 
-def _in_process(tensor, stats, n_gen=None, seed=0):
-    """validate's in-process ``blocks`` and ``n_gen``: ``n_gen`` packets (default:
-    the prototype's count) of ``_gens()`` at -27 dB, drawn from ``seed``."""
-    n_gen = tensor.n_packets if n_gen is None else n_gen
-    return validation.generated_blocks(*_gens(), n_gen, -27.0, seed, stats.per_frame_power[0]), n_gen
+def _in_process(power, n_gen=N_PACKETS, seed=0):
+    """validate's in-process ``blocks`` and ``n_gen``: ``n_gen`` packets of
+    ``_gens()`` at -27 dB, drawn from ``seed`` and scaled to frame power ``power``."""
+    return validation.generated_blocks(*_gens(), n_gen, -27.0, seed, power), n_gen
 
 
 def test_validate_passes_when_fed_the_prototype_itself():
-    tensor, stats = _tensor()
+    proto, _ = _prototype()
     log = _log([0.5] * 8)
-    proto = tensor.complex_packets(0) * np.sqrt(stats.per_frame_power[0])
-    rep = validate(tensor, stats, [log], _blocks(proto), len(proto))
+    rep = validate(proto, [log], _blocks(proto), len(proto))
     assert rep.ks_proto_vs_gen == 0.0
     assert rep.band_energy_fraction_gen == 1.0
     assert rep.verdict == "pass"
 
 
 def test_validate_flags_a_white_noise_generator():
-    tensor, stats = _tensor()
+    proto, _ = _prototype()
     log = _log([0.5] * 8)
     rng = np.random.default_rng(0)
     white = rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT))
-    rep = validate(tensor, stats, [log], _blocks(white), len(white))
+    rep = validate(proto, [log], _blocks(white), len(white))
     # white noise cannot beat the matched-power noise reference on band energy
     assert rep.criteria["band_fraction_ratio"] is False
     assert rep.verdict == "fail"
 
 
 def test_validate_in_process_generation_is_seeded():
-    tensor, stats = _tensor()
+    proto, power = _prototype()
     log = _log([0.5] * 8)
-    rep_a = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=3), seed=3)
-    rep_b = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=3), seed=3)
+    rep_a = validate(proto, [log], *_in_process(power, seed=3), seed=3)
+    rep_b = validate(proto, [log], *_in_process(power, seed=3), seed=3)
     assert rep_a == rep_b
-    rep_c = validate(tensor, stats, [log], *_in_process(tensor, stats, seed=4), seed=4)
+    rep_c = validate(proto, [log], *_in_process(power, seed=4), seed=4)
     assert rep_a.ks_proto_vs_gen != rep_c.ks_proto_vs_gen
     # The blocks give the bits of one generate_packets call per rail over
     # every packet, one block of all of them: under a block, one whole block,
     # a joined last block, and several blocks.
-    power = stats.per_frame_power[0]
     for n_gen in (30, 128, 300, 1000):
-        rep, tables = _validate(tensor, stats, [log], *_in_process(tensor, stats, n_gen, seed=3), seed=3)
+        rep, tables = _validate(proto, [log], *_in_process(power, n_gen, seed=3), seed=3)
         rails = (generate_packets(model, n_gen, -27.0, substream(3, "validate", "latent", rail))
                  for model, rail in zip(_gens(), "IQ"))
-        want, want_tables = _validate(tensor, stats, [log], [assemble_iq(*rails, power)], n_gen, seed=3)
+        want, want_tables = _validate(proto, [log], [assemble_iq(*rails, power)], n_gen, seed=3)
         assert rep.to_text() == want.to_text()
         for got, expect in zip(tables["histogram"], want_tables["histogram"]):
             assert got.tobytes() == expect.tobytes()
@@ -623,7 +622,7 @@ def test_validate_in_process_generation_is_seeded():
 
 
 def test_validate_accepts_recording_input(tmp_path):
-    tensor, stats = _tensor()
+    proto, _ = _prototype()
     log = _log([0.5] * 8)
     rng = np.random.default_rng(1)
     rec = IQRecording(
@@ -633,52 +632,50 @@ def test_validate_accepts_recording_input(tmp_path):
         rx_gain_db=0.0,
     )
     save_iq(rec, tmp_path / "gen.iq")
-    rep = validate(tensor, stats, [log], iq_reader(tmp_path / "gen.iq").blocks(N_FFT, SPECTRUM_BLOCK_ROWS), 24)
+    rep = validate(proto, [log], iq_reader(tmp_path / "gen.iq").blocks(N_FFT, SPECTRUM_BLOCK_ROWS), 24)
     assert 0.0 <= rep.ks_proto_vs_gen <= 1.0
 
 
 def test_validate_final_quartile_accuracy():
-    tensor, stats = _tensor()
+    proto, power = _prototype()
     # 8 epochs: final quartile = last 2 rows
     log = _log([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6, 0.4])
-    rep = validate(tensor, stats, [log], *_in_process(tensor, stats))
+    rep = validate(proto, [log], *_in_process(power))
     assert rep.mean_d_accuracy == pytest.approx(0.5)
     # two logs: mean of the per-log quartile means
-    rep2 = validate(tensor, stats, [log, _log([0.1, 0.1, 0.1, 0.3])], *_in_process(tensor, stats))
+    rep2 = validate(proto, [log, _log([0.1, 0.1, 0.1, 0.3])], *_in_process(power))
     assert rep2.mean_d_accuracy == pytest.approx(0.5 * (0.5 + 0.3))
 
 
 def test_validate_empty_log_handling():
-    tensor, stats = _tensor()
+    proto, power = _prototype()
     for logs in ([TrainingLog()], [TrainingLog(), TrainingLog()], []):
-        rep = validate(tensor, stats, logs, *_in_process(tensor, stats))
+        rep = validate(proto, logs, *_in_process(power))
         assert rep.mean_d_accuracy == 0.0
         assert rep.criteria["accuracy_in_band"] is False
     # an empty log beside a populated one does not count
-    rep = validate(tensor, stats, [TrainingLog(), _log([0.5] * 4)], *_in_process(tensor, stats))
+    rep = validate(proto, [TrainingLog(), _log([0.5] * 4)], *_in_process(power))
     assert rep.mean_d_accuracy == 0.5
 
 
 def test_validate_with_tables():
-    tensor, stats = _tensor()
-    _, tables = _validate(tensor, stats, [_log([0.5] * 4)], *_in_process(tensor, stats))
+    proto, power = _prototype()
+    _, tables = _validate(proto, [_log([0.5] * 4)], *_in_process(power))
     # each table handed on once, the two finished ones while the noise is drawn
     assert list(tables) == ["spectrum_prototype", "spectrum_generated", "spectrum_noise", "histogram"]
     centers, p_mass, g_mass, n_mass = tables["histogram"]
     assert centers.shape == (101,)
     for mass in (p_mass, g_mass, n_mass):
         assert mass.sum() == pytest.approx(1.0, abs=1e-9)
-    assert tables["spectrum_prototype"].shape == (N_FFT, tensor.n_packets)
-    assert tables["spectrum_generated"].shape == (N_FFT, tensor.n_packets)
+    assert tables["spectrum_prototype"].shape == (N_FFT, N_PACKETS)
+    assert tables["spectrum_generated"].shape == (N_FFT, N_PACKETS)
 
 
-def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
+def _validate_recomputing_everything(proto, log, seed, gen_packets):
     """validate's report and tables the long way: every spectrum and every
     pooled sample set is recomputed where it is used, and the KS distances
     and histograms come from the reference formulations above. The
     thresholds are written as numbers, so a changed constant shows here."""
-    frame_power = float(stats.per_frame_power[0])
-    proto = denormalize(tensor.complex_packets(0), frame_power)
     noise_rng = substream(seed, "validate", "noise")
     power = float(np.mean(np.abs(proto) ** 2))  # I + jQ drawn first, then scaled
     noise = np.sqrt(power / 2.0) * (
@@ -725,7 +722,7 @@ def _validate_recomputing_everything(tensor, stats, log, seed, gen_packets):
 
 
 def test_validate_transforms_each_matrix_once(monkeypatch):
-    tensor, stats = _tensor()
+    proto, _ = _prototype()
     log = _log([0.4, 0.5, 0.6, 0.55])
     seed = 5
     rng = np.random.default_rng(3)
@@ -741,18 +738,18 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
     monkeypatch.setattr(validation, "spectral_matrix", counting)
     ks_calls = []
     monkeypatch.setattr(validation, "ks_distance", lambda *args: ks_calls.append(args) or ks_distance(*args))
-    rep, got_tables = _validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
+    rep, got_tables = _validate(proto, [log], _blocks(gen), len(gen), seed=seed)
     monkeypatch.undo()
 
     # one transform each of the prototype, the generated and the noise matrix,
     # in that order: the generated packets are scored before the noise is drawn
     assert len(transformed) == 3
-    assert [m.shape for m in transformed] == [(tensor.n_packets, N_FFT), gen.shape, gen.shape]
+    assert [m.shape for m in transformed] == [proto.shape, gen.shape, gen.shape]
     assert np.array_equal(transformed[1], gen)
     assert not np.array_equal(transformed[2], gen)
     assert len(ks_calls) == 2  # one KS distance each for the generated packets and the noise
 
-    expect, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
+    expect, tables = _validate_recomputing_everything(proto, log, seed, gen)
     assert rep.to_text() == expect.to_text()
     assert rep == expect
     for got, want in zip(got_tables["histogram"], tables["histogram"]):
@@ -763,23 +760,23 @@ def test_validate_transforms_each_matrix_once(monkeypatch):
 
 @pytest.mark.parametrize("generated", [True, False])
 def test_validate_transforms_each_matrix_in_128_packet_blocks(monkeypatch, generated):
-    tensor, stats = _tensor()
+    proto, power = _prototype()
     n_gen = 300  # a whole block, and one of 172 that the last 44 packets join
     gen = np.random.default_rng(2).standard_normal((n_gen, N_FFT)) + 0j
     calls = []
     monkeypatch.setattr(validation, "dft", lambda x: calls.append(len(x)) or dft(x))
-    blocks = _blocks(gen) if generated else _in_process(tensor, stats, n_gen)[0]
-    validate(tensor, stats, [_log([0.5] * 4)], blocks, n_gen)
+    blocks = _blocks(gen) if generated else _in_process(power, n_gen)[0]
+    validate(proto, [_log([0.5] * 4)], blocks, n_gen)
     # max(1, P // 128) blocks for the prototype, the noise and the generated packets each
-    assert calls == [tensor.n_packets] + [128, 172] * 2
+    assert calls == [N_PACKETS] + [128, 172] * 2
 
 
 def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
     """The pooled samples are sorted in place once; the statistics see them
     sorted and sort no copy of them (np.sort serves only the band bins)."""
-    tensor, stats = _tensor()
+    proto, power = _prototype()
     log = _log([0.5] * 4)
-    expect, expect_tables = _validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
+    expect, expect_tables = _validate(proto, [log], *_in_process(power, seed=2), seed=2)
     sizes = []
     original = np.sort
 
@@ -788,7 +785,7 @@ def test_validate_sorts_no_pooled_sample_copy(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "sort", recording_sort)
-    rep, tables = _validate(tensor, stats, [log], *_in_process(tensor, stats, seed=2), seed=2)
+    rep, tables = _validate(proto, [log], *_in_process(power, seed=2), seed=2)
     monkeypatch.undo()
     assert sizes and max(sizes) <= N_FFT
     assert rep.to_text() == expect.to_text()
@@ -869,38 +866,34 @@ def test_pooled_values_are_the_real_parts_then_the_imaginary_parts(monkeypatch):
 
 def test_validate_takes_the_pdf_range_from_the_unsorted_prototype():
     rng = np.random.default_rng(4)
-    n = 24 * N_FFT
+    n = N_PACKETS * N_FFT
     z = np.exp(3 * rng.standard_normal(n)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    rec = IQRecording(samples=z, sample_rate_hz=1e6, center_freq_hz=1e9, rx_gain_db=0.0)
-    tensor, stats = normalize_frames(frame_tensor(rec, N_FFT, 1))
-    proto = denormalize(tensor.complex_packets(0), float(stats.per_frame_power[0]))
+    proto, _ = _scored_frame(z)
     values = np.concatenate([proto.real.ravel(), proto.imag.ravel()])
     assert np.std(values) != np.std(np.sort(values))  # heavy tails: the sum's order shows
     log, seed = _log([0.5] * 4), 1
     gen = 300.0 * (rng.standard_normal((24, N_FFT)) + 1j * rng.standard_normal((24, N_FFT)))
-    _, got_tables = _validate(tensor, stats, [log], _blocks(gen), len(gen), seed=seed)
-    _, tables = _validate_recomputing_everything(tensor, stats, log, seed, gen)
+    _, got_tables = _validate(proto, [log], _blocks(gen), len(gen), seed=seed)
+    _, tables = _validate_recomputing_everything(proto, log, seed, gen)
     for got, want in zip(got_tables["histogram"], tables["histogram"]):
         assert got.tobytes() == want.tobytes()
 
 
 def test_validate_input_checks(monkeypatch):
-    tensor, stats = _tensor()
+    proto, power = _prototype()
     log = _log([0.5] * 4)
     drawn, written = [], []
     monkeypatch.setattr(validation, "generate_packets", lambda *args: drawn.append(args) or generate_packets(*args))
 
-    def refused(blocks, n_gen, match=None, frame=0):
+    def refused(blocks, n_gen, match=None):
         with pytest.raises(ValueError, match=match):
-            validate(tensor, stats, [log], blocks, n_gen, frame=frame, write_table=lambda *table: written.append(table))
+            validate(proto, [log], blocks, n_gen, write_table=lambda *table: written.append(table))
 
-    for frame in (1, -1):
-        refused(*_in_process(tensor, stats), f"frame {frame} out of range", frame)
-    refused(*_in_process(tensor, stats, 0), "n_gen must be >= 1, got 0")
+    refused(*_in_process(power, 0), "n_gen must be >= 1, got 0")
     assert drawn == []  # refused before any latent draw
     # a stream one packet short, then one packet long, of the n_gen it is scored as
-    refused(_in_process(tensor, stats, 29)[0], 30, "hold 29 packets, not 30")
-    refused(_in_process(tensor, stats, 31)[0], 30, "more than 30 packets")
+    refused(_in_process(power, 29)[0], 30, "hold 29 packets, not 30")
+    refused(_in_process(power, 31)[0], 30, "more than 30 packets")
     refused([np.ones((24, 2 * N_FFT), dtype=complex)], 24)  # packets of another length than the prototype's
 
     def failing_last(packets):  # as a file's reader refuses a non-finite value in its last block
