@@ -137,6 +137,22 @@ def test_spectral_matrix_validation():
             spectral_matrix(_blocks(packets, 2), np.empty((2, n_pool, 4)))
 
 
+@pytest.mark.parametrize("swap", [None, 0, 65535, 65536, 131071, 3 * 65536 + 3])
+def test_unmarked_parts_are_sorted_whatever_place_an_inversion_has(swap):
+    """Input not marked ``_Ascending`` is sorted into a copy, in order or not,
+    and scores as its marked sorted values do."""
+    x = np.arange(3 * 65536 + 5, dtype=np.float64)
+    if swap is not None:
+        x[[swap, swap + 1]] = x[[swap + 1, swap]]
+    before = x.copy()
+    (got,) = validation._sorted_parts(x)
+    assert np.array_equal(got, np.sort(before))
+    assert not np.shares_memory(got, x)
+    assert np.array_equal(x, before)  # the input keeps its order
+    ref = np.linspace(-1.0, 3 * 65536 + 6, 1000)
+    assert ks_distance(x, ref) == ks_distance(validation._Ascending((np.sort(before),)), ref)
+
+
 def test_empirical_pdf_fixture():
     centers, masses = empirical_pdf([0.1, 0.1, 0.9], 2, (0.0, 1.0))
     assert np.allclose(centers, [0.25, 0.75])
