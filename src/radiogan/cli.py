@@ -235,9 +235,11 @@ def cmd_train(args) -> int:
     cfg.validate_for(args.nfft)
     n_packets = frames.shape[1]
     if cfg.n_examples > n_packets:
+        needed = cfg.n_examples * args.nfft * len(frames)
         raise ValueError(
             f"n_examples={cfg.n_examples} exceeds packets per frame ({n_packets}); "
-            f"pass --examples {n_packets} or fewer"
+            f"pass --examples {n_packets} or fewer, or train on a recording of at least "
+            f"n_examples x n_fft x frames = {needed} samples (protogen --samples {needed})"
         )
     if not 0 <= args.frame < len(frames):
         raise ValueError(f"frame {args.frame} out of range [0, {len(frames)})")

@@ -4,7 +4,9 @@ Conventions: a layer's ``forward`` returns ``(output, cache)``; ``backward``
 takes the cache and the upstream gradient and returns ``(input_gradient,
 [parameter gradients...])`` in the same order as ``params()``. Its keywords
 ``input_grad=False`` and ``param_grads=False`` skip the work of either part,
-which then comes back as ``None`` or ``[]``. Weight-decay
+which then comes back as ``None`` or ``[]``. A ``backward`` call leaves its
+cache as it found it; ``net_backward`` empties its ``caches`` list as it goes,
+so a stack's activations are freed during the backward pass. Weight-decay
 terms (``lambda * ||W||^2`` added to the loss) contribute ``2 * lambda * W``
 to the weight gradient inside the owning layer's backward.
 
@@ -194,21 +196,27 @@ class DenseLayer:
         return out, ("dense", x, out)
 
     def backward(self, cache, grad_out, input_grad=True, param_grads=True):
+        # Each cached array is dropped after its last use, so a cache no
+        # caller holds (as in ``net_backward``) frees the input before
+        # ``grad_x``, the input's size, is allocated.
         tag, x, out = cache
+        del cache
         grad_out = np.asarray(grad_out, dtype=x.dtype)
         grad_z = _activate_backward(self.activation, out, grad_out)
+        del out
+        param_list = []
+        if param_grads:
+            z2 = grad_z.reshape(-1, self.fan_out)
+            grad_w = z2.T @ x.reshape(-1, self.fan_in)
+            if self.weight_decay_lambda > 0.0:
+                grad_w += 2.0 * self.weight_decay_lambda * self.weights
+            param_list = [flush_subnormal(grad_w), flush_subnormal(z2.sum(axis=0))]
+        shape, dtype = x.shape, x.dtype
+        del x
         grad_x = None
         if input_grad:
-            grad_x = _matmul_rows(grad_z, self.weights, np.empty(x.shape, dtype=x.dtype), flush_subnormal)
-        if not param_grads:
-            return grad_x, []
-        z2 = grad_z.reshape(-1, self.fan_out)
-        x2 = x.reshape(-1, self.fan_in)
-        grad_w = z2.T @ x2
-        if self.weight_decay_lambda > 0.0:
-            grad_w += 2.0 * self.weight_decay_lambda * self.weights
-        grad_b = z2.sum(axis=0)
-        return grad_x, [flush_subnormal(grad_w), flush_subnormal(grad_b)]
+            grad_x = _matmul_rows(grad_z, self.weights, np.empty(shape, dtype=dtype), flush_subnormal)
+        return grad_x, param_list
 
 
 def conv_block_rows(n_in: int, kernel_len: int) -> int:
@@ -403,17 +411,27 @@ def net_backward(layers, caches, grad_out, input_grad=True, param_grads=True):
     matching ``net_forward`` call. ``input_grad=False`` skips the stack's
     input gradient (returned as ``None``); ``param_grads=False`` skips every
     parameter gradient (returned as ``[]``), as for a frozen stack.
+
+    The call consumes ``caches``, top layer first, and leaves the list empty,
+    so each cached activation is freed once its layer is done with it: a
+    published-scale step holds one conv output at a time, not two. Calling
+    again on the same list fails with a ``cache/layer mismatch``; pass
+    ``list(caches)`` to keep them for another call.
     """
     if len(caches) != len(layers):
         raise ValueError(f"cache/layer mismatch: {len(caches)} caches for {len(layers)} layers")
+    tags = [cache[0] if isinstance(cache, tuple) else None for cache in caches]
+    for layer, tag in zip(layers, tags):
+        if tag != _TAGS[type(layer)]:
+            raise ValueError(f"stale activation cache: expected {_TAGS[type(layer)]!r} entry")
     per_layer = []
     grad = grad_out
-    for depth, (layer, cache) in enumerate(zip(reversed(layers), reversed(caches))):
-        if not isinstance(cache, tuple) or cache[0] != _TAGS[type(layer)]:
-            raise ValueError(f"stale activation cache: expected {_TAGS[type(layer)]!r} entry")
+    for depth, layer in enumerate(reversed(layers)):
         # Layers above the bottom one always pass a gradient down.
         needs_input = input_grad or depth < len(layers) - 1
-        grad, layer_grads = layer.backward(cache, grad, input_grad=needs_input, param_grads=param_grads)
+        # Popped straight into the call, so the cache's arrays are freed as
+        # soon as the layer drops them (see ``DenseLayer.backward``).
+        grad, layer_grads = layer.backward(caches.pop(), grad, input_grad=needs_input, param_grads=param_grads)
         per_layer.append(layer_grads)
     flat = [g for layer_grads in reversed(per_layer) for g in layer_grads]
     return grad, flat

@@ -306,7 +306,23 @@ def test_train_rejects_oversized_examples(tmp_path, capsys):
     proto = _protogen(tmp_path)
     rc, _ = _train(tmp_path, proto, extra=("--examples", "64"))
     assert rc == 2
-    assert "exceeds packets per frame" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "exceeds packets per frame" in err
+    assert f"protogen --samples {64 * NFFT * 2}" in err
+
+
+def test_default_train_refusal_names_the_published_recording_length(tmp_path, capsys):
+    """A default-length prototype cannot feed default (published-scale) training;
+    the refusal says how long a recording would: 128 x 2048 x 2 samples."""
+    proto = tmp_path / "proto.iq"
+    assert main(["protogen", "--preset", "qpsk-burst", "--out", str(proto), "--quiet"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--proto", str(proto), "--out-dir", str(tmp_path / "run"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n_examples=128 exceeds packets per frame (8)" in err
+    assert "n_examples x n_fft x frames = 524288 samples (protogen --samples 524288)" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("extra", [("--epochs", "0", "--frame", "99"), ("--frame", "-1"), ("--frame", "2")])

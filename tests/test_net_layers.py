@@ -1,9 +1,12 @@
 """Layer forward/backward checks: hand examples plus central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radiogan import blocks
+from radiogan.gan import build_discriminator
 from radiogan.net.layers import (
     BLOCK_BYTES,
     Conv1DLayer,
@@ -358,16 +361,66 @@ def test_net_backward_skips_match_full_call():
     x = np.random.default_rng(8).standard_normal((3, 8))
     out, caches = net_forward(layers, x, train=True, rng=substream(9, "drop"))
     grad_out = np.random.default_rng(10).standard_normal(out.shape)
-    full_x, full_params = net_backward(layers, caches, grad_out)
+    # net_backward consumes its list, so each call gets its own copy.
+    full_x, full_params = net_backward(layers, list(caches), grad_out)
 
-    no_input, params = net_backward(layers, caches, grad_out, input_grad=False)
+    no_input, params = net_backward(layers, list(caches), grad_out, input_grad=False)
     assert no_input is None
     assert len(params) == len(full_params) == len(net_params(layers))
     assert all(np.array_equal(a, b) for a, b in zip(params, full_params))
 
-    grad_x, no_params = net_backward(layers, caches, grad_out, param_grads=False)
+    grad_x, no_params = net_backward(layers, list(caches), grad_out, param_grads=False)
     assert no_params == []
     assert np.array_equal(grad_x, full_x)
+
+
+def test_net_backward_consumes_caches():
+    layers = [DenseLayer.create(4, 3, "tanh", 0), DenseLayer.create(3, 2, "softmax", 1)]
+    x = np.random.default_rng(0).standard_normal((5, 4))
+    out, caches = net_forward(layers, x)
+    net_backward(layers, caches, np.ones_like(out))
+    assert caches == []
+    with pytest.raises(ValueError, match="cache/layer mismatch"):
+        net_backward(layers, caches, np.ones_like(out))
+
+
+@pytest.mark.parametrize("activation", ["identity", "tanh", "relu", "softmax"])
+def test_dense_backward_on_held_cache_repeats(activation):
+    """A cache its caller still holds keeps its arrays, unwritten: a dense
+    layer's cached input may be a lower layer's cached output."""
+    layer = DenseLayer.create(6, 4, activation, 0, weight_decay_lambda=0.01)
+    x = np.random.default_rng(1).standard_normal((3, 2, 6))
+    out, cache = layer.forward(x)
+    held = [a.copy() for a in cache[1:]]
+    grad_out = np.random.default_rng(2).standard_normal(out.shape)
+    first_x, first_params = layer.backward(cache, grad_out)
+    again_x, again_params = layer.backward(cache, grad_out)
+    assert all(np.array_equal(a, b) for a, b in zip(cache[1:], held))
+    assert np.array_equal(first_x, again_x)
+    assert all(np.array_equal(a, b) for a, b in zip(first_params, again_params))
+
+
+@pytest.mark.parametrize("mode", [{"input_grad": False}, {"param_grads": False}], ids=["d_step", "g_step"])
+def test_net_backward_frees_the_conv_output_before_its_gradient(mode):
+    """A published-width discriminator's backward pass must not hold the conv
+    output (dense layer 1's cached input) while it allocates that layer's input
+    gradient of the same size: its peak above its start stays under half the
+    conv output's bytes, where holding both reads above one whole conv output."""
+    discriminator = build_discriminator(2048, 0)
+    x = substream(4, "packets").standard_normal((64, 2048))
+    tracemalloc.start()
+    try:
+        probs, caches = net_forward(discriminator.layers, x, train=True, rng=substream(5, "drop"))
+        conv_bytes = caches[1][1].nbytes
+        grad = np.full_like(probs, 0.25)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        net_backward(discriminator.layers, caches, grad, **mode)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert conv_bytes == 64 * 32 * 1921 * 4
+    assert peak < 0.5 * conv_bytes, f"backward peak {peak / conv_bytes:.2f}x the conv output"
 
 
 def test_dropout_rate_zero_and_inference_are_identity():
@@ -478,6 +531,13 @@ def test_stale_cache_rejected():
     _, caches = net_forward([a], x)
     with pytest.raises(ValueError):
         net_backward([b], caches, np.zeros((2, 2, 2)))
+    # Every tag is checked before any cache is consumed: a stale bottom
+    # entry leaves the top one in place too.
+    top = DenseLayer.create(4, 4, "tanh", 2)
+    _, caches = net_forward([a, top], x)
+    with pytest.raises(ValueError, match="stale activation cache"):
+        net_backward([b, top], caches, np.zeros((2, 4)))
+    assert len(caches) == 2
     with pytest.raises(ValueError):
         net_backward([a], [], np.zeros((2, 4)))
 
