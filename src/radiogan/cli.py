@@ -411,6 +411,7 @@ def cmd_validate(args) -> int:
 
     # the scored frame in physical units: its normalized packets scaled back by the frame's power
     proto_packets = denormalize(frames[frame], float(fresh_stats.per_frame_power[frame]))
+    del frames  # a recording-sized copy; validate needs only the scored frame
     report = validate(proto_packets, run.logs, blocks, n_gen, seed=args.seed, write_table=write_table)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     resolved = {

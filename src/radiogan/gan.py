@@ -8,6 +8,14 @@ are smoothed one-sidedly to ``1 - alpha``, and both nets update with Adam.
 
 Both nets hold float32 parameters, so their layers and Adam run in float32;
 the losses on their ``[B, 2]`` outputs are computed in float64.
+
+Where enough rows share the discriminator's parameters, its conv1d and the
+dense layer after it run as one linear map (``net.layers.FoldedFront``): in
+the adversarial discriminator step when ``fold_pays`` says its minibatch
+pays for the map, and in the generator step and both evaluation passes,
+which share one map built after each epoch's discriminator update.
+Pretraining's small minibatches keep the layer pair. The fold rounds
+differently from the pair; the checkpoint holds the layers either way.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from .net.layers import (
     DenseLayer,
     DropoutLayer,
     FlattenLayer,
+    FoldedFront,
+    fold_pays,
     net_backward,
     net_forward,
     net_params,
@@ -442,23 +452,36 @@ def _class_targets(n_real: int, n_fake: int, alpha: float) -> np.ndarray:
     return targets
 
 
+def _discriminator_stack(discriminator, rows: int, param_grads: bool) -> list:
+    """The discriminator's layers for ``rows`` rows that share its current
+    parameters: its conv1d and the dense layer after it become one
+    ``FoldedFront`` where ``fold_pays`` says the rows pay for building it;
+    otherwise the stack as it is. Either stack has the same ``net_params``."""
+    conv, dense, *rest = discriminator.layers
+    if isinstance(dense, DenseLayer) and fold_pays(rows, conv, dense, param_grads):
+        return [FoldedFront(conv, dense), *rest]
+    return discriminator.layers
+
+
 def _supervised_minibatch(discriminator, opt, x, targets, dropout_rng) -> None:
     """One cross-entropy Adam step on the discriminator."""
-    probs, caches = net_forward(discriminator.layers, x, train=True, rng=dropout_rng)
+    layers = _discriminator_stack(discriminator, x.shape[0], param_grads=True)
+    probs, caches = net_forward(layers, x, train=True, rng=dropout_rng)
     p = _clamp(probs)
     grad = -(targets / p) / x.shape[0]
-    _, grads = net_backward(discriminator.layers, caches, grad, input_grad=False)
+    _, grads = net_backward(layers, caches, grad, input_grad=False)
     adam_step(discriminator.params(), grads, opt)
 
 
-def _generator_minibatch(generator, discriminator, opt, z, dropout_rng) -> None:
-    """One non-saturating Adam step on the generator through the frozen discriminator."""
+def _generator_minibatch(generator, d_layers, opt, z, dropout_rng) -> None:
+    """One non-saturating Adam step on the generator through the frozen
+    discriminator, given as its layer stack (``_discriminator_stack``)."""
     fake, g_caches = net_forward(generator.layers, z)
-    probs, d_caches = net_forward(discriminator.layers, fake, train=True, rng=dropout_rng)
+    probs, d_caches = net_forward(d_layers, fake, train=True, rng=dropout_rng)
     p_real = _clamp(probs[:, REAL])
     grad_probs = np.zeros_like(probs)
     grad_probs[:, REAL] = -0.5 / (z.shape[0] * p_real)
-    grad_fake, _ = net_backward(discriminator.layers, d_caches, grad_probs, param_grads=False)
+    grad_fake, _ = net_backward(d_layers, d_caches, grad_probs, param_grads=False)
     _, g_grads = net_backward(generator.layers, g_caches, grad_fake, input_grad=False)
     adam_step(generator.params(), g_grads, opt)
 
@@ -561,15 +584,17 @@ def train(generator, discriminator, packets, component: str, cfg: TrainConfig):
         fake = net_forward(generator.layers, z)[0]
         try:
             _discriminator_epoch(discriminator, d_opt, real, fake, cfg, cfg.s_batch, streams)
+            # one stack for the generator step's rows and both evaluation passes
+            d_layers = _discriminator_stack(discriminator, 3 * cfg.n_examples, param_grads=False)
             for start in range(0, cfg.n_examples, cfg.s_batch):
                 zb = z[start : start + cfg.s_batch]
-                _generator_minibatch(generator, discriminator, g_opt, zb, streams["dropout"])
+                _generator_minibatch(generator, d_layers, g_opt, zb, streams["dropout"])
         except ValueError as exc:
             raise TrainingDiverged(component, "training", f"epoch {epoch}: {exc}", log) from exc
 
-        d_real_p = net_forward(discriminator.layers, real)[0][:, REAL]
+        d_real_p = net_forward(d_layers, real)[0][:, REAL]
         regen = net_forward(generator.layers, z)[0]
-        d_fake_p = net_forward(discriminator.layers, regen)[0][:, REAL]
+        d_fake_p = net_forward(d_layers, regen)[0][:, REAL]
         d_loss = discriminator_loss(d_real_p, d_fake_p, cfg.label_smoothing_alpha)
         g_loss = generator_loss(d_fake_p)
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):

@@ -339,6 +339,116 @@ class Conv1DLayer:
         return grad_x, [flush_subnormal(grad_k[:, None, :]), flush_subnormal(grad_out.sum(axis=(0, 2)))]
 
 
+def fold_pays(rows: int, conv: Conv1DLayer, dense: DenseLayer, param_grads: bool) -> bool:
+    """Whether ``rows`` rows through one ``FoldedFront`` of ``conv`` and ``dense``
+    save at least twice the FLOPs it costs to build, against the layer pair.
+
+    With ``param_grads`` the rows run forward and back to both layers' weights
+    (the fold's fixed cost is then its reversed conv forward and backward);
+    without, they run forward only. The margin of two leaves the pair where
+    the saving is slim: a desk-scale 128-row discriminator step would save
+    1.2 times the fold's cost, which bought no measurable time and raised
+    peak memory by the reversed conv's scratch.
+    """
+    k, taps, m = conv.n_kernels, conv.kernel_len, dense.fan_out
+    n_out = dense.fan_in
+    n_in = n_out + taps - 1
+    if param_grads:
+        pair, fold, fixed = 2 * k * n_out * (2 * taps + 3 * m), 4 * n_in * k * m, 6 * m * k * taps * n_in
+    else:
+        pair, fold, fixed = 2 * k * n_out * (taps + m), 2 * n_in * k * m, 2 * m * k * taps * n_in
+    return rows * (pair - fold) >= 2 * fixed
+
+
+class FoldedFront:
+    """A conv1d layer and the dense layer after it, run as one linear map.
+
+    The conv has no activation, so ``dense(conv(x))`` is ``act(x @ E + c)``
+    over the ``n_in`` input samples, with ``E[t, k, m] = sum_s kern[k, s] *
+    W[m, t - s]`` and ``c[k, m] = b[m] + conv_bias[k] * sum_l W[m, l]``; the
+    output is the pair's ``[B, n_kernels, fan_out]``. ``E`` is built on
+    construction from the layers' current parameters, by a conv of ``W``,
+    zero-padded by ``kernel_len - 1`` on each side, with the kernels reversed
+    along their taps. That reversed conv's backward also turns the gradient of
+    ``E`` into the gradients of ``W`` and the kernels. The input gradient is
+    the pair's: the dense layer's product with ``W``, then the conv's backward.
+
+    The fold holds no parameters of its own: ``params()`` are the conv's and
+    the dense layer's, in stack order, so a stack with the fold in place of
+    the pair has the same ``net_params`` and gradient list. Its rounding
+    differs from the pair's; ``fold_pays`` says when it is worth building.
+    """
+
+    def __init__(self, conv: Conv1DLayer, dense: DenseLayer):
+        self.conv, self.dense = conv, dense
+        dtype, pad = conv.kernels.dtype, conv.kernel_len - 1
+        k, m, n_out = conv.n_kernels, dense.fan_out, dense.fan_in
+        self.padded = np.zeros((m, n_out + 2 * pad), dtype=dtype)
+        self.padded[:, pad : pad + n_out] = dense.weights
+        self.reversed = Conv1DLayer(np.ascontiguousarray(conv.kernels[:, :, ::-1]), np.zeros(k, dtype=dtype))
+        spread = self.reversed.forward(self.padded)[0]  # [m, k, n_in]
+        # rows in the output's (k, m) order
+        self.map = spread.transpose(1, 0, 2).reshape(k * m, spread.shape[2])
+        self.row_sums = dense.weights.sum(axis=1)
+        self.offset = (dense.bias + conv.bias[:, None] * self.row_sums).reshape(-1)
+
+    @property
+    def n_in(self) -> int:
+        return self.map.shape[1]
+
+    def params(self):
+        return self.conv.params() + self.dense.params()
+
+    def forward(self, x):
+        x = np.asarray(x, dtype=self.map.dtype)
+        if x.ndim != 2 or x.shape[1] != self.n_in:
+            raise ValueError(f"expected [batch, {self.n_in}] input, got shape {x.shape}")
+        units = (self.conv.n_kernels, self.dense.fan_out)
+
+        def finish(z):
+            z += self.offset
+            # a softmax runs over each kernel's units, as in the pair
+            _activate(self.dense.activation, z.reshape(-1, *units))
+
+        out = _matmul_rows(x, self.map.T, np.empty((x.shape[0], self.map.shape[0]), dtype=x.dtype), finish)
+        out = out.reshape(x.shape[0], *units)
+        return out, ("fold", x, out)
+
+    def backward(self, cache, grad_out, input_grad=True, param_grads=True):
+        tag, x, out = cache
+        del cache
+        grad_z = _activate_backward(self.dense.activation, out, np.asarray(grad_out, dtype=x.dtype))
+        del out
+        batch, k, m = grad_z.shape
+        param_list = []
+        if param_grads:
+            # grad_E in the reversed conv's [m, k, n_in] output layout
+            by_unit = grad_z.transpose(0, 2, 1).reshape(batch, m * k)
+            grad_map = _matmul_rows(by_unit.T, x, np.empty((m * k, self.n_in), dtype=x.dtype), flush_subnormal)
+            pad, n_out = self.conv.kernel_len - 1, self.dense.fan_in
+            grad_padded, (grad_reversed, _) = self.reversed.backward(
+                ("conv1d", self.padded, None), grad_map.reshape(m, k, self.n_in)
+            )
+            del grad_map
+            per_unit = grad_z.sum(axis=0)  # [k, m]
+            grad_w = grad_padded[:, pad : pad + n_out] + (self.conv.bias @ per_unit)[:, None]
+            if self.dense.weight_decay_lambda > 0.0:
+                grad_w += 2.0 * self.dense.weight_decay_lambda * self.dense.weights
+            param_list = [
+                np.ascontiguousarray(grad_reversed[:, :, ::-1]),
+                flush_subnormal(per_unit @ self.row_sums),
+                flush_subnormal(grad_w),
+                flush_subnormal(per_unit.sum(axis=0)),
+            ]
+        grad_x = None
+        if input_grad:
+            shape = (batch, k, self.dense.fan_in)
+            grad_conv = _matmul_rows(grad_z, self.dense.weights, np.empty(shape, dtype=x.dtype), flush_subnormal)
+            del grad_z
+            grad_x = self.conv.backward(("conv1d", x, None), grad_conv, param_grads=False)[0]
+        return grad_x, param_list
+
+
 class DropoutLayer:
     """Inverted dropout: keep with probability 1-rate, scale kept units."""
 
@@ -387,7 +497,13 @@ class FlattenLayer:
         return (np.asarray(grad_out, dtype=dtype).reshape(shape) if input_grad else None), []
 
 
-_TAGS = {DenseLayer: "dense", Conv1DLayer: "conv1d", DropoutLayer: "dropout", FlattenLayer: "flatten"}
+_TAGS = {
+    DenseLayer: "dense",
+    Conv1DLayer: "conv1d",
+    FoldedFront: "fold",
+    DropoutLayer: "dropout",
+    FlattenLayer: "flatten",
+}
 
 
 def net_forward(layers, x, train=False, rng=None):
@@ -414,7 +530,8 @@ def net_backward(layers, caches, grad_out, input_grad=True, param_grads=True):
 
     The call consumes ``caches``, top layer first, and leaves the list empty,
     so each cached activation is freed once its layer is done with it: a
-    published-scale step holds one conv output at a time, not two. Calling
+    published-scale step through the layer pair holds one conv output at a
+    time, not two, and one through a ``FoldedFront`` holds none. Calling
     again on the same list fails with a ``cache/layer mismatch``; pass
     ``list(caches)`` to keep them for another call.
     """

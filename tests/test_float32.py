@@ -7,6 +7,7 @@ import pytest
 from radiogan import gan
 from radiogan.gan import (
     _class_targets,
+    _discriminator_stack,
     _generator_minibatch,
     _supervised_minibatch,
     build_discriminator,
@@ -21,6 +22,7 @@ from radiogan.net.layers import (
     DenseLayer,
     DropoutLayer,
     FlattenLayer,
+    FoldedFront,
     flush_subnormal,
     net_backward,
     net_forward,
@@ -110,9 +112,13 @@ def test_both_training_steps_keep_the_parameter_dtype(dtype):
     _cast(d.layers, dtype)
     d_opt = AdamState.for_params(d.params(), 1e-3)
     g_opt = AdamState.for_params(g.params(), 1e-3)
-    x = substream(33, "x").standard_normal((8, 256))  # float64 packets, as the DSP gives them
-    _supervised_minibatch(d, d_opt, x, _class_targets(4, 4, 0.2), substream(34, "drop"))
-    _generator_minibatch(g, d, g_opt, x, substream(35, "drop"))
+    x = substream(33, "x").standard_normal((32, 256))  # float64 packets, as the DSP gives them
+    # 32 rows fold this discriminator's front end in both steps
+    assert isinstance(_discriminator_stack(d, 32, param_grads=True)[0], FoldedFront)
+    _supervised_minibatch(d, d_opt, x, _class_targets(16, 16, 0.2), substream(34, "drop"))
+    d_layers = _discriminator_stack(d, 3 * 32, param_grads=False)
+    assert isinstance(d_layers[0], FoldedFront)
+    _generator_minibatch(g, d_layers, g_opt, x, substream(35, "drop"))
     for net, opt in ((d, d_opt), (g, g_opt)):
         assert opt.step_count == 1
         for arrays in (net.params(), opt.first_moment, opt.second_moment):
@@ -154,12 +160,14 @@ def _saturating_stack(dtype):
     return _cast(stack, dtype), x
 
 
-def _backward_record(dtype):
+def _backward_record(dtype, fold=False):
     """``(layer name, received gradient, returned gradients...)`` for each
-    layer in one full backward pass of the saturating stack, top first."""
+    layer in one full backward pass of the saturating stack, top first. With
+    ``fold`` its front end runs as a ``FoldedFront``, whose record follows
+    those of the two conv1d backward calls it makes."""
     record = []
     with pytest.MonkeyPatch.context() as mp:
-        for cls in (Conv1DLayer, DenseLayer, DropoutLayer, FlattenLayer):
+        for cls in (Conv1DLayer, FoldedFront, DenseLayer, DropoutLayer, FlattenLayer):
 
             def spy(self, cache, grad_out, original=cls.backward, **kwargs):
                 grad_x, grads = original(self, cache, grad_out, **kwargs)
@@ -168,15 +176,18 @@ def _backward_record(dtype):
 
             mp.setattr(cls, "backward", spy)
         stack, x = _saturating_stack(dtype)
+        if fold:
+            stack = [FoldedFront(*stack[:2]), *stack[2:]]
         probs, caches = net_forward(stack, x, train=True, rng=substream(3, "drop"))
         grad = -(_class_targets(8, 8, 0.2) / np.clip(probs, 1e-7, 1.0)) / x.shape[0]
         net_backward(stack, caches, grad)
-    assert len(record) == len(stack)
+    assert len(record) == len(stack) + (2 if fold else 0)
     return record
 
 
-def test_no_backward_pass_receives_or_returns_a_subnormal():
-    found = [(name, [_subnormals(a) for a in arrays]) for name, *arrays in _backward_record(np.float32)]
+@pytest.mark.parametrize("fold", [False, True], ids=["pair", "fold"])
+def test_no_backward_pass_receives_or_returns_a_subnormal(fold):
+    found = [(name, [_subnormals(a) for a in arrays]) for name, *arrays in _backward_record(np.float32, fold)]
     assert all(count == 0 for _, counts in found for count in counts), found
 
 
@@ -187,10 +198,11 @@ def test_without_the_flush_the_saturating_case_has_subnormals(monkeypatch):
     assert _subnormals(conv_received) > 0
 
 
-def test_a_float64_net_gets_the_same_bytes_with_and_without_the_flush(monkeypatch):
-    with_flush = _backward_record(np.float64)
+@pytest.mark.parametrize("fold", [False, True], ids=["pair", "fold"])
+def test_a_float64_net_gets_the_same_bytes_with_and_without_the_flush(monkeypatch, fold):
+    with_flush = _backward_record(np.float64, fold)
     monkeypatch.setattr(layers, "flush_subnormal", lambda a: a)
-    without = _backward_record(np.float64)
+    without = _backward_record(np.float64, fold)
     for got, want in zip(with_flush, without):
         assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
 
@@ -214,10 +226,11 @@ def _counted_steps():
             mp.setattr(owner, name, counted)
         g = build_generator(256, 41, width=16)
         d = build_discriminator(256, 42, n_kernels=4, kernel_len=16, width=8)
-        x = substream(44, "x").standard_normal((8, 256))
+        x = substream(44, "x").standard_normal((32, 256))  # enough rows to fold in both steps
         rng = substream(43, "drop")
-        _supervised_minibatch(d, AdamState.for_params(d.params(), 1e-3), x, _class_targets(4, 4, 0.2), rng)
-        _generator_minibatch(g, d, AdamState.for_params(g.params(), 1e-3), x, rng)
+        _supervised_minibatch(d, AdamState.for_params(d.params(), 1e-3), x, _class_targets(16, 16, 0.2), rng)
+        d_layers = _discriminator_stack(d, 3 * 32, param_grads=False)
+        _generator_minibatch(g, d_layers, AdamState.for_params(g.params(), 1e-3), x, rng)
     return calls, rng.bit_generator.state
 
 

@@ -23,12 +23,13 @@ from radiogan.gan import (
     saturating_generator_loss,
     _clamp,
     _class_targets,
+    _discriminator_stack,
     _generator_minibatch,
     _supervised_minibatch,
 )
 from radiogan.kvfile import parse_kv
 from radiogan.net.adam import AdamState, adam_step
-from radiogan.net.layers import net_backward, net_forward, net_params
+from radiogan.net.layers import FoldedFront, net_backward, net_forward, net_params, set_net_params
 from radiogan.seeding import substream
 
 
@@ -218,26 +219,78 @@ def _assert_bit_identical(params_a, opt_a, params_b, opt_b):
         assert all(np.array_equal(x, y) for x, y in zip(a, b)), name
 
 
+def _assert_close(params_a, opt_a, params_b, opt_b, learning_rate):
+    """One Adam step's moments (the gradients, scaled) to 1e-12 of their
+    largest entry; the parameters, each moved by about the learning rate,
+    to 1e-9 of it."""
+    assert opt_a.step_count == opt_b.step_count == 1
+    for name, a, b in (
+        ("first_moment", opt_a.first_moment, opt_b.first_moment),
+        ("second_moment", opt_a.second_moment, opt_b.second_moment),
+    ):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
+    assert all(np.max(np.abs(x - y)) <= 1e-9 * learning_rate for x, y in zip(params_a, params_b))
+
+
+def _float64(net):
+    set_net_params(net.layers, [p.astype(np.float64) for p in net.params()])
+    return net
+
+
+def _small_discriminator(seed):
+    """A float64 discriminator whose front end a 32-row step folds, with nonzero biases."""
+    d = _float64(build_discriminator(256, seed, n_kernels=4, kernel_len=16, width=8))
+    rng = np.random.default_rng(seed)
+    d.layers[0].bias[:] = 0.1 * rng.standard_normal(4)
+    d.layers[1].bias[:] = 0.1 * rng.standard_normal(8)
+    return d
+
+
 def test_supervised_step_matches_full_backward_reference():
     fast, ref = build_discriminator(256, 11), build_discriminator(256, 11)
     opt_fast, opt_ref = AdamState.for_params(fast.params(), 1e-3), AdamState.for_params(ref.params(), 1e-3)
     x = substream(12, "x").standard_normal((8, 256))
     targets = _class_targets(4, 4, 0.2)
+    assert _discriminator_stack(fast, 8, param_grads=True) is fast.layers  # 8 rows keep the layer pair
     assert _supervised_minibatch(fast, opt_fast, x, targets, substream(13, "drop")) is None
     _reference_supervised_step(ref, opt_ref, x, targets, substream(13, "drop"))
     _assert_bit_identical(fast.params(), opt_fast, ref.params(), opt_ref)
     assert not np.array_equal(fast.params()[0], build_discriminator(256, 11).params()[0])
 
 
-def test_generator_step_matches_full_backward_reference_and_freezes_discriminator():
+def test_folded_supervised_step_matches_full_backward_reference():
+    fast, ref = _small_discriminator(14), _small_discriminator(14)
+    opt_fast, opt_ref = AdamState.for_params(fast.params(), 1e-3), AdamState.for_params(ref.params(), 1e-3)
+    x = substream(15, "x").standard_normal((32, 256))
+    targets = _class_targets(16, 16, 0.2)
+    assert isinstance(_discriminator_stack(fast, 32, param_grads=True)[0], FoldedFront)
+    _supervised_minibatch(fast, opt_fast, x, targets, substream(16, "drop"))
+    _reference_supervised_step(ref, opt_ref, x, targets, substream(16, "drop"))
+    _assert_close(fast.params(), opt_fast, ref.params(), opt_ref, 1e-3)
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["pair", "fold"])
+def test_generator_step_matches_full_backward_reference_and_freezes_discriminator(fold):
+    """The generator step through the stack the training loop passes it: the
+    layer pair, to the bit, and the folded front end, in float64 to 1e-12."""
     g_fast, g_ref = build_generator(256, 21), build_generator(256, 21)
     d_fast, d_ref = build_discriminator(256, 22), build_discriminator(256, 22)
+    if fold:
+        g_fast, g_ref, d_fast, d_ref = map(_float64, (g_fast, g_ref, d_fast, d_ref))
+    # the stack train() builds for n_examples = 64 (the desk walkthrough) folds; for 8 it does not
+    d_layers = _discriminator_stack(d_fast, 3 * (64 if fold else 8), param_grads=False)
+    assert isinstance(d_layers[0], FoldedFront) is fold
     d_before = [p.copy() for p in d_fast.params()]
     opt_fast, opt_ref = AdamState.for_params(g_fast.params(), 1e-3), AdamState.for_params(g_ref.params(), 1e-3)
     z = substream(23, "z").standard_normal((8, 256))
-    assert _generator_minibatch(g_fast, d_fast, opt_fast, z, substream(24, "drop")) is None
+    assert _generator_minibatch(g_fast, d_layers, opt_fast, z, substream(24, "drop")) is None
     _reference_generator_step(g_ref, d_ref, opt_ref, z, substream(24, "drop"))
-    _assert_bit_identical(g_fast.params(), opt_fast, g_ref.params(), opt_ref)
+    if fold:
+        _assert_close(g_fast.params(), opt_fast, g_ref.params(), opt_ref, 1e-3)
+    else:
+        _assert_bit_identical(g_fast.params(), opt_fast, g_ref.params(), opt_ref)
     assert all(np.array_equal(a, b) for a, b in zip(d_fast.params(), d_before))
 
 
@@ -246,15 +299,33 @@ def test_steps_update_the_arrays_the_nets_hold():
     g_opt, d_opt = AdamState.for_params(g.params(), 1e-3), AdamState.for_params(d.params(), 1e-3)
     held = [(net, net.params(), [p.copy() for p in net.params()]) for net in (g, d)]
     moments = [list(opt.first_moment) + list(opt.second_moment) for opt in (g_opt, d_opt)]
-    x = substream(33, "x").standard_normal((8, 256))
-    _supervised_minibatch(d, d_opt, x, _class_targets(4, 4, 0.2), substream(34, "drop"))
-    _generator_minibatch(g, d, g_opt, x, substream(35, "drop"))
+    x = substream(33, "x").standard_normal((32, 256))
+    # both steps run through the folded front end
+    assert isinstance(_discriminator_stack(d, 32, param_grads=True)[0], FoldedFront)
+    _supervised_minibatch(d, d_opt, x, _class_targets(16, 16, 0.2), substream(34, "drop"))
+    d_layers = _discriminator_stack(d, 3 * 32, param_grads=False)
+    assert isinstance(d_layers[0], FoldedFront)
+    _generator_minibatch(g, d_layers, g_opt, x, substream(35, "drop"))
     for net, arrays, values in held:
         assert all(a is b for a, b in zip(net.params(), arrays))  # no copy was set back
         assert all(not np.array_equal(a, v) for a, v in zip(arrays, values) if a.ndim > 1)
     for opt, arrays in zip((g_opt, d_opt), moments):
         assert opt.step_count == 1
         assert all(a is b for a, b in zip(opt.first_moment + opt.second_moment, arrays))
+
+
+@pytest.mark.parametrize("n_fft", [256, 2048])
+def test_the_front_end_folds_where_its_rows_pay_for_it(n_fft):
+    d = build_discriminator(n_fft, 0)
+    cfg = TrainConfig()
+    assert _discriminator_stack(d, cfg.s_minibatch_pretrain, param_grads=True) is d.layers  # pretraining
+    # the adversarial discriminator step: the published pool of 2 x 128 packets
+    # folds; the desk pool of 2 x 64 in one 128-row batch (n_fft // 2) does not
+    rows, folds = (256, True) if n_fft == 2048 else (128, False)
+    assert isinstance(_discriminator_stack(d, rows, param_grads=True)[0], FoldedFront) is folds
+    # the generator step and both evaluation passes share one map at either scale
+    examples = 128 if n_fft == 2048 else 64
+    assert isinstance(_discriminator_stack(d, 3 * examples, param_grads=False)[0], FoldedFront)
 
 
 def test_config_defaults_match_published_table():

@@ -13,6 +13,7 @@ from radiogan.net.layers import (
     DenseLayer,
     DropoutLayer,
     FlattenLayer,
+    FoldedFront,
     conv_block_rows,
     decay_penalty,
     net_backward,
@@ -230,6 +231,75 @@ def test_conv_on_any_worker_count_matches_the_serial_loop(monkeypatch, workers, 
         assert_same_bytes(got, want)
 
 
+# --- the conv1d -> dense front end folded into one map ---------------------------
+
+
+def _front_pair(n_in, n_kernels, kernel_len, width, activation="relu", weight_decay=0.0, seed=0):
+    """A float64 conv1d and the dense layer after it, with nonzero biases."""
+    rng = np.random.default_rng(seed)
+    conv = Conv1DLayer.create(n_kernels, kernel_len, rng)
+    dense = DenseLayer.create(n_in - kernel_len + 1, width, activation, rng, weight_decay_lambda=weight_decay)
+    conv.bias = rng.standard_normal(n_kernels)
+    dense.bias = rng.standard_normal(width)
+    return conv, dense
+
+
+@pytest.mark.parametrize(
+    "rows, n_in, n_kernels, kernel_len, width, activation, weight_decay",
+    [
+        (16, 256, 32, 128, 32, "relu", 0.0),  # the desk discriminator's front end
+        (3, 2048, 32, 128, 32, "relu", 0.0),  # published-shape rows
+        (5, 40, 3, 8, 4, "tanh", 0.01),
+        (5, 40, 3, 8, 4, "identity", 0.0),
+        (5, 40, 3, 8, 4, "softmax", 0.0),  # over each kernel's units, as the pair's dense layer does
+    ],
+)
+def test_fold_matches_the_layer_pair(rows, n_in, n_kernels, kernel_len, width, activation, weight_decay):
+    conv, dense = _front_pair(n_in, n_kernels, kernel_len, width, activation, weight_decay)
+    x = np.random.default_rng(1).standard_normal((rows, n_in))
+    conv_out, conv_cache = conv.forward(x)
+    out, dense_cache = dense.forward(conv_out)
+    fold = FoldedFront(conv, dense)
+    assert fold.params() == conv.params() + dense.params()
+    got, fold_cache = fold.forward(x)
+    assert got.shape == out.shape == (rows, n_kernels, width)
+    assert rel_err(got, out) <= 1e-12
+    grad_out = np.random.default_rng(2).standard_normal(out.shape)
+    grad_conv, dense_grads = dense.backward(dense_cache, grad_out)
+    want_x, conv_grads = conv.backward(conv_cache, grad_conv)
+    grad_x, grads = fold.backward(fold_cache, grad_out)
+    assert len(grads) == 4
+    for got_grad, want in zip(grads, conv_grads + dense_grads):  # kernels, conv bias, W, dense bias
+        assert got_grad.shape == want.shape
+        assert rel_err(got_grad, want) <= 1e-12
+    assert rel_err(grad_x, want_x) <= 1e-12
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("input_grad, param_grads", [(True, True), (True, False), (False, True)])
+def test_fold_gives_the_same_bytes_on_any_worker_count(monkeypatch, workers, input_grad, param_grads):
+    conv, dense = _front_pair(2048, 32, 128, 32)
+    x = np.random.default_rng(3).standard_normal((300, 2048))
+    grad_out = np.random.default_rng(4).standard_normal((300, 32, 32))
+
+    def run():
+        fold = FoldedFront(conv, dense)
+        out, cache = fold.forward(x)
+        grad_x, grads = fold.backward(cache, grad_out, input_grad=input_grad, param_grads=param_grads)
+        return [out, *([] if grad_x is None else [grad_x]), *grads]
+
+    want = run()
+    monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
+    for got, expected in zip(run(), want, strict=True):
+        assert_same_bytes(got, expected)
+
+
+def test_fold_refuses_an_input_of_another_length():
+    fold = FoldedFront(*_front_pair(40, 3, 8, 4))
+    with pytest.raises(ValueError, match=r"expected \[batch, 40\] input"):
+        fold.forward(np.zeros((2, 41)))
+
+
 # --- dense row blocks on several workers -----------------------------------------
 
 
@@ -329,6 +399,7 @@ def _layer_cases():
         (drop, x2, {"train": True, "rng": substream(6, "drop")}),
         (drop, x2, {}),
         (FlattenLayer(), x3, {}),
+        (FoldedFront(Conv1DLayer.create(3, 5, 3), DenseLayer.create(8, 4, "relu", 4)), x2, {}),
     ]
 
 
